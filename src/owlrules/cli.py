@@ -80,47 +80,47 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("files", nargs="+", help="ontology files (RDF/XML subset)")
-        cmd.add_argument(
-            "--format",
-            choices=[f.value for f in OutputFormat],
-            default=OutputFormat.TEXT.value,
-            help="output format (default: text)",
-        )
         cmd.add_argument("--output", metavar="FILE", help="write results here instead of stdout")
-        cmd.add_argument(
-            "--cap",
-            type=int,
-            default=DEFAULT_CAP,
-            metavar="N",
-            help=f"iteration cap for inference (default: {DEFAULT_CAP})",
-        )
-        cmd.add_argument(
-            "--strict",
-            action="store_true",
-            help="exit 5 when integrity violations are reported",
-        )
-        cmd.add_argument(
-            "--no-nonexecutable",
-            action="store_true",
-            help="drop non-executable rules from extract/classify output",
-        )
         if name == "infer":
             cmd.add_argument("--facts", metavar="FILE", required=True, help="instance fact file")
+            cmd.add_argument(
+                "--cap",
+                type=int,
+                default=DEFAULT_CAP,
+                metavar="N",
+                help=f"iteration cap for inference (default: {DEFAULT_CAP})",
+            )
+            cmd.add_argument(
+                "--strict",
+                action="store_true",
+                help="exit 5 when integrity violations are reported",
+            )
+        else:
+            cmd.add_argument(
+                "--format",
+                choices=[f.value for f in OutputFormat],
+                default=OutputFormat.TEXT.value,
+                help="output format (default: text)",
+            )
+            cmd.add_argument(
+                "--no-nonexecutable",
+                action="store_true",
+                help="drop non-executable rules from the output",
+            )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = Command(args.command)
+    # Each subcommand registers only its own flags; the rest keep their defaults.
     return RunConfig(
-        command=command,
+        command=Command(args.command),
         inputs=list(args.files),
         facts=getattr(args, "facts", None),
-        format=OutputFormat(args.format),
-        include_nonexecutable=(
-            not args.no_nonexecutable if command is not Command.INFER else False
-        ),
-        cap=args.cap,
-        strict=args.strict,
+        format=OutputFormat(getattr(args, "format", OutputFormat.TEXT.value)),
+        # infer runs executable rules only
+        include_nonexecutable=not getattr(args, "no_nonexecutable", True),
+        cap=getattr(args, "cap", DEFAULT_CAP),
+        strict=getattr(args, "strict", False),
         output=args.output,
     )
 

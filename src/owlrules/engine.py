@@ -1,7 +1,15 @@
 """Forward chaining over instance facts, plus schema-level subclass closure.
 
-``run_fixpoint`` saturates a fact base under executable rules using semi-naive
-rounds (each round only re-matches against facts derived in the previous one).
+``run_fixpoint`` saturates a fact base under executable rules by semi-naive
+rounds.  Each call indexes the facts by kind and predicate, and within those
+by subject and by object (only the lookups its rules make), and appends every
+round's new facts to the index.  Each rule is compiled once: an antecedent
+atom reads only the index bucket that its ground terms and already-bound
+variables select.  In a round, each
+atom in turn is the pivot that must match a fact derived in the previous
+round; atoms before the pivot match only older facts and atoms after it match
+any fact, so each binding is produced once, at its leftmost new fact.
+
 Matching binds the variables ?x/?y/?z to fact components, with one restriction:
 the object of a class-flagged link fact never binds a variable (it names a
 class, not an individual).  Ground terms match by plain name equality.
@@ -16,6 +24,8 @@ are reported as violations after the fixpoint is reached.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .model import (
@@ -173,41 +183,117 @@ class InferenceResult:
 
 
 # ---------------------------------------------------------------------------
-# matching
+# fact index
 
 
-def _unify(term: Term, value: Iri, binds: dict[str, Iri]) -> dict[str, Iri] | None:
+class _FactIndex:
+    """A fact base's facts by position, bucketed by what an atom can look up.
+
+    The fact at position ``pos`` becomes the row (subject, predicate, object,
+    object-is-class), where the predicate is the class, property or feature
+    (a link's row is its ``LinkFact`` fields).  ``pos`` joins the buckets
+    ``(kind, "")``, ``(kind, "p", predicate)``, ``(kind, "s", predicate,
+    subject)`` and, for links, ``(kind, "o", predicate, object)`` -- those
+    whose family, the first two key entries, is in ``families``: the rules
+    read no other bucket.  Buckets hold positions in insertion order, so the
+    facts added by the last ``extend`` are a suffix of each.
+    """
+
+    def __init__(self, facts, families: set[tuple[str, str]]) -> None:
+        self.rows: list[tuple | None] = []
+        self.buckets: dict[tuple, list[int]] = defaultdict(list)
+        self.families = families
+        self.extend(facts)
+
+    def extend(self, facts) -> None:
+        buckets, families = self.buckets, self.families
+        for fact in facts:
+            pos = len(self.rows)
+            if isinstance(fact, LinkFact):
+                kind, row = "prop", (fact.subject, fact.prop, fact.obj, fact.obj_is_class)
+            elif isinstance(fact, Membership):
+                kind, row = "cls", (fact.individual, fact.cls, None, False)
+            elif isinstance(fact, FeatureExpected):
+                kind, row = "feature", (fact.individual, fact.feature, None, False)
+            else:  # negated memberships match no antecedent atom
+                self.rows.append(None)
+                continue
+            self.rows.append(row)
+            subject, pred, obj, _ = row
+            if (kind, "") in families:
+                buckets[(kind, "")].append(pos)
+            if (kind, "p") in families:
+                buckets[(kind, "p", pred)].append(pos)
+            if (kind, "s") in families:
+                buckets[(kind, "s", pred, subject)].append(pos)
+            if (kind, "o") in families:
+                buckets[(kind, "o", pred, obj)].append(pos)
+
+
+# ---------------------------------------------------------------------------
+# rule compilation
+
+# A step matches one antecedent atom.  Its ``key`` names the index bucket to
+# read; Var entries in it are variables bound by earlier atoms, filled in from
+# the bindings.  Its ``ops`` test the row columns the key leaves open:
+# (column, name, _CONST) compares with a ground name, (column, var, _CHECK)
+# with a bound variable, and (column, var, _BIND) binds a variable first met
+# in this atom.
+_CONST, _CHECK, _BIND = range(3)
+
+
+@dataclass(frozen=True)
+class _Step:
+    key: tuple
+    dynamic: bool  # the key holds variables
+    ops: tuple[tuple[int, object, int], ...]
+
+
+def _part(term: Term) -> Var | Iri | None:
     if isinstance(term, Var):
-        bound = binds.get(term.name)
-        if bound is None:
-            out = dict(binds)
-            out[term.name] = value
-            return out
-        return binds if bound == value else None
+        return term
     if isinstance(term, (ClassRef, PropRef, IndividualRef)):
-        return binds if term.iri == value else None
+        return term.iri
     return None  # literals never match a name
 
 
-def _match_atom(atom: Atom, fact: Fact, binds: dict[str, Iri]) -> dict[str, Iri] | None:
-    if isinstance(atom, IsA) and isinstance(fact, Membership):
-        b = _unify(atom.subject, fact.individual, binds)
-        return None if b is None else _unify(atom.cls, fact.cls, b)
-    if isinstance(atom, Link) and isinstance(fact, LinkFact):
-        b = _unify(atom.subject, fact.subject, binds)
-        if b is None:
-            return None
-        b = _unify(atom.prop, fact.prop, b)
-        if b is None:
-            return None
-        if fact.obj_is_class and isinstance(atom.obj, Var):
-            return None
-        return _unify(atom.obj, fact.obj, b)
-    if isinstance(atom, HasFeature) and isinstance(fact, FeatureExpected):
-        if atom.feature != fact.feature:
-            return None
-        return _unify(atom.subject, fact.individual, binds)
-    return None
+def _compile_atom(atom: Atom, bound: set[str]) -> _Step | None:
+    """Compile ``atom`` after the atoms that bound ``bound`` (which it extends).
+
+    Returns None for an atom that no fact can match.
+    """
+    if isinstance(atom, IsA):
+        kind, parts = "cls", [_part(atom.subject), _part(atom.cls)]
+    elif isinstance(atom, Link):
+        kind, parts = "prop", [_part(atom.subject), _part(atom.prop), _part(atom.obj)]
+    else:
+        kind, parts = "feature", [_part(atom.subject), atom.feature]
+    if any(p is None for p in parts):
+        return None
+    known = [not isinstance(p, Var) or p.name in bound for p in parts]
+    if not known[1]:
+        key, keyed = (kind, ""), ()
+    elif known[0]:
+        key, keyed = (kind, "s", parts[1], parts[0]), (0, 1)
+    elif kind == "prop" and known[2]:
+        key, keyed = (kind, "o", parts[1], parts[2]), (1, 2)
+    else:
+        key, keyed = (kind, "p", parts[1]), (1,)
+    ops = []
+    if kind == "prop" and isinstance(parts[2], Var):
+        ops.append((3, False, _CONST))  # a class-flagged object binds no variable
+    for col, part in enumerate(parts):
+        if col in keyed:
+            continue
+        if not isinstance(part, Var):
+            ops.append((col, part, _CONST))
+        elif part.name in bound:
+            ops.append((col, part.name, _CHECK))
+        else:
+            ops.append((col, part.name, _BIND))
+            bound.add(part.name)
+    dynamic = any(isinstance(x, Var) for x in key)
+    return _Step(key=key, dynamic=dynamic, ops=tuple(ops))
 
 
 def _ground(term: Term, binds: dict[str, Iri]) -> Iri:
@@ -256,8 +342,8 @@ def _is_ground_atom(atom: Atom) -> bool:
 @dataclass
 class _Prepared:
     rule: Rule
-    match_atoms: list[Atom]  # instance atoms that must match facts
-    fires: bool  # False when a variable-bearing schema atom blocks the rule
+    steps: list[_Step]  # one per instance atom of the antecedent, in order
+    fires: bool  # False when some atom can never match, e.g. a variable-bearing schema atom
     emits: bool  # True when some consequent atom is instance-level
 
 
@@ -271,7 +357,8 @@ class _Constraint:
 def _prepare(rule: Rule) -> _Prepared | _Constraint:
     if any(isinstance(a, Not) for a in rule.consequent):
         return _prepare_constraint(rule)
-    match_atoms: list[Atom] = []
+    steps: list[_Step] = []
+    bound: set[str] = set()
     fires = True
     for atom in rule.antecedent:
         if isinstance(atom, Not):
@@ -280,7 +367,11 @@ def _prepare(rule: Rule) -> _Prepared | _Constraint:
                 "integrity-check rules"
             )
         if isinstance(atom, _INSTANCE_ATOMS):
-            match_atoms.append(atom)
+            step = _compile_atom(atom, bound)
+            if step is None:
+                fires = False
+            else:
+                steps.append(step)
         elif isinstance(atom, _SCHEMA_ATOMS):
             # Ground schema atoms held at extraction time; variable-bearing
             # ones have nothing to match and silence the rule.
@@ -289,7 +380,7 @@ def _prepare(rule: Rule) -> _Prepared | _Constraint:
         else:
             raise ValueError(f"rule {rule.id}: unsupported antecedent atom {atom!r}")
     emits = any(isinstance(a, _INSTANCE_ATOMS) for a in rule.consequent)
-    return _Prepared(rule=rule, match_atoms=match_atoms, fires=fires, emits=emits)
+    return _Prepared(rule=rule, steps=steps, fires=fires, emits=emits)
 
 
 def _prepare_constraint(rule: Rule) -> _Constraint:
@@ -315,45 +406,54 @@ def _prepare_constraint(rule: Rule) -> _Constraint:
     return _Constraint(rule=rule, prop=head.prop.iri, filler=guard.cls.iri)
 
 
-def _enumerate(
-    atoms: list[Atom],
-    idx: int,
-    pivot: int,
-    binds: dict[str, Iri],
-    base_facts: tuple[Fact, ...],
-    delta: list[Fact],
-):
-    if idx == len(atoms):
-        yield binds
-        return
-    pool = delta if idx == pivot else base_facts
-    for fact in pool:
-        nb = _match_atom(atoms[idx], fact, binds)
-        if nb is not None:
-            yield from _enumerate(atoms, idx + 1, pivot, nb, base_facts, delta)
+# ---------------------------------------------------------------------------
+# rounds
 
 
 def _round(
-    prepared: list[_Prepared], base: FactBase, delta: list[Fact]
+    prepared: list[_Prepared], base: FactBase, index: _FactIndex, delta_start: int
 ) -> list[tuple[Fact, str]]:
+    """Fire every rule on the bindings that use a fact at ``delta_start`` or later.
+
+    New facts go straight into ``base`` (not into ``index``, so matching in
+    this round sees only the facts it started with) and are returned in
+    derivation order with the id of the rule that derived them first.
+    """
     staged: list[tuple[Fact, str]] = []
-    staged_set: set[Fact] = set()
-    base_facts = base.facts
-    for prep in prepared:
-        seen_binds: set[tuple] = set()
-        pivots = range(len(prep.match_atoms)) if prep.match_atoms else (-1,)
-        for pivot in pivots:
-            for binds in _enumerate(prep.match_atoms, 0, pivot, {}, base_facts, delta):
-                key = tuple(sorted(binds.items()))
-                if key in seen_binds:
-                    continue
-                seen_binds.add(key)
-                for atom in prep.rule.consequent:
-                    fact = _instantiate(atom, binds)
-                    if fact is None or fact in base or fact in staged_set:
-                        continue
+    rows, buckets = index.rows, index.buckets
+
+    def search(prep: _Prepared, i: int, pivot: int, binds: dict[str, Iri]) -> None:
+        if i == len(prep.steps):
+            for atom in prep.rule.consequent:
+                fact = _instantiate(atom, binds)
+                if fact is not None and base.add(fact, derived_by=prep.rule.id):
                     staged.append((fact, prep.rule.id))
-                    staged_set.add(fact)
+            return
+        step = prep.steps[i]
+        key = step.key
+        if step.dynamic:
+            key = tuple(binds[x.name] if isinstance(x, Var) else x for x in key)
+        bucket = buckets.get(key)
+        if not bucket:
+            return
+        if i < pivot:
+            bucket = bucket[: bisect_left(bucket, delta_start)]
+        elif i == pivot:
+            bucket = bucket[bisect_left(bucket, delta_start) :]
+        for pos in bucket:
+            row = rows[pos]
+            for col, arg, op in step.ops:
+                if op == _BIND:
+                    binds[arg] = row[col]
+                elif row[col] != (binds[arg] if op == _CHECK else arg):
+                    break
+            else:
+                search(prep, i + 1, pivot, binds)
+
+    for prep in prepared:
+        # A rule without instance atoms has one (empty) binding: pivot -1.
+        for pivot in range(len(prep.steps)) if prep.steps else (-1,):
+            search(prep, 0, pivot, {})
     return staged
 
 
@@ -383,31 +483,30 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
                 f"{base.source_of(NegMembership(fact.individual, fact.cls))})"
             )
 
+    families = {step.key[:2] for prep in positives for step in prep.steps}
+    if constraints:
+        families.add(("prop", "p"))
+    index = _FactIndex(base, families)
     derived: list[tuple[Fact, str]] = []
-    delta = list(base)
+    delta_start = 0  # every initial fact is new in the first round
     iterations = 0
     converged = False
     while iterations < cap:
         iterations += 1
-        staged = _round(positives, base, delta)
+        staged = _round(positives, base, index, delta_start)
         if not staged:
             converged = True
             break
-        for fact, rule_id in staged:
-            base.add(fact, derived_by=rule_id)
-            derived.append((fact, rule_id))
-        delta = [fact for fact, _ in staged]
+        derived.extend(staged)
+        delta_start = len(index.rows)
+        index.extend(fact for fact, _ in staged)
 
     violations: list[tuple[Fact, str]] = []
     for con in constraints:
-        for fact in base:
-            if (
-                isinstance(fact, LinkFact)
-                and fact.prop == con.prop
-                and not fact.obj_is_class
-                and Membership(fact.obj, con.filler) not in base
-            ):
-                violations.append((fact, con.rule.id))
+        for pos in index.buckets.get(("prop", "p", con.prop), ()):
+            link = LinkFact(*index.rows[pos])
+            if not link.obj_is_class and Membership(link.obj, con.filler) not in base:
+                violations.append((link, con.rule.id))
 
     return InferenceResult(
         final=base,
@@ -438,25 +537,38 @@ def schema_closure(model: OntologyModel, rules: list[Rule]) -> list[SubClassOf]:
     equiv_on = any(r.pattern is Pattern.EQUIVALENCE_INHERITANCE for r in rules)
 
     given = {(ax.sub, ax.sup) for ax in model.axioms_of(SubClassOf)}
-    equivalences = [(ax.a, ax.b) for ax in model.axioms_of(EquivalentClass)]
-    known = set(given)
-    changed = True
-    while changed:
-        changed = False
-        fresh: set[tuple[Iri, Iri]] = set()
-        if trans_on:
-            for a, b in known:
-                for b2, c in known:
-                    if b == b2 and a != c and (a, c) not in known:
-                        fresh.add((a, c))
-        if equiv_on:
-            for a, b in equivalences:
-                for lifted, declared in ((a, b), (b, a)):
-                    for sub, sup in known:
-                        if sub == declared and sup != lifted and (lifted, sup) not in known:
-                            fresh.add((lifted, sup))
-        if fresh:
-            known |= fresh
-            changed = True
+    # lifts[d]: the classes declared equivalent to d, which inherit its superclasses
+    lifts: dict[Iri, list[Iri]] = defaultdict(list)
+    if equiv_on:
+        for ax in model.axioms_of(EquivalentClass):
+            lifts[ax.a].append(ax.b)
+            lifts[ax.b].append(ax.a)
+    sups: dict[Iri, set[Iri]] = defaultdict(set)  # known superclasses of each class
+    subs: dict[Iri, set[Iri]] = defaultdict(set)  # known subclasses of each class
+    pending: dict[Iri, set[Iri]] = {}  # superclasses not yet joined with the rest
 
-    return [SubClassOf(s, p) for s, p in sorted(known - given)]
+    def add(cls: Iri, candidates: set[Iri]) -> None:
+        fresh = candidates - sups[cls]
+        if fresh:
+            sups[cls] |= fresh
+            for sup in fresh:
+                subs[sup].add(cls)
+            pending.setdefault(cls, set()).update(fresh)
+
+    for sub, sup in given:
+        add(sub, {sup})
+    # Semi-naive: a new edge (cls, sup) waits in ``pending`` until it is joined,
+    # as either premise, with every edge known by then; an edge found later is
+    # joined with it when that edge's own turn comes.
+    while pending:
+        cls, delta = pending.popitem()
+        if trans_on:
+            for mid in delta:
+                add(cls, sups[mid] - {cls})
+            for sub in list(subs[cls]):
+                add(sub, delta - {sub})
+        for lifted in lifts[cls]:
+            add(lifted, delta - {lifted})
+
+    derived = ((sub, sup) for sub, known in sups.items() for sup in known)
+    return [SubClassOf(s, p) for s, p in sorted(set(derived) - given)]

@@ -12,6 +12,8 @@ from pathlib import Path
 from owlrules import OntologyModel, ParseDiagnostic, Severity, parse_ontology
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
+# Larger inference fixtures with their expected outputs.
+DATA_DIR = Path(__file__).parent / "data"
 
 # Variant files per shape; the first entry is the canonical one.
 FRAGMENTS: dict[str, tuple[str, ...]] = {

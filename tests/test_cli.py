@@ -10,7 +10,7 @@ import json
 import jsonschema
 import pytest
 
-from conftest import CANONICAL_FILES, corpus_path
+from conftest import CANONICAL_FILES, DATA_DIR, corpus_path
 from owlrules import (
     CATEGORY_ORDER,
     ContradictionError,
@@ -375,6 +375,41 @@ def test_infer_contradiction_exit_code(capsys, monkeypatch):
     assert code == EXIT_CONTRADICTION
     assert out == ""
     assert "both ways" in err
+
+
+# Inputs and expected `infer` output live in tests/data: a 40-link chain
+# under one transitive property, and a fixture that combines the corpus's
+# intersection, subproperty, symmetric, inverse and allValuesFrom shapes.
+# The expected files pin the derivation order byte for byte.
+@pytest.mark.parametrize("name", ["chain40", "combined"])
+def test_infer_output_matches_golden_file(capsys, name):
+    code, out, err = run_cli(
+        capsys, "infer", str(DATA_DIR / f"{name}.owl"), "--facts", str(DATA_DIR / f"{name}.facts")
+    )
+    assert code == EXIT_OK
+    assert err == ""
+    assert out == (DATA_DIR / f"{name}.infer.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infer", "--facts", "f.txt", "--format", "structured"],
+        ["infer", "--facts", "f.txt", "--no-nonexecutable"],
+        ["extract", "--cap", "3"],
+        ["extract", "--strict"],
+        ["extract", "--facts", "f.txt"],
+        ["classify", "--cap", "3"],
+        ["classify", "--strict"],
+        ["classify", "--facts", "f.txt"],
+    ],
+)
+def test_flags_of_other_subcommands_are_usage_errors(capsys, argv):
+    # argparse rejects the flag before any file is read
+    with pytest.raises(SystemExit) as exc_info:
+        main([argv[0], owl("intersection.owl"), *argv[1:]])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import corpus_text, load_model
+from conftest import DATA_DIR, corpus_text, load_model
 from oracles import (
     closure_pairs,
+    equivalence_lift_pairs,
     joint_closure_pairs,
     naive_saturate,
     random_dag_model,
@@ -28,6 +29,7 @@ from owlrules import (
     NonExecutableRuleError,
     Pattern,
     PropRef,
+    SchemaEquivalent,
     SchemaSubClassOf,
     SolePart,
     SubClassOf,
@@ -43,6 +45,7 @@ from owlrules import (
     format_fact,
     make_rule,
     parse_fact_base,
+    parse_ontology,
     run_fixpoint,
     schema_closure,
 )
@@ -227,6 +230,88 @@ def test_flagged_links_are_exempt_from_violation_scans():
 
 
 # ---------------------------------------------------------------------------
+# indexed lookup edge cases
+
+
+def test_an_atom_that_repeats_a_variable_matches_only_equal_components():
+    rule = make_rule(
+        Pattern.SUBPROPERTY_LIFT,
+        [Link(VX, PropRef(Iri("p")), VX)],
+        [Link(VX, PropRef(Iri("q")), VX)],
+    )
+    base = FactBase(
+        [
+            LinkFact(Iri("a"), Iri("p"), Iri("b")),
+            LinkFact(Iri("b"), Iri("p"), Iri("b")),
+            LinkFact(Iri("c"), Iri("p"), Iri("c"), obj_is_class=True),
+        ]
+    )
+    result = run_fixpoint([rule], base, CAP)
+    assert [f for f, _ in result.derived] == [LinkFact(Iri("b"), Iri("q"), Iri("b"))]
+
+
+def test_a_variable_property_matches_links_of_every_property():
+    rule = make_rule(
+        Pattern.SUBPROPERTY_LIFT,
+        [Link(VX, VY, VZ)],
+        [Link(VX, PropRef(Iri("related")), VZ)],
+    )
+    base = FactBase(
+        [
+            LinkFact(Iri("a"), Iri("p"), Iri("b")),
+            Membership(Iri("a"), Iri("p")),
+            LinkFact(Iri("c"), Iri("q"), Iri("d")),
+            LinkFact(Iri("e"), Iri("q"), Iri("Engineer"), obj_is_class=True),
+        ]
+    )
+    result = run_fixpoint([rule], base, CAP)
+    assert [f for f, _ in result.derived] == [
+        LinkFact(Iri("a"), Iri("related"), Iri("b")),
+        LinkFact(Iri("c"), Iri("related"), Iri("d")),
+    ]
+
+
+def test_a_flagged_link_reached_by_its_object_never_binds_the_object():
+    # ?y is bound by the first atom, so the link atom looks its facts up by
+    # object; the class-flagged link shares that object but must not match.
+    rule = make_rule(
+        Pattern.DOMAIN_RANGE_IDENTIFICATION,
+        [IsA(VY, ClassRef(Iri("Role"))), Link(VX, PropRef(Iri("knows")), VY)],
+        [IsA(VX, ClassRef(Iri("Social")))],
+    )
+    base = FactBase(
+        [
+            Membership(Iri("Engineer"), Iri("Role")),
+            LinkFact(Iri("ada"), Iri("knows"), Iri("Engineer"), obj_is_class=True),
+            LinkFact(Iri("bob"), Iri("knows"), Iri("Engineer")),
+        ]
+    )
+    result = run_fixpoint([rule], base, CAP)
+    assert [f for f, _ in result.derived] == [Membership(Iri("bob"), Iri("Social"))]
+
+
+def test_a_fact_two_rules_derive_in_one_round_belongs_to_the_earlier_rule():
+    to_c = [IsA(VX, ClassRef(Iri("C")))]
+    from_a = make_rule(Pattern.INTERSECTION, [IsA(VX, ClassRef(Iri("A")))], to_c)
+    from_b = make_rule(Pattern.INTERSECTION, [IsA(VX, ClassRef(Iri("B")))], to_c)
+    base = FactBase([Membership(Iri("i"), Iri("A")), Membership(Iri("i"), Iri("B"))])
+    shared = Membership(Iri("i"), Iri("C"))
+    for first, second in ((from_a, from_b), (from_b, from_a)):
+        result = run_fixpoint([first, second], base, CAP)
+        assert result.derived == [(shared, first.id)]
+        assert result.final.source_of(shared) == first.id
+
+
+def test_combined_fixture_derivations_keep_their_order_and_rule_ids():
+    model, _ = parse_ontology((DATA_DIR / "combined.owl").read_text(encoding="utf-8"))
+    base, diags = parse_fact_base((DATA_DIR / "combined.facts").read_text(encoding="utf-8"))
+    assert diags == []
+    result = run_fixpoint(_executable(model), base, CAP)
+    lines = "".join(f"{rule_id} {format_fact(fact)}\n" for fact, rule_id in result.derived)
+    assert lines == (DATA_DIR / "combined.derivations.txt").read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
 # error paths and caps
 
 
@@ -392,3 +477,57 @@ def test_schema_closure_output_is_sorted():
     derived = schema_closure(model, rules)
     keys = [(ax.sub, ax.sup) for ax in derived]
     assert keys == sorted(keys)
+
+
+def _random_schema_model(rng: random.Random):
+    """Random subclass edges (cycles allowed) plus chained equivalences.
+
+    ``SubClassOf`` rejects an axiom relating a class to itself, so the
+    self-pairs come from cycles instead: with transitivity on, a class on a
+    cycle reaches itself, and that pair must never be reported.
+    """
+    names = [Iri(f"K{i}") for i in range(rng.randint(2, 9))]
+    b = ModelBuilder()
+    edges: set[tuple[Iri, Iri]] = set()
+    for _ in range(rng.randint(0, 14)):
+        sub, sup = rng.sample(names, 2)
+        b.add_axiom(SubClassOf(sub, sup))
+        edges.add((sub, sup))
+    # a chain K0 = K1 = ... plus a few random equivalences
+    equivs = [(names[i], names[i + 1]) for i in range(rng.randint(0, min(3, len(names) - 1)))]
+    equivs += [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 2))]
+    for a, c in equivs:
+        b.add_axiom(EquivalentClass(a, c))
+    model = b.build()
+    return model, edges, [(ax.a, ax.b) for ax in model.axioms_of(EquivalentClass)]
+
+
+_TRANSITIVITY = make_rule(
+    Pattern.SUBCLASS_TRANSITIVITY,
+    [SchemaSubClassOf(ClassRef(Iri("A")), ClassRef(Iri("B")))],
+    [SchemaSubClassOf(ClassRef(Iri("A")), ClassRef(Iri("B")))],
+)
+_EQUIVALENCE = make_rule(
+    Pattern.EQUIVALENCE_INHERITANCE,
+    [SchemaEquivalent(ClassRef(Iri("A")), ClassRef(Iri("B")))],
+    [SchemaSubClassOf(ClassRef(Iri("A")), ClassRef(Iri("B")))],
+)
+
+
+@pytest.mark.parametrize(
+    "rules, oracle",
+    [
+        ([_EQUIVALENCE], equivalence_lift_pairs),
+        ([_TRANSITIVITY, _EQUIVALENCE], joint_closure_pairs),
+    ],
+    ids=["equivalence-only", "joint"],
+)
+def test_schema_closure_matches_oracle_on_random_cyclic_graphs(rules, oracle):
+    rng = random.Random(43)
+    for _ in range(300):
+        model, edges, equivs = _random_schema_model(rng)
+        derived = schema_closure(model, rules)
+        pairs = [(ax.sub, ax.sup) for ax in derived]
+        assert pairs == sorted(pairs)
+        assert set(pairs) == oracle(edges, equivs)
+        assert all(sub != sup for sub, sup in pairs)
