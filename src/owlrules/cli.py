@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 from .engine import ContradictionError, format_fact, run_fixpoint
@@ -36,49 +34,19 @@ EXIT_VIOLATIONS = 5
 DEFAULT_CAP = 10000
 
 
-class Command(Enum):
-    EXTRACT = "extract"
-    CLASSIFY = "classify"
-    INFER = "infer"
-
-
-class OutputFormat(Enum):
-    TEXT = "text"
-    STRUCTURED = "structured"
-
-
-@dataclass
-class RunConfig:
-    command: Command
-    inputs: list[str] = field(default_factory=list)
-    facts: str | None = None
-    format: OutputFormat = OutputFormat.TEXT
-    include_nonexecutable: bool = True
-    cap: int = DEFAULT_CAP
-    strict: bool = False
-    output: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.inputs:
-            raise ValueError("at least one input file is required")
-        if self.cap < 1:
-            raise ValueError("cap must be positive")
-        if self.command is Command.INFER and self.facts is None:
-            raise ValueError("infer requires a facts file")
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="owlrules",
         description="Extract, classify, and run IF-THEN rules from OWL subset files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("extract", "print the rules found in the ontology files"),
-        ("classify", "group extracted rules by category"),
-        ("infer", "forward-chain executable rules over a fact file"),
+    for name, run, help_text in (
+        ("extract", cmd_extract, "print the rules found in the ontology files"),
+        ("classify", cmd_classify, "group extracted rules by category"),
+        ("infer", cmd_infer, "forward-chain executable rules over a fact file"),
     ):
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(run=run)
         cmd.add_argument("files", nargs="+", help="ontology files (RDF/XML subset)")
         cmd.add_argument("--output", metavar="FILE", help="write results here instead of stdout")
         if name == "infer":
@@ -98,8 +66,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         else:
             cmd.add_argument(
                 "--format",
-                choices=[f.value for f in OutputFormat],
-                default=OutputFormat.TEXT.value,
+                choices=["text", "structured"],
+                default="text",
                 help="output format (default: text)",
             )
             cmd.add_argument(
@@ -110,29 +78,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    # Each subcommand registers only its own flags; the rest keep their defaults.
-    return RunConfig(
-        command=Command(args.command),
-        inputs=list(args.files),
-        facts=getattr(args, "facts", None),
-        format=OutputFormat(getattr(args, "format", OutputFormat.TEXT.value)),
-        # infer runs executable rules only
-        include_nonexecutable=not getattr(args, "no_nonexecutable", True),
-        cap=getattr(args, "cap", DEFAULT_CAP),
-        strict=getattr(args, "strict", False),
-        output=args.output,
-    )
-
-
 # ---------------------------------------------------------------------------
 # pipeline pieces
 
 
-def _load_models(config: RunConfig) -> tuple[list[OntologyModel], bool]:
+def _load_models(paths: list[str]) -> tuple[list[OntologyModel], bool]:
     models = []
     failed = False
-    for path in config.inputs:
+    for path in paths:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
@@ -149,15 +102,17 @@ def _load_models(config: RunConfig) -> tuple[list[OntologyModel], bool]:
     return models, failed
 
 
-def _emit(config: RunConfig, payload: str) -> None:
-    if config.output:
-        Path(config.output).write_text(payload, encoding="utf-8")
+def _emit(args: argparse.Namespace, payload: str) -> None:
+    if args.output:
+        Path(args.output).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
 
 
-def _extract_rules(config: RunConfig) -> tuple[list[Rule], OntologyModel] | int:
-    models, failed = _load_models(config)
+def _extract_rules(
+    paths: list[str], executable_only: bool
+) -> tuple[list[Rule], OntologyModel] | int:
+    models, failed = _load_models(paths)
     if failed:
         return EXIT_PARSE_ERROR
     try:
@@ -169,7 +124,7 @@ def _extract_rules(config: RunConfig) -> tuple[list[Rule], OntologyModel] | int:
     for warning in report.warnings:
         print(f"WARNING {warning}", file=sys.stderr)
     rules = report.rules
-    if not config.include_nonexecutable:
+    if executable_only:
         rules = [r for r in rules if r.executable]
     return rules, model
 
@@ -178,27 +133,26 @@ def _extract_rules(config: RunConfig) -> tuple[list[Rule], OntologyModel] | int:
 # subcommands
 
 
-def cmd_extract(config: RunConfig) -> int:
-    got = _extract_rules(config)
+def cmd_extract(args: argparse.Namespace) -> int:
+    got = _extract_rules(args.files, args.no_nonexecutable)
     if isinstance(got, int):
         return got
     rules, model = got
-    if config.format is OutputFormat.STRUCTURED:
+    if args.format == "structured":
         payload = render_structured(rules, source=model.source_names)
     else:
         payload = "".join(render_text(r) + "\n" for r in rules)
-    _emit(config, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def cmd_classify(config: RunConfig) -> int:
-    got = _extract_rules(config)
+def cmd_classify(args: argparse.Namespace) -> int:
+    if args.format == "structured":
+        return cmd_extract(args)  # the same document
+    got = _extract_rules(args.files, args.no_nonexecutable)
     if isinstance(got, int):
         return got
-    rules, model = got
-    if config.format is OutputFormat.STRUCTURED:
-        _emit(config, render_structured(rules, source=model.source_names))
-        return EXIT_OK
+    rules, _model = got
     by_id = sorted(rules, key=lambda r: r.id)
     lines = []
     for category in CATEGORY_ORDER:
@@ -209,28 +163,30 @@ def cmd_classify(config: RunConfig) -> int:
         lines.append("")
         for rule in grouped:
             lines.append(f"{rule.category.value} {rule.pattern.value} {render_text(rule)}")
-    _emit(config, "".join(line + "\n" for line in lines))
+    _emit(args, "".join(line + "\n" for line in lines))
     return EXIT_OK
 
 
-def cmd_infer(config: RunConfig) -> int:
-    got = _extract_rules(config)
+def cmd_infer(args: argparse.Namespace) -> int:
+    if args.cap < 1:
+        print("ERROR cap must be positive", file=sys.stderr)
+        return EXIT_MERGE_CONFLICT  # bad usage shares the conflict code
+    got = _extract_rules(args.files, executable_only=True)
     if isinstance(got, int):
         return got
-    rules, _model = got
-    executable = [r for r in rules if r.executable]
+    executable, _model = got
     try:
-        facts_text = Path(config.facts or "").read_text(encoding="utf-8")
+        facts_text = Path(args.facts).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"ERROR {config.facts}: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    base, diags = parse_fact_base(facts_text)
-    for diag in diags:
-        print(format_diagnostic(diag, config.facts or "<facts>"), file=sys.stderr)
-    if has_errors(diags):
+        print(f"ERROR {args.facts}: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     try:
-        result = run_fixpoint(executable, base, config.cap)
+        base, diags = parse_fact_base(facts_text)
+        for diag in diags:
+            print(format_diagnostic(diag, args.facts), file=sys.stderr)
+        if has_errors(diags):
+            return EXIT_PARSE_ERROR
+        result = run_fixpoint(executable, base, args.cap)
     except ContradictionError as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
@@ -247,30 +203,18 @@ def cmd_infer(config: RunConfig) -> int:
             "yes" if result.converged else "no",
         )
     )
-    _emit(config, "".join(line + "\n" for line in lines))
+    _emit(args, "".join(line + "\n" for line in lines))
     if not result.converged:
         return EXIT_CAP_EXCEEDED
-    if config.strict and result.violations:
+    if args.strict and result.violations:
         return EXIT_VIOLATIONS
     return EXIT_OK
-
-
-_DISPATCH = {
-    Command.EXTRACT: cmd_extract,
-    Command.CLASSIFY: cmd_classify,
-    Command.INFER: cmd_infer,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     args = build_arg_parser().parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        print(f"ERROR {exc}", file=sys.stderr)
-        return EXIT_MERGE_CONFLICT  # bad usage shares the conflict code
-    return _DISPATCH[config.command](config)
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

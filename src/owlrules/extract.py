@@ -16,8 +16,10 @@ Thirteen scanners, one per licensed shape:
   intersection                 intersection class decomposed into its parts
   inverse                      both directions of an inverse property pair
 
-``extract_all`` runs every scanner, deduplicates by rule id (merging
-provenance), and returns the rules in canonical id order.
+Each shape has one public entry point, ``extract_<shape>(model)``, which
+returns its rules.  ``extract_all`` runs them all, deduplicates by rule id
+(merging provenance), returns the rules in canonical id order, and warns of
+symmetric properties and inverse pairs skipped for a missing domain or range.
 """
 
 from __future__ import annotations
@@ -80,17 +82,29 @@ def _sorted_props(model: OntologyModel) -> list[PropertyDecl]:
     return sorted(model.properties.values(), key=lambda d: d.iri)
 
 
+def _has_domain_and_range(decl: PropertyDecl | None) -> bool:
+    return decl is not None and decl.domain is not None and decl.range is not None
+
+
 def _plain_object_props(model: OntologyModel) -> list[PropertyDecl]:
-    # Strictly OBJECT kind: symmetric/transitive properties have scanners of
-    # their own and must not double-fire the domain/range-driven shapes.
-    return [d for d in _sorted_props(model) if d.kind is PropertyKind.OBJECT]
+    # Strictly OBJECT kind, with both ends: symmetric/transitive properties have
+    # scanners of their own and must not double-fire the domain/range shapes.
+    return [
+        d
+        for d in _sorted_props(model)
+        if d.kind is PropertyKind.OBJECT and _has_domain_and_range(d)
+    ]
+
+
+def _sorted_inverses(model: OntologyModel) -> list[InverseOf]:
+    return sorted(model.axioms_of(InverseOf), key=lambda a: (a.prop, a.inverse))
 
 
 # ---------------------------------------------------------------------------
-# the thirteen scanners (each returns rules plus guard warnings)
+# the thirteen single-pattern entry points
 
 
-def _class_feature(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_class_feature(model: OntologyModel) -> list[Rule]:
     rules = []
     by_domain: dict[Iri, list[PropertyDecl]] = {}
     for d in _sorted_props(model):
@@ -109,10 +123,10 @@ def _class_feature(model: OntologyModel) -> tuple[list[Rule], list[str]]:
             ),
         )
         rules.append(rule)
-    return rules, []
+    return rules
 
 
-def _equivalence_inheritance(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_equivalence_inheritance(model: OntologyModel) -> list[Rule]:
     rules = []
     for ax in sorted(model.axioms_of(EquivalentClass), key=lambda a: (a.a, a.b)):
         for lifted, declared in ((ax.a, ax.b), (ax.b, ax.a)):
@@ -135,14 +149,12 @@ def _equivalence_inheritance(model: OntologyModel) -> tuple[list[Rule], list[str
                         ),
                     )
                 )
-    return rules, []
+    return rules
 
 
-def _domain_range_identification(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_domain_range_identification(model: OntologyModel) -> list[Rule]:
     rules = []
     for d in _plain_object_props(model):
-        if d.domain is None or d.range is None:
-            continue
         rules.append(
             make_rule(
                 Pattern.DOMAIN_RANGE_IDENTIFICATION,
@@ -151,17 +163,16 @@ def _domain_range_identification(model: OntologyModel) -> tuple[list[Rule], list
                 _prov(model, [d.describe()], f"IF ({d.iri} {d.range}) THEN {d.domain}"),
             )
         )
-    return rules, []
+    return rules
 
 
-def _subclass_transitivity(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_subclass_transitivity(model: OntologyModel) -> list[Rule]:
     rules = []
-    edges = sorted(model.axioms_of(SubClassOf), key=lambda a: (a.sub, a.sup))
-    for first in edges:
-        for second in edges:
-            if first.sup != second.sub or first.sub == second.sup:
+    for first in sorted(model.axioms_of(SubClassOf), key=lambda a: (a.sub, a.sup)):
+        a, b = first.sub, first.sup
+        for c in model.superclasses_of(b):  # joined through the middle class
+            if c == a:
                 continue
-            a, b, c = first.sub, first.sup, second.sup
             rules.append(
                 make_rule(
                     Pattern.SUBCLASS_TRANSITIVITY,
@@ -172,20 +183,18 @@ def _subclass_transitivity(model: OntologyModel) -> tuple[list[Rule], list[str]]
                     [SchemaSubClassOf(ClassRef(a), ClassRef(c))],
                     _prov(
                         model,
-                        [first.describe(), second.describe()],
+                        [first.describe(), SubClassOf(b, c).describe()],
                         f'IF ({a} "part of" {b}) and ({b} "part of" {c}) '
                         f'THEN ({a} "part of" {c})',
                     ),
                 )
             )
-    return rules, []
+    return rules
 
 
-def _relation_propagation(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_relation_propagation(model: OntologyModel) -> list[Rule]:
     rules = []
     for d in _plain_object_props(model):
-        if d.domain is None or d.range is None:
-            continue
         for sup in model.superclasses_of(d.range):
             sub_ax = SubClassOf(d.range, sup)
             rules.append(
@@ -205,10 +214,10 @@ def _relation_propagation(model: OntologyModel) -> tuple[list[Rule], list[str]]:
                     ),
                 )
             )
-    return rules, []
+    return rules
 
 
-def _subproperty_lift(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_subproperty_lift(model: OntologyModel) -> list[Rule]:
     rules = []
     for ax in sorted(model.axioms_of(SubPropertyOf), key=lambda a: (a.sub, a.sup)):
         rules.append(
@@ -223,19 +232,13 @@ def _subproperty_lift(model: OntologyModel) -> tuple[list[Rule], list[str]]:
                 ),
             )
         )
-    return rules, []
+    return rules
 
 
-def _symmetric(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_symmetric(model: OntologyModel) -> list[Rule]:
     rules = []
-    warnings = []
     for d in _sorted_props(model):
-        if d.kind is not PropertyKind.SYMMETRIC:
-            continue
-        if d.domain is None or d.range is None:
-            warnings.append(
-                f"symmetric property {d.iri} lacks a domain or range; no rules emitted"
-            )
+        if d.kind is not PropertyKind.SYMMETRIC or not _has_domain_and_range(d):
             continue
         for here, there in ((d.domain, d.range), (d.range, d.domain)):
             rules.append(
@@ -246,15 +249,16 @@ def _symmetric(model: OntologyModel) -> tuple[list[Rule], list[str]]:
                     _prov(model, [d.describe()], f"IF {here} THEN ({d.iri} {there})"),
                 )
             )
-    return rules, warnings
+    return rules
 
 
-def _transitive(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_transitive(model: OntologyModel) -> list[Rule]:
     rules = []
-    links = sorted(
-        (ax for ax in model.axioms_of(ClassLink) if ax.subject != ax.obj),
-        key=lambda a: (a.prop, a.subject, a.obj),
-    )
+    # property -> subject -> that subject's links, sorted by object
+    links: dict[Iri, dict[Iri, list[ClassLink]]] = {}
+    for ax in sorted(model.axioms_of(ClassLink), key=lambda a: (a.prop, a.subject, a.obj)):
+        if ax.subject != ax.obj:
+            links.setdefault(ax.prop, {}).setdefault(ax.subject, []).append(ax)
     for d in _sorted_props(model):
         if d.kind is not PropertyKind.TRANSITIVE:
             continue
@@ -271,10 +275,10 @@ def _transitive(model: OntologyModel) -> tuple[list[Rule], list[str]]:
                 ),
             )
         )
-        mine = [ax for ax in links if ax.prop == d.iri]
-        for first in mine:
-            for second in mine:
-                if first.obj != second.subject or first.subject == second.obj:
+        by_subject = links.get(d.iri, {})
+        for first in (ax for mine in by_subject.values() for ax in mine):
+            for second in by_subject.get(first.obj, ()):  # joined through the middle class
+                if first.subject == second.obj:
                     continue
                 a, b, c = first.subject, first.obj, second.obj
                 rules.append(
@@ -293,10 +297,10 @@ def _transitive(model: OntologyModel) -> tuple[list[Rule], list[str]]:
                         ),
                     )
                 )
-    return rules, []
+    return rules
 
 
-def _sole_partof(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_sole_partof(model: OntologyModel) -> list[Rule]:
     rules = []
     subs = model.subs_by_super()
     for whole in sorted(subs):
@@ -317,14 +321,12 @@ def _sole_partof(model: OntologyModel) -> tuple[list[Rule], list[str]]:
                 ),
             )
         )
-    return rules, []
+    return rules
 
 
-def _cooccurrence(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_cooccurrence(model: OntologyModel) -> list[Rule]:
     rules = []
     for d in _plain_object_props(model):
-        if d.domain is None or d.range is None:
-            continue
         rules.append(
             make_rule(
                 Pattern.COOCCURRENCE,
@@ -333,10 +335,10 @@ def _cooccurrence(model: OntologyModel) -> tuple[list[Rule], list[str]]:
                 _prov(model, [d.describe()], f"IF {d.domain} and {d.range} THEN {d.iri}"),
             )
         )
-    return rules, []
+    return rules
 
 
-def _allvaluesfrom(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_allvaluesfrom(model: OntologyModel) -> list[Rule]:
     rules = []
     for ax in sorted(model.axioms_of(AllValuesFrom), key=lambda a: (a.on_property, a.filler)):
         rules.append(
@@ -351,10 +353,10 @@ def _allvaluesfrom(model: OntologyModel) -> tuple[list[Rule], list[str]]:
                 ),
             )
         )
-    return rules, []
+    return rules
 
 
-def _intersection(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_intersection(model: OntologyModel) -> list[Rule]:
     rules = []
     for ax in sorted(model.axioms_of(IntersectionOf), key=lambda a: (a.defined, a.parts)):
         rules.append(
@@ -369,19 +371,14 @@ def _intersection(model: OntologyModel) -> tuple[list[Rule], list[str]]:
                 ),
             )
         )
-    return rules, []
+    return rules
 
 
-def _inverse(model: OntologyModel) -> tuple[list[Rule], list[str]]:
+def extract_inverse(model: OntologyModel) -> list[Rule]:
     rules = []
-    warnings = []
-    for ax in sorted(model.axioms_of(InverseOf), key=lambda a: (a.prop, a.inverse)):
+    for ax in _sorted_inverses(model):
         decl = model.property(ax.prop)
-        if decl is None or decl.domain is None or decl.range is None:
-            warnings.append(
-                f"inverse pair ({ax.prop},{ax.inverse}) lacks a domain or range; "
-                "no rules emitted"
-            )
+        if not _has_domain_and_range(decl):
             continue
         d, r = decl.domain, decl.range
         triggers = [ax.describe(), decl.describe()]
@@ -401,112 +398,59 @@ def _inverse(model: OntologyModel) -> tuple[list[Rule], list[str]]:
                 _prov(model, triggers, f"IF {r} THEN ({ax.inverse} {d})"),
             )
         )
-    return rules, warnings
+    return rules
 
 
-_SCANNERS = (
-    _class_feature,
-    _equivalence_inheritance,
-    _domain_range_identification,
-    _subclass_transitivity,
-    _relation_propagation,
-    _subproperty_lift,
-    _symmetric,
-    _transitive,
-    _sole_partof,
-    _cooccurrence,
-    _allvaluesfrom,
-    _intersection,
-    _inverse,
-)
+_EXTRACTORS = {
+    Pattern.CLASS_FEATURE: extract_class_feature,
+    Pattern.EQUIVALENCE_INHERITANCE: extract_equivalence_inheritance,
+    Pattern.DOMAIN_RANGE_IDENTIFICATION: extract_domain_range_identification,
+    Pattern.SUBCLASS_TRANSITIVITY: extract_subclass_transitivity,
+    Pattern.RELATION_PROPAGATION: extract_relation_propagation,
+    Pattern.SUBPROPERTY_LIFT: extract_subproperty_lift,
+    Pattern.SYMMETRIC: extract_symmetric,
+    Pattern.TRANSITIVE_PROPERTY: extract_transitive,
+    Pattern.SOLE_PARTOF: extract_sole_partof,
+    Pattern.COOCCURRENCE: extract_cooccurrence,
+    Pattern.ALLVALUESFROM: extract_allvaluesfrom,
+    Pattern.INTERSECTION: extract_intersection,
+    Pattern.INVERSE: extract_inverse,
+}
 
 
-# public single-pattern entry points
-
-
-def extract_class_feature(model: OntologyModel) -> list[Rule]:
-    return _class_feature(model)[0]
-
-
-def extract_equivalence_inheritance(model: OntologyModel) -> list[Rule]:
-    return _equivalence_inheritance(model)[0]
-
-
-def extract_domain_range_identification(model: OntologyModel) -> list[Rule]:
-    return _domain_range_identification(model)[0]
-
-
-def extract_subclass_transitivity(model: OntologyModel) -> list[Rule]:
-    return _subclass_transitivity(model)[0]
-
-
-def extract_relation_propagation(model: OntologyModel) -> list[Rule]:
-    return _relation_propagation(model)[0]
-
-
-def extract_subproperty_lift(model: OntologyModel) -> list[Rule]:
-    return _subproperty_lift(model)[0]
-
-
-def extract_symmetric(model: OntologyModel) -> list[Rule]:
-    return _symmetric(model)[0]
-
-
-def extract_transitive(model: OntologyModel) -> list[Rule]:
-    return _transitive(model)[0]
-
-
-def extract_sole_partof(model: OntologyModel) -> list[Rule]:
-    return _sole_partof(model)[0]
-
-
-def extract_cooccurrence(model: OntologyModel) -> list[Rule]:
-    return _cooccurrence(model)[0]
-
-
-def extract_allvaluesfrom(model: OntologyModel) -> list[Rule]:
-    return _allvaluesfrom(model)[0]
-
-
-def extract_intersection(model: OntologyModel) -> list[Rule]:
-    return _intersection(model)[0]
-
-
-def extract_inverse(model: OntologyModel) -> list[Rule]:
-    return _inverse(model)[0]
+def _guard_warnings(model: OntologyModel) -> list[str]:
+    """The symmetric properties and inverse pairs skipped for a missing domain or range."""
+    warnings = [
+        f"symmetric property {d.iri} lacks a domain or range; no rules emitted"
+        for d in _sorted_props(model)
+        if d.kind is PropertyKind.SYMMETRIC and not _has_domain_and_range(d)
+    ]
+    warnings.extend(
+        f"inverse pair ({ax.prop},{ax.inverse}) lacks a domain or range; no rules emitted"
+        for ax in _sorted_inverses(model)
+        if not _has_domain_and_range(model.property(ax.prop))
+    )
+    return warnings
 
 
 def extract_all(model: OntologyModel) -> ExtractionReport:
     """Run every scanner; dedup by id (provenance merged), sort by id."""
     merged: dict[str, Rule] = {}
-    warnings: list[str] = []
-    for scanner in _SCANNERS:
-        rules, warns = scanner(model)
-        warnings.extend(warns)
-        for rule in rules:
-            seen = merged.get(rule.id)
-            if seen is None:
-                merged[rule.id] = rule
-            else:
+    for extract in _EXTRACTORS.values():
+        for rule in extract(model):
+            seen = merged.setdefault(rule.id, rule)
+            if seen is not rule:
+                old, new = seen.provenance, rule.provenance
                 merged[rule.id] = with_provenance(
                     seen,
                     Provenance(
-                        sources=tuple(
-                            sorted(set(seen.provenance.sources + rule.provenance.sources))
-                        ),
-                        trigger_axioms=tuple(
-                            sorted(
-                                set(
-                                    seen.provenance.trigger_axioms
-                                    + rule.provenance.trigger_axioms
-                                )
-                            )
-                        ),
-                        display_form=seen.provenance.display_form,
+                        sources=tuple(sorted({*old.sources, *new.sources})),
+                        trigger_axioms=tuple(sorted({*old.trigger_axioms, *new.trigger_axioms})),
+                        display_form=old.display_form,
                     ),
                 )
     ordered = [merged[rid] for rid in sorted(merged)]
-    counts = {pattern: 0 for pattern in Pattern}
+    counts = dict.fromkeys(_EXTRACTORS, 0)
     for rule in ordered:
         counts[rule.pattern] += 1
-    return ExtractionReport(rules=ordered, counts=counts, warnings=warnings)
+    return ExtractionReport(rules=ordered, counts=counts, warnings=_guard_warnings(model))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 log = logging.getLogger(__name__)
 
@@ -217,12 +218,21 @@ class MergeConflictError(Exception):
         self.kinds = kinds
 
 
+@dataclass(frozen=True)
+class _ModelIndex:
+    classes: frozenset[Iri]
+    by_kind: dict[type, list[Axiom]]  # axioms by concrete class, in model order
+    sups: dict[Iri, list[Iri]]  # sorted direct superclasses of each subclass
+    subs: dict[Iri, list[Iri]]  # sorted direct subclasses of each superclass
+
+
 @dataclass(frozen=True, eq=False)
 class OntologyModel:
     """Immutable snapshot of declarations plus a duplicate-free axiom list.
 
     Equality is structural: declared names, property shapes, and the axiom
-    *set* — source names and axiom order are ignored.
+    *set* — source names and axiom order are ignored.  The lookups below read
+    an index of the axioms built once, on first use, and return fresh lists.
     """
 
     classes: tuple[OwlClassDecl, ...] = ()
@@ -230,26 +240,39 @@ class OntologyModel:
     axioms: tuple[Axiom, ...] = ()
     source_names: tuple[str, ...] = ()
 
+    @cached_property
+    def _index(self) -> _ModelIndex:
+        # Built on first use; the fields it reads are never reassigned.
+        by_kind: dict[type, list[Axiom]] = {}
+        for ax in self.axioms:
+            by_kind.setdefault(type(ax), []).append(ax)
+        sups: dict[Iri, list[Iri]] = {}
+        subs: dict[Iri, list[Iri]] = {}
+        for ax in by_kind.get(SubClassOf, ()):
+            sups.setdefault(ax.sub, []).append(ax.sup)
+            subs.setdefault(ax.sup, []).append(ax.sub)
+        for names in (*sups.values(), *subs.values()):
+            names.sort()
+        return _ModelIndex(frozenset(d.iri for d in self.classes), by_kind, sups, subs)
+
     def class_iris(self) -> frozenset[Iri]:
-        return frozenset(d.iri for d in self.classes)
+        return self._index.classes
 
     def has_class(self, name: Iri) -> bool:
-        return any(d.iri == name for d in self.classes)
+        return name in self._index.classes
 
     def property(self, name: Iri) -> PropertyDecl | None:
         return self.properties.get(name)
 
     def axioms_of(self, kind: type) -> list:
-        return [ax for ax in self.axioms if isinstance(ax, kind)]
+        """The axioms of one concrete axiom class, in model order."""
+        return list(self._index.by_kind.get(kind, ()))
 
     def superclasses_of(self, name: Iri) -> list[Iri]:
-        return sorted(ax.sup for ax in self.axioms_of(SubClassOf) if ax.sub == name)
+        return list(self._index.sups.get(name, ()))
 
     def subs_by_super(self) -> dict[Iri, list[Iri]]:
-        out: dict[Iri, list[Iri]] = {}
-        for ax in self.axioms_of(SubClassOf):
-            out.setdefault(ax.sup, []).append(ax.sub)
-        return {sup: sorted(subs) for sup, subs in out.items()}
+        return {sup: list(subs) for sup, subs in self._index.subs.items()}
 
     def structure(self) -> tuple:
         props = frozenset(

@@ -1,9 +1,12 @@
-"""Event-based parser for the RDF/XML ontology subset, plus the fact format.
+"""One-pass parser for the RDF/XML ontology subset, plus the fact format.
 
+expat's start and end handlers build an element tree as they read; the
+interpreter then walks that tree once to fill a :class:`ModelBuilder`.
 Element and attribute names are matched by their literal prefixed spelling
 (``owl:Class``, ``rdf:ID``, ...); ``xmlns`` declarations are accepted and
-ignored.  A file whose root element is not ``rdf:RDF`` is wrapped in a
-synthetic root before parsing, so bare fragments parse as-is.
+ignored; element text is ignored.  A file whose root element is not
+``rdf:RDF`` is read inside a synthetic root, so bare fragments parse as-is.
+Elements nested deeper than ``MAX_DEPTH`` end the read with an error.
 
 Recognized constructs: class and property declarations (datatype, object,
 symmetric, transitive), rdfs:subClassOf (attribute or nested class form),
@@ -22,7 +25,15 @@ from enum import Enum
 from xml.parsers import expat
 from xml.sax.saxutils import quoteattr
 
-from .engine import Fact, FactBase, FeatureExpected, LinkFact, Membership, format_fact
+from .engine import (
+    Fact,
+    FactBase,
+    FeatureExpected,
+    LinkFact,
+    Membership,
+    NegMembership,
+    format_fact,
+)
 from .model import (
     AllValuesFrom,
     Axiom,
@@ -42,6 +53,11 @@ from .model import (
 
 ROOT_ELEMENT = "rdf:RDF"
 
+# Deepest element nesting read, counting the root as 1.  The interpreter
+# recurses through nested declarations, about 1.5 frames per element level,
+# so this keeps it far inside Python's default recursion limit of 1000.
+MAX_DEPTH = 256
+
 _PROPERTY_ELEMENTS = {
     "owl:DatatypeProperty": PropertyKind.DATATYPE,
     "owl:ObjectProperty": PropertyKind.OBJECT,
@@ -49,11 +65,13 @@ _PROPERTY_ELEMENTS = {
     "owl:TransitiveProperty": PropertyKind.TRANSITIVE,
 }
 
+_KIND_ELEMENTS = {kind: name for name, kind in _PROPERTY_ELEMENTS.items()}
+
 _KNOWN_PREFIXES = ("owl:", "rdf:", "rdfs:")
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and events
+# diagnostics
 
 
 class Severity(Enum):
@@ -85,25 +103,10 @@ def format_diagnostic(diag: ParseDiagnostic, filename: str) -> str:
     )
 
 
-class EventKind(Enum):
-    START = "start"
-    END = "end"
-    TEXT = "text"
-
-
-@dataclass(frozen=True)
-class ParseEvent:
-    kind: EventKind
-    name: str
-    attributes: tuple[tuple[str, str], ...]
-    text: str
-    location: Location
-
-
 _FIRST_TAG = re.compile(r"<([A-Za-z_][^\s>/]*)")
 
 
-def sniff_root_name(text: str) -> str | None:
+def _sniff_root_name(text: str) -> str | None:
     """Name of the first element, skipping declarations and comments."""
     pos = 0
     while True:
@@ -126,60 +129,6 @@ def sniff_root_name(text: str) -> str | None:
         return m.group(1) if m else None
 
 
-_XML_DECL = re.compile(r"\s*<\?xml[^?]*\?>")
-
-
-def stream_events(text: str, wrap: bool = False) -> tuple[list[ParseEvent], ParseDiagnostic | None]:
-    """Tokenize to a well-nested event list; malformed XML yields an error.
-
-    With ``wrap=True`` a synthetic ``rdf:RDF`` root is fed around the input
-    (after any XML declaration) without disturbing line numbers.
-    """
-    events: list[ParseEvent] = []
-    parser = expat.ParserCreate()
-    parser.ordered_attributes = True
-    parser.buffer_text = True
-
-    def loc() -> Location:
-        return Location(parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
-
-    def on_start(name: str, attrs: list[str]) -> None:
-        pairs = tuple(zip(attrs[0::2], attrs[1::2]))
-        events.append(ParseEvent(EventKind.START, name, pairs, "", loc()))
-
-    def on_end(name: str) -> None:
-        events.append(ParseEvent(EventKind.END, name, (), "", loc()))
-
-    def on_text(data: str) -> None:
-        events.append(ParseEvent(EventKind.TEXT, "", (), data, loc()))
-
-    parser.StartElementHandler = on_start
-    parser.EndElementHandler = on_end
-    parser.CharacterDataHandler = on_text
-
-    chunks: list[str]
-    if wrap:
-        m = _XML_DECL.match(text)
-        if m:
-            chunks = [text[: m.end()], f"<{ROOT_ELEMENT}>", text[m.end() :], f"</{ROOT_ELEMENT}>"]
-        else:
-            chunks = [f"<{ROOT_ELEMENT}>", text, f"</{ROOT_ELEMENT}>"]
-    else:
-        chunks = [text]
-
-    try:
-        for i, chunk in enumerate(chunks):
-            parser.Parse(chunk, i == len(chunks) - 1)
-    except expat.ExpatError as err:
-        diag = ParseDiagnostic(
-            Severity.ERROR,
-            f"malformed XML: {expat.ErrorString(err.code)}",
-            Location(err.lineno, err.offset + 1),
-        )
-        return events, diag
-    return events, None
-
-
 # ---------------------------------------------------------------------------
 # element tree (internal)
 
@@ -198,22 +147,64 @@ class _Element:
         return None
 
 
-def _build_forest(events: list[ParseEvent]) -> list[_Element]:
-    """Children of the document root (synthetic or real), unbalanced tails dropped."""
-    root = _Element("", {}, Location(0, 0))
-    stack = [root]
-    for ev in events:
-        if ev.kind is EventKind.START:
-            el = _Element(ev.name, dict(ev.attributes), ev.location)
-            stack[-1].children.append(el)
-            stack.append(el)
-        elif ev.kind is EventKind.END and len(stack) > 1:
-            stack.pop()
-        # text events are ignored: the subset carries no element text
-    top = root.children
+class _TooDeep(Exception):
+    """Raised by the start handler; carries the error diagnostic."""
+
+
+_XML_DECL = re.compile(r"\s*<\?xml[^?]*\?>")
+
+
+def _read_tree(text: str) -> tuple[list[_Element], ParseDiagnostic | None]:
+    """Children of the document root, built while expat reads ``text``.
+
+    A file whose root is not ``rdf:RDF`` is read inside a synthetic root
+    (after any XML declaration) without disturbing line numbers.  On
+    malformed XML, or on nesting deeper than ``MAX_DEPTH``, reading stops:
+    the elements read so far are kept and the error is returned with them.
+    """
+    doc = _Element("", {}, Location(0, 0))
+    stack = [doc]
+    parser = expat.ParserCreate()
+    parser.ordered_attributes = True
+
+    def on_start(name: str, attrs: list[str]) -> None:
+        location = Location(parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+        if len(stack) > MAX_DEPTH:
+            raise _TooDeep(
+                ParseDiagnostic(
+                    Severity.ERROR,
+                    f"elements nested deeper than {MAX_DEPTH} levels; reading stopped",
+                    location,
+                )
+            )
+        el = _Element(name, dict(zip(attrs[0::2], attrs[1::2])), location)
+        stack[-1].children.append(el)
+        stack.append(el)
+
+    parser.StartElementHandler = on_start
+    parser.EndElementHandler = lambda name: stack.pop()
+
+    chunks = [text]
+    if _sniff_root_name(text) != ROOT_ELEMENT:
+        m = _XML_DECL.match(text)
+        cut = m.end() if m else 0
+        chunks = [text[:cut], f"<{ROOT_ELEMENT}>", text[cut:], f"</{ROOT_ELEMENT}>"]
+    error = None
+    try:
+        for i, chunk in enumerate(chunks):
+            parser.Parse(chunk, i == len(chunks) - 1)
+    except expat.ExpatError as err:
+        error = ParseDiagnostic(
+            Severity.ERROR,
+            f"malformed XML: {expat.ErrorString(err.code)}",
+            Location(err.lineno, err.offset + 1),
+        )
+    except _TooDeep as deep:
+        (error,) = deep.args
+    top = doc.children
     if len(top) == 1 and top[0].name == ROOT_ELEMENT:
-        return top[0].children
-    return top
+        return top[0].children, error
+    return top, error
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +428,11 @@ def parse_ontology(text: str, name: str = "<input>") -> tuple[OntologyModel, lis
     Always returns a model; callers must treat any error-severity diagnostic
     as a rejection of the parse.
     """
-    wrap = sniff_root_name(text) != ROOT_ELEMENT
-    events, xml_error = stream_events(text, wrap=wrap)
+    forest, xml_error = _read_tree(text)
     interp = _Interp(name)
     if xml_error is not None:
         interp.diags.append(xml_error)
-    interp.run(_build_forest(events))
+    interp.run(forest)
     return interp.builder.build(), interp.diags
 
 
@@ -451,17 +441,19 @@ def parse_ontology(text: str, name: str = "<input>") -> tuple[OntologyModel, lis
 
 _IDENT = r"[^\s,()]+"
 _FACT_LINE = re.compile(
-    rf"(?:isa\(\s*(?P<i_ind>{_IDENT})\s*,\s*(?P<i_cls>{_IDENT})\s*\)"
+    rf"(?:(?P<neg>not\s+)?isa\(\s*(?P<i_ind>{_IDENT})\s*,\s*(?P<i_cls>{_IDENT})\s*\)"
     rf"|link\(\s*(?P<l_sub>{_IDENT})\s*,\s*(?P<l_prop>{_IDENT})\s*,\s*(?P<l_obj>{_IDENT})\s*\)"
     rf"|feature\(\s*(?P<f_ind>{_IDENT})\s*,\s*(?P<f_feat>{_IDENT})\s*\))"
 )
 
 
 def parse_fact_base(text: str) -> tuple[FactBase, list[ParseDiagnostic]]:
-    """Line-oriented facts: ``isa(a, B)``, ``link(a, p, b)``, ``feature(a, F)``.
+    """Line-oriented facts: ``isa(a, B)``, ``not isa(a, B)``, ``link(a, p, b)``,
+    ``feature(a, F)``.
 
     ``#`` starts a comment line; blank lines are ignored.  Malformed lines
-    produce error diagnostics with their line number.
+    produce error diagnostics with their line number.  A membership asserted
+    both ways raises :class:`ContradictionError`.
     """
     base = FactBase()
     diags: list[ParseDiagnostic] = []
@@ -478,7 +470,8 @@ def parse_fact_base(text: str) -> tuple[FactBase, list[ParseDiagnostic]]:
             )
             continue
         if m.group("i_ind") is not None:
-            base.add(Membership(Iri(m.group("i_ind")), Iri(m.group("i_cls"))))
+            member = NegMembership if m.group("neg") else Membership
+            base.add(member(Iri(m.group("i_ind")), Iri(m.group("i_cls"))))
         elif m.group("l_sub") is not None:
             base.add(
                 LinkFact(Iri(m.group("l_sub")), Iri(m.group("l_prop")), Iri(m.group("l_obj")))
@@ -502,18 +495,12 @@ def _ref(name: Iri) -> str:
 
 def render_rdfxml(model: OntologyModel) -> str:
     """Serialize a model back into the subset; reparsing yields an equal model."""
-    kind_element = {
-        PropertyKind.DATATYPE: "owl:DatatypeProperty",
-        PropertyKind.OBJECT: "owl:ObjectProperty",
-        PropertyKind.SYMMETRIC: "owl:SymmetricProperty",
-        PropertyKind.TRANSITIVE: "owl:TransitiveProperty",
-    }
     out = [f"<{ROOT_ELEMENT}>"]
     for cls in sorted(model.class_iris()):
         out.append(f"  <owl:Class rdf:ID={quoteattr(cls.value)}/>")
     for name in sorted(model.properties):
         decl = model.properties[name]
-        tag = kind_element[decl.kind]
+        tag = _KIND_ELEMENTS[decl.kind]
         body = []
         if decl.domain is not None:
             body.append(f"    <rdfs:domain rdf:resource={_ref(decl.domain)}/>")
@@ -531,12 +518,12 @@ def render_rdfxml(model: OntologyModel) -> str:
         else:
             out.append(f"  <{tag} rdf:ID={quoteattr(name.value)}/>")
     for ax in model.axioms:
-        out.extend(_render_axiom(ax, model, kind_element))
+        out.extend(_render_axiom(ax, model))
     out.append(f"</{ROOT_ELEMENT}>")
     return "\n".join(out) + "\n"
 
 
-def _render_axiom(ax: Axiom, model: OntologyModel, kind_element: dict) -> list[str]:
+def _render_axiom(ax: Axiom, model: OntologyModel) -> list[str]:
     if isinstance(ax, SubClassOf):
         return [
             f"  <owl:Class rdf:about={_ref(ax.sub)}>",
@@ -554,7 +541,7 @@ def _render_axiom(ax: Axiom, model: OntologyModel, kind_element: dict) -> list[s
         second = ax.sup if isinstance(ax, SubPropertyOf) else ax.inverse
         child = "rdfs:subPropertyOf" if isinstance(ax, SubPropertyOf) else "owl:inverseOf"
         decl = model.property(first)
-        tag = kind_element[decl.kind if decl else PropertyKind.OBJECT]
+        tag = _KIND_ELEMENTS[decl.kind if decl else PropertyKind.OBJECT]
         return [
             f"  <{tag} rdf:about={_ref(first)}>",
             f"    <{child} rdf:resource={_ref(second)}/>",

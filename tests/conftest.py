@@ -65,3 +65,11 @@ def load_model(name: str) -> OntologyModel:
 
 def load_with_diagnostics(name: str) -> tuple[OntologyModel, list[ParseDiagnostic]]:
     return parse_ontology(corpus_text(name), name)
+
+
+def nested_subclass_chain(levels: int) -> str:
+    """Classes C0..C<levels>, each nested in its subclass's rdfs:subClassOf."""
+    lines = [f'<owl:Class rdf:ID="C{i}">\n<rdfs:subClassOf>' for i in range(levels)]
+    lines.append(f'<owl:Class rdf:ID="C{levels}"/>')
+    lines.extend(["</rdfs:subClassOf>\n</owl:Class>"] * levels)
+    return "\n".join(lines) + "\n"

@@ -324,6 +324,59 @@ def expected_pattern_counts(model: OntologyModel) -> dict[Pattern, int]:
     return counts
 
 
+def pair_chain_rule_ids(model: OntologyModel) -> dict[Pattern, list[str]]:
+    """Ids of the subclass-transitivity and transitive-property rules, in output order.
+
+    Every ordered pair of axioms is tried, reading ``model.axioms`` directly.
+    Pairs are visited by the first axiom, then the second, each sorted by its
+    fields; a transitive property's variable form comes before its chains.
+    """
+    edges = sorted(
+        (ax for ax in model.axioms if isinstance(ax, SubClassOf)), key=lambda a: (a.sub, a.sup)
+    )
+    subclass = [
+        make_rule(
+            Pattern.SUBCLASS_TRANSITIVITY,
+            [
+                SchemaSubClassOf(ClassRef(first.sub), ClassRef(first.sup)),
+                SchemaSubClassOf(ClassRef(second.sub), ClassRef(second.sup)),
+            ],
+            [SchemaSubClassOf(ClassRef(first.sub), ClassRef(second.sup))],
+        ).id
+        for first in edges
+        for second in edges
+        if first.sup == second.sub and first.sub != second.sup
+    ]
+    links = sorted(
+        (ax for ax in model.axioms if isinstance(ax, ClassLink) and ax.subject != ax.obj),
+        key=lambda a: (a.prop, a.subject, a.obj),
+    )
+    transitive = []
+    for name in sorted(model.properties):
+        if model.properties[name].kind is not PropertyKind.TRANSITIVE:
+            continue
+        p = PropRef(name)
+        transitive.append(
+            make_rule(Pattern.TRANSITIVE_PROPERTY, [Link(VX, p, VY), Link(VY, p, VZ)], [Link(VX, p, VZ)]).id
+        )
+        transitive.extend(
+            make_rule(
+                Pattern.TRANSITIVE_PROPERTY,
+                [
+                    Link(ClassRef(first.subject), p, ClassRef(first.obj)),
+                    Link(ClassRef(second.subject), p, ClassRef(second.obj)),
+                ],
+                [Link(ClassRef(first.subject), p, ClassRef(second.obj))],
+            ).id
+            for first in links
+            for second in links
+            if first.prop == second.prop == name
+            and first.obj == second.subject
+            and first.subject != second.obj
+        )
+    return {Pattern.SUBCLASS_TRANSITIVITY: subclass, Pattern.TRANSITIVE_PROPERTY: transitive}
+
+
 # ---------------------------------------------------------------------------
 # seeded generators
 

@@ -10,7 +10,7 @@ import json
 import jsonschema
 import pytest
 
-from conftest import CANONICAL_FILES, DATA_DIR, corpus_path
+from conftest import CANONICAL_FILES, DATA_DIR, corpus_path, nested_subclass_chain
 from owlrules import (
     CATEGORY_ORDER,
     ContradictionError,
@@ -172,6 +172,30 @@ def test_extract_merge_conflict_across_files_exits_2(capsys, tmp_path):
     assert code == EXIT_MERGE_CONFLICT
     assert out == ""
     assert "conflicting kinds" in err
+
+
+# tests/data/patterns.owl fires all thirteen patterns and both guard warnings.
+# The expected outputs were captured before the scanners were rewritten and
+# pin rule text, ids, provenance and warning order byte for byte.
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("structured", "json")])
+def test_extract_output_matches_golden_file(capsys, monkeypatch, fmt, suffix):
+    monkeypatch.chdir(DATA_DIR)  # the structured document names its sources as given
+    code, out, err = run_cli(capsys, "extract", "patterns.owl", "--format", fmt)
+    assert code == EXIT_OK
+    assert out == (DATA_DIR / f"patterns.extract.{suffix}").read_text(encoding="utf-8")
+    assert err == (DATA_DIR / "patterns.extract.err").read_text(encoding="utf-8")
+
+
+def test_extract_too_deep_nesting_is_a_located_error(capsys, tmp_path):
+    deep = tmp_path / "deep.owl"
+    deep.write_text(nested_subclass_chain(3000), encoding="utf-8")
+    code, out, err = run_cli(capsys, "extract", str(deep))
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert "Traceback" not in err
+    first = err.splitlines()[0]
+    assert first.startswith(f"ERROR {deep}:")
+    assert "nested deeper than" in first
 
 
 def test_extract_can_drop_nonexecutable_rules(capsys):
@@ -358,6 +382,16 @@ def test_infer_malformed_fact_line_exits_1(capsys, tmp_path):
     assert code == EXIT_PARSE_ERROR
     assert out == ""
     assert ":2:" in err
+
+
+def test_infer_contradictory_fact_file_exits_3(capsys, tmp_path):
+    both = tmp_path / "facts.txt"
+    both.write_text("isa(anna, Citizen)\nnot isa(anna, Citizen)\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "infer", owl("allvaluesfrom.owl"), "--facts", str(both))
+    assert code == EXIT_CONTRADICTION
+    assert out == ""
+    assert err.startswith("ERROR ")
+    assert "anna" in err and "Traceback" not in err
 
 
 def test_infer_contradiction_exit_code(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 from conftest import CANONICAL_FILES, FRAGMENTS, load_model
-from oracles import expected_pattern_counts, random_model
+from oracles import expected_pattern_counts, pair_chain_rule_ids, random_model
 
 from owlrules import (
     EquivalentClass,
@@ -324,6 +324,9 @@ def test_pattern_counts_match_brute_force_enumeration():
                 f"{pattern_name}: scanner found {got}, guard enumeration "
                 f"{expected[Pattern(pattern_name)]}"
             )
+        # The two pair-joined shapes: the same rules, in the same order.
+        for pattern, ids in pair_chain_rule_ids(model).items():
+            assert [r.id for r in PER_PATTERN[pattern.value](model)] == ids, pattern.value
 
 
 def test_adding_an_axiom_only_retracts_sole_partof_rules():

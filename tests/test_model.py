@@ -159,6 +159,45 @@ def test_models_are_unhashable():
 
 
 # ---------------------------------------------------------------------------
+# the per-model axiom index
+
+
+def test_lists_returned_by_the_index_are_the_callers_own():
+    model = _chain_model()
+    model.axioms_of(SubClassOf).clear()
+    model.superclasses_of(Iri("House")).append(Iri("Planet"))
+    model.subs_by_super()[Iri("City")].clear()
+    assert model.axioms_of(SubClassOf) == [
+        SubClassOf(Iri("House"), Iri("City")),
+        SubClassOf(Iri("City"), Iri("Country")),
+    ]
+    assert model.superclasses_of(Iri("House")) == [Iri("City")]
+    assert model.subs_by_super() == {Iri("City"): [Iri("House")], Iri("Country"): [Iri("City")]}
+    assert model == _chain_model()
+
+
+def test_add_axiom_indexes_the_new_model_only():
+    before = _chain_model()
+    assert before.superclasses_of(Iri("House")) == [Iri("City")]  # index built
+    after = add_axiom(before, SubClassOf(Iri("House"), Iri("Building")))
+    assert after.superclasses_of(Iri("House")) == [Iri("Building"), Iri("City")]
+    assert before.superclasses_of(Iri("House")) == [Iri("City")]
+    assert after.has_class(Iri("Building")) and not before.has_class(Iri("Building"))
+
+
+def test_building_the_index_leaves_equality_alone():
+    indexed, fresh, other = _chain_model(), _chain_model(flip=True), _chain_model()
+    indexed.superclasses_of(Iri("House"))
+    indexed.has_class(Iri("City"))
+    assert indexed == fresh and fresh == indexed
+    other.axioms_of(SubClassOf)
+    assert indexed == other
+    grown = add_axiom(indexed, SubClassOf(Iri("House"), Iri("Building")))
+    grown.axioms_of(SubClassOf)
+    assert grown != indexed and indexed != grown
+
+
+# ---------------------------------------------------------------------------
 # merge
 
 

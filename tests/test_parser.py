@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from conftest import FRAGMENTS, load_model, load_with_diagnostics
+from conftest import FRAGMENTS, load_model, load_with_diagnostics, nested_subclass_chain
 
 from owlrules import (
     AllValuesFrom,
     ClassLink,
+    ContradictionError,
     EquivalentClass,
     FactBase,
     IntersectionOf,
@@ -13,6 +14,7 @@ from owlrules import (
     Iri,
     LinkFact,
     Membership,
+    NegMembership,
     PropertyKind,
     Severity,
     SubClassOf,
@@ -128,6 +130,14 @@ def test_explicit_rdf_root_is_accepted_unwrapped():
     assert model.has_class(Iri("A"))
 
 
+def test_a_hundred_nested_subclass_levels_yield_every_axiom():
+    model, diags = parse_ontology(nested_subclass_chain(100), "deep")
+    assert diags == []
+    assert set(model.axioms_of(SubClassOf)) == {
+        SubClassOf(Iri(f"C{i}"), Iri(f"C{i + 1}")) for i in range(100)
+    }
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 
@@ -207,6 +217,22 @@ def test_fact_file_round_trip():
     reparsed, rediags = parse_fact_base(render_fact_base(base.facts))
     assert rediags == []
     assert set(reparsed) == set(base)
+
+
+def test_negated_memberships_round_trip():
+    text = "not isa(anna, Citizen)\nisa(bob, Citizen)\n"
+    base, diags = parse_fact_base(text)
+    assert diags == []
+    assert list(base) == [
+        NegMembership(Iri("anna"), Iri("Citizen")),
+        Membership(Iri("bob"), Iri("Citizen")),
+    ]
+    assert render_fact_base(base.facts) == text
+
+
+def test_a_membership_and_its_negation_contradict():
+    with pytest.raises(ContradictionError):
+        parse_fact_base("isa(anna, Citizen)\nnot isa(anna, Citizen)\n")
 
 
 def test_empty_fact_file():
