@@ -182,10 +182,15 @@ def cmd_infer(args: argparse.Namespace) -> int:
         return EXIT_PARSE_ERROR
     try:
         base, diags = parse_fact_base(facts_text)
-        for diag in diags:
-            print(format_diagnostic(diag, args.facts), file=sys.stderr)
-        if has_errors(diags):
-            return EXIT_PARSE_ERROR
+    except ContradictionError as exc:
+        where = exc.location
+        print(f"ERROR {args.facts}:{where.line}:{where.col} {exc}", file=sys.stderr)
+        return EXIT_CONTRADICTION
+    for diag in diags:
+        print(format_diagnostic(diag, args.facts), file=sys.stderr)
+    if has_errors(diags):
+        return EXIT_PARSE_ERROR
+    try:
         result = run_fixpoint(executable, base, args.cap)
     except ContradictionError as exc:
         print(f"ERROR {exc}", file=sys.stderr)

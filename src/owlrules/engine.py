@@ -57,6 +57,10 @@ from .rules import (
 class ContradictionError(Exception):
     """A membership and its negation name the same (individual, class) pair."""
 
+    # The parser.Location of the second statement when a fact file makes both;
+    # None for a contradiction derived by rules.
+    location = None
+
 
 class NonExecutableRuleError(ValueError):
     """A rule flagged non-executable was handed to the fixpoint engine."""

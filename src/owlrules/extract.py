@@ -70,9 +70,15 @@ class ExtractionReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _prov(model: OntologyModel, triggers: list[str], display_form: str) -> Provenance:
+def _sources(model: OntologyModel) -> tuple[str, ...]:
+    """Sorted, duplicate-free source names: computed once per scanner call and
+    shared by the provenance of every rule it emits."""
+    return tuple(sorted(set(model.source_names)))
+
+
+def _prov(sources: tuple[str, ...], triggers: list[str], display_form: str) -> Provenance:
     return Provenance(
-        sources=tuple(sorted(set(model.source_names))),
+        sources=sources,
         trigger_axioms=tuple(sorted(set(triggers))),
         display_form=display_form,
     )
@@ -106,6 +112,7 @@ def _sorted_inverses(model: OntologyModel) -> list[InverseOf]:
 
 def extract_class_feature(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     by_domain: dict[Iri, list[PropertyDecl]] = {}
     for d in _sorted_props(model):
         if d.kind is PropertyKind.DATATYPE and d.domain is not None:
@@ -117,7 +124,7 @@ def extract_class_feature(model: OntologyModel) -> list[Rule]:
             [IsA(VX, ClassRef(cls))],
             [HasFeature(VX, d.iri) for d in feats],
             _prov(
-                model,
+                sources,
                 [d.describe() for d in feats],
                 f"IF {cls} THEN {' and '.join(str(d.iri) for d in feats)}",
             ),
@@ -128,6 +135,7 @@ def extract_class_feature(model: OntologyModel) -> list[Rule]:
 
 def extract_equivalence_inheritance(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     for ax in sorted(model.axioms_of(EquivalentClass), key=lambda a: (a.a, a.b)):
         for lifted, declared in ((ax.a, ax.b), (ax.b, ax.a)):
             for sup in model.superclasses_of(declared):
@@ -143,7 +151,7 @@ def extract_equivalence_inheritance(model: OntologyModel) -> list[Rule]:
                         ],
                         [SchemaSubClassOf(ClassRef(lifted), ClassRef(sup))],
                         _prov(
-                            model,
+                            sources,
                             [ax.describe(), sub_ax.describe()],
                             f'IF {declared} equivalent {lifted} THEN ("part of" {sup}) ∈ {lifted}',
                         ),
@@ -154,13 +162,14 @@ def extract_equivalence_inheritance(model: OntologyModel) -> list[Rule]:
 
 def extract_domain_range_identification(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     for d in _plain_object_props(model):
         rules.append(
             make_rule(
                 Pattern.DOMAIN_RANGE_IDENTIFICATION,
                 [Link(VX, PropRef(d.iri), VY), IsA(VY, ClassRef(d.range))],
                 [IsA(VX, ClassRef(d.domain))],
-                _prov(model, [d.describe()], f"IF ({d.iri} {d.range}) THEN {d.domain}"),
+                _prov(sources, [d.describe()], f"IF ({d.iri} {d.range}) THEN {d.domain}"),
             )
         )
     return rules
@@ -168,6 +177,7 @@ def extract_domain_range_identification(model: OntologyModel) -> list[Rule]:
 
 def extract_subclass_transitivity(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     for first in sorted(model.axioms_of(SubClassOf), key=lambda a: (a.sub, a.sup)):
         a, b = first.sub, first.sup
         for c in model.superclasses_of(b):  # joined through the middle class
@@ -182,7 +192,7 @@ def extract_subclass_transitivity(model: OntologyModel) -> list[Rule]:
                     ],
                     [SchemaSubClassOf(ClassRef(a), ClassRef(c))],
                     _prov(
-                        model,
+                        sources,
                         [first.describe(), SubClassOf(b, c).describe()],
                         f'IF ({a} "part of" {b}) and ({b} "part of" {c}) '
                         f'THEN ({a} "part of" {c})',
@@ -194,6 +204,7 @@ def extract_subclass_transitivity(model: OntologyModel) -> list[Rule]:
 
 def extract_relation_propagation(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     for d in _plain_object_props(model):
         for sup in model.superclasses_of(d.range):
             sub_ax = SubClassOf(d.range, sup)
@@ -207,7 +218,7 @@ def extract_relation_propagation(model: OntologyModel) -> list[Rule]:
                     ],
                     [Link(VX, PropRef(d.iri), ClassRef(sup))],
                     _prov(
-                        model,
+                        sources,
                         [d.describe(), sub_ax.describe()],
                         f'IF ({d.domain} "{d.iri}" {d.range}) and '
                         f'({d.range} "part of" {sup}) THEN ({d.domain} "{d.iri}" {sup})',
@@ -219,6 +230,7 @@ def extract_relation_propagation(model: OntologyModel) -> list[Rule]:
 
 def extract_subproperty_lift(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     for ax in sorted(model.axioms_of(SubPropertyOf), key=lambda a: (a.sub, a.sup)):
         rules.append(
             make_rule(
@@ -226,7 +238,7 @@ def extract_subproperty_lift(model: OntologyModel) -> list[Rule]:
                 [Link(VX, PropRef(ax.sub), VY)],
                 [Link(VX, PropRef(ax.sup), VY)],
                 _prov(
-                    model,
+                    sources,
                     [ax.describe()],
                     f'IF {ax.sub} and "subproperty of" THEN {ax.sup}',
                 ),
@@ -237,6 +249,7 @@ def extract_subproperty_lift(model: OntologyModel) -> list[Rule]:
 
 def extract_symmetric(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     for d in _sorted_props(model):
         if d.kind is not PropertyKind.SYMMETRIC or not _has_domain_and_range(d):
             continue
@@ -246,7 +259,7 @@ def extract_symmetric(model: OntologyModel) -> list[Rule]:
                     Pattern.SYMMETRIC,
                     [IsA(VX, ClassRef(here))],
                     [Link(VX, PropRef(d.iri), ClassRef(there))],
-                    _prov(model, [d.describe()], f"IF {here} THEN ({d.iri} {there})"),
+                    _prov(sources, [d.describe()], f"IF {here} THEN ({d.iri} {there})"),
                 )
             )
     return rules
@@ -254,6 +267,7 @@ def extract_symmetric(model: OntologyModel) -> list[Rule]:
 
 def extract_transitive(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     # property -> subject -> that subject's links, sorted by object
     links: dict[Iri, dict[Iri, list[ClassLink]]] = {}
     for ax in sorted(model.axioms_of(ClassLink), key=lambda a: (a.prop, a.subject, a.obj)):
@@ -269,7 +283,7 @@ def extract_transitive(model: OntologyModel) -> list[Rule]:
                 [Link(VX, p, VY), Link(VY, p, VZ)],
                 [Link(VX, p, VZ)],
                 _prov(
-                    model,
+                    sources,
                     [d.describe()],
                     f'IF (?x "{d.iri}" ?y) and (?y "{d.iri}" ?z) THEN (?x "{d.iri}" ?z)',
                 ),
@@ -290,7 +304,7 @@ def extract_transitive(model: OntologyModel) -> list[Rule]:
                         ],
                         [Link(ClassRef(a), p, ClassRef(c))],
                         _prov(
-                            model,
+                            sources,
                             [d.describe(), first.describe(), second.describe()],
                             f'IF ({a} "{d.iri}" {b}) and ({b} "{d.iri}" {c}) '
                             f'THEN ({a} "{d.iri}" {c})',
@@ -302,6 +316,7 @@ def extract_transitive(model: OntologyModel) -> list[Rule]:
 
 def extract_sole_partof(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     subs = model.subs_by_super()
     for whole in sorted(subs):
         parts = subs[whole]
@@ -315,7 +330,7 @@ def extract_sole_partof(model: OntologyModel) -> list[Rule]:
                 [SolePart(ClassRef(part), ClassRef(whole))],
                 [MorePartsExpected(ClassRef(whole))],
                 _prov(
-                    model,
+                    sources,
                     [ax.describe()],
                     f'IF {whole} and only one "part of" THEN (more "part of" ∈ {whole})',
                 ),
@@ -326,13 +341,14 @@ def extract_sole_partof(model: OntologyModel) -> list[Rule]:
 
 def extract_cooccurrence(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     for d in _plain_object_props(model):
         rules.append(
             make_rule(
                 Pattern.COOCCURRENCE,
                 [IsA(VX, ClassRef(d.domain)), IsA(VY, ClassRef(d.range))],
                 [Link(VX, PropRef(d.iri), VY)],
-                _prov(model, [d.describe()], f"IF {d.domain} and {d.range} THEN {d.iri}"),
+                _prov(sources, [d.describe()], f"IF {d.domain} and {d.range} THEN {d.iri}"),
             )
         )
     return rules
@@ -340,6 +356,7 @@ def extract_cooccurrence(model: OntologyModel) -> list[Rule]:
 
 def extract_allvaluesfrom(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     for ax in sorted(model.axioms_of(AllValuesFrom), key=lambda a: (a.on_property, a.filler)):
         rules.append(
             make_rule(
@@ -347,7 +364,7 @@ def extract_allvaluesfrom(model: OntologyModel) -> list[Rule]:
                 [Not(IsA(VY, ClassRef(ax.filler)))],
                 [Not(Link(VX, PropRef(ax.on_property), VY))],
                 _prov(
-                    model,
+                    sources,
                     [ax.describe()],
                     f"IF not {ax.filler} THEN not {ax.on_property}",
                 ),
@@ -358,6 +375,7 @@ def extract_allvaluesfrom(model: OntologyModel) -> list[Rule]:
 
 def extract_intersection(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     for ax in sorted(model.axioms_of(IntersectionOf), key=lambda a: (a.defined, a.parts)):
         rules.append(
             make_rule(
@@ -365,7 +383,7 @@ def extract_intersection(model: OntologyModel) -> list[Rule]:
                 [IsA(VX, ClassRef(ax.defined))],
                 [IsA(VX, ClassRef(p)) for p in ax.parts],  # listing order kept
                 _prov(
-                    model,
+                    sources,
                     [ax.describe()],
                     f"IF {ax.defined} THEN {' and '.join(str(p) for p in ax.parts)}",
                 ),
@@ -376,6 +394,7 @@ def extract_intersection(model: OntologyModel) -> list[Rule]:
 
 def extract_inverse(model: OntologyModel) -> list[Rule]:
     rules = []
+    sources = _sources(model)
     for ax in _sorted_inverses(model):
         decl = model.property(ax.prop)
         if not _has_domain_and_range(decl):
@@ -387,7 +406,7 @@ def extract_inverse(model: OntologyModel) -> list[Rule]:
                 Pattern.INVERSE,
                 [IsA(VX, ClassRef(d))],
                 [Link(VX, PropRef(ax.prop), ClassRef(r))],
-                _prov(model, triggers, f"IF {d} THEN ({ax.prop} {r})"),
+                _prov(sources, triggers, f"IF {d} THEN ({ax.prop} {r})"),
             )
         )
         rules.append(
@@ -395,7 +414,7 @@ def extract_inverse(model: OntologyModel) -> list[Rule]:
                 Pattern.INVERSE,
                 [IsA(VX, ClassRef(r))],
                 [Link(VX, PropRef(ax.inverse), ClassRef(d))],
-                _prov(model, triggers, f"IF {r} THEN ({ax.inverse} {d})"),
+                _prov(sources, triggers, f"IF {r} THEN ({ax.inverse} {d})"),
             )
         )
     return rules

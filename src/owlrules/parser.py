@@ -23,9 +23,9 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from xml.parsers import expat
-from xml.sax.saxutils import quoteattr
 
 from .engine import (
+    ContradictionError,
     Fact,
     FactBase,
     FeatureExpected,
@@ -453,7 +453,8 @@ def parse_fact_base(text: str) -> tuple[FactBase, list[ParseDiagnostic]]:
 
     ``#`` starts a comment line; blank lines are ignored.  Malformed lines
     produce error diagnostics with their line number.  A membership asserted
-    both ways raises :class:`ContradictionError`.
+    both ways raises :class:`ContradictionError`, its ``location`` set to the
+    line and column of the second statement.
     """
     base = FactBase()
     diags: list[ParseDiagnostic] = []
@@ -469,15 +470,19 @@ def parse_fact_base(text: str) -> tuple[FactBase, list[ParseDiagnostic]]:
                 )
             )
             continue
+        fact: Fact
         if m.group("i_ind") is not None:
             member = NegMembership if m.group("neg") else Membership
-            base.add(member(Iri(m.group("i_ind")), Iri(m.group("i_cls"))))
+            fact = member(Iri(m.group("i_ind")), Iri(m.group("i_cls")))
         elif m.group("l_sub") is not None:
-            base.add(
-                LinkFact(Iri(m.group("l_sub")), Iri(m.group("l_prop")), Iri(m.group("l_obj")))
-            )
+            fact = LinkFact(Iri(m.group("l_sub")), Iri(m.group("l_prop")), Iri(m.group("l_obj")))
         else:
-            base.add(FeatureExpected(Iri(m.group("f_ind")), Iri(m.group("f_feat"))))
+            fact = FeatureExpected(Iri(m.group("f_ind")), Iri(m.group("f_feat")))
+        try:
+            base.add(fact)
+        except ContradictionError as exc:
+            exc.location = Location(lineno, len(raw) - len(raw.lstrip()) + 1)
+            raise
     return base, diags
 
 
@@ -489,15 +494,23 @@ def render_fact_base(facts: list[Fact] | tuple[Fact, ...]) -> str:
 # debug printer (inverse of parse_ontology up to structural equality)
 
 
+def _quoteattr(value: str) -> str:
+    # Imported on use: xml.sax.saxutils pulls in urllib.request, http.client,
+    # email and ssl, which every other command would pay for at start-up.
+    from xml.sax.saxutils import quoteattr
+
+    return quoteattr(value)
+
+
 def _ref(name: Iri) -> str:
-    return quoteattr(f"#{name.value}")
+    return _quoteattr(f"#{name.value}")
 
 
 def render_rdfxml(model: OntologyModel) -> str:
     """Serialize a model back into the subset; reparsing yields an equal model."""
     out = [f"<{ROOT_ELEMENT}>"]
     for cls in sorted(model.class_iris()):
-        out.append(f"  <owl:Class rdf:ID={quoteattr(cls.value)}/>")
+        out.append(f"  <owl:Class rdf:ID={_quoteattr(cls.value)}/>")
     for name in sorted(model.properties):
         decl = model.properties[name]
         tag = _KIND_ELEMENTS[decl.kind]
@@ -506,17 +519,17 @@ def render_rdfxml(model: OntologyModel) -> str:
             body.append(f"    <rdfs:domain rdf:resource={_ref(decl.domain)}/>")
         if decl.range is not None:
             token = (
-                quoteattr(decl.range.value)
+                _quoteattr(decl.range.value)
                 if decl.kind is PropertyKind.DATATYPE
                 else _ref(decl.range)
             )
             body.append(f"    <rdfs:range rdf:resource={token}/>")
         if body:
-            out.append(f"  <{tag} rdf:ID={quoteattr(name.value)}>")
+            out.append(f"  <{tag} rdf:ID={_quoteattr(name.value)}>")
             out.extend(body)
             out.append(f"  </{tag}>")
         else:
-            out.append(f"  <{tag} rdf:ID={quoteattr(name.value)}/>")
+            out.append(f"  <{tag} rdf:ID={_quoteattr(name.value)}/>")
     for ax in model.axioms:
         out.extend(_render_axiom(ax, model))
     out.append(f"</{ROOT_ELEMENT}>")

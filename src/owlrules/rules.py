@@ -1,4 +1,10 @@
-"""IF-THEN rule language: terms, atoms, classification, text and JSON forms."""
+"""IF-THEN rule language: terms, atoms, classification, text and JSON forms.
+
+The structured (JSON) document is written directly as text, its strings
+escaped by the C function ``json.dumps`` uses.  Its bytes are exactly those of
+``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"`` over the dict tree
+that :func:`rule_to_obj` returns per rule.
+"""
 
 from __future__ import annotations
 
@@ -287,23 +293,115 @@ def render_text(rule: Rule) -> str:
 
 # ---------------------------------------------------------------------------
 # structured (JSON) rendering
+#
+# Any ``indent`` makes ``json.dumps`` leave its C encoder, so each fragment is
+# written at its known indentation.  Key names and their order are spelled
+# here only; the readers below mirror them.
 
 STRUCTURED_VERSION = 1
 
+_json_str = json.encoder.encode_basestring_ascii
 
-def _term_to_obj(term: Term) -> dict:
+
+def _list_json(items: list[str], ind: str) -> str:
+    """An array of items already written one level deeper than ``ind``."""
+    if not items:
+        return "[]"
+    inner = ind + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{ind}]"
+
+
+def _strings_json(values: tuple[str, ...], ind: str) -> str:
+    return _list_json([_json_str(v) for v in sorted(set(values))], ind)
+
+
+def _term_json(term: Term, ind: str) -> str:
+    """A term object whose closing brace sits at indentation ``ind``."""
     match term:
         case Var(name):
-            return {"var": name}
+            key, value = "var", name
         case ClassRef(i):
-            return {"class": i.value}
+            key, value = "class", i.value
         case PropRef(i):
-            return {"prop": i.value}
+            key, value = "prop", i.value
         case IndividualRef(i):
-            return {"individual": i.value}
+            key, value = "individual", i.value
         case LiteralTok(text):
-            return {"literal": text}
-    raise TypeError(f"unknown term: {term!r}")
+            key, value = "literal", text
+        case _:
+            raise TypeError(f"unknown term: {term!r}")
+    return f'{{\n{ind}  "{key}": {_json_str(value)}\n{ind}}}'
+
+
+def _atom_json(atom: Atom, ind: str) -> str:
+    """An atom object whose closing brace sits at indentation ``ind``."""
+    inner = ind + "  "
+    match atom:
+        case IsA(subject=s, cls=c):
+            kind, fields = "isa", (("subject", s), ("class", c))
+        case Link(subject=s, prop=p, obj=o):
+            kind, fields = "link", (("subject", s), ("prop", p), ("object", o))
+        case HasFeature(subject=s, feature=f):
+            kind, fields = "feature", (("subject", s), ("feature", PropRef(f)))
+        case Not(inner=i):
+            return f'{{\n{inner}"kind": "not",\n{inner}"inner": {_atom_json(i, inner)}\n{ind}}}'
+        case SchemaSubClassOf(sub=a, sup=b):
+            kind, fields = "subclass", (("sub", a), ("sup", b))
+        case SchemaEquivalent(a=a, b=b):
+            kind, fields = "equivalent", (("a", a), ("b", b))
+        case SolePart(part=p, whole=w):
+            kind, fields = "sole-part", (("part", p), ("whole", w))
+        case MorePartsExpected(whole=w):
+            kind, fields = "more-parts", (("whole", w),)
+        case _:
+            raise TypeError(f"unknown atom: {atom!r}")
+    body = "".join(f',\n{inner}"{key}": {_term_json(t, inner)}' for key, t in fields)
+    return f'{{\n{inner}"kind": "{kind}"{body}\n{ind}}}'
+
+
+def _atoms_json(atoms: tuple[Atom, ...], ind: str) -> str:
+    inner = ind + "  "
+    return _list_json([_atom_json(a, inner) for a in atoms], ind)
+
+
+def _rule_json(rule: Rule, ind: str) -> str:
+    """A rule object whose closing brace sits at indentation ``ind``."""
+    k = ind + "  "
+    p = k + "  "
+    prov = rule.provenance
+    return (
+        f'{{\n{k}"id": {_json_str(rule.id)},\n'
+        f'{k}"pattern": {_json_str(rule.pattern.value)},\n'
+        f'{k}"category": {_json_str(rule.category.value)},\n'
+        f'{k}"executable": {"true" if rule.executable else "false"},\n'
+        f'{k}"if": {_atoms_json(rule.antecedent, k)},\n'
+        f'{k}"then": {_atoms_json(rule.consequent, k)},\n'
+        f'{k}"provenance": {{\n'
+        f'{p}"source": {_strings_json(prov.sources, p)},\n'
+        f'{p}"trigger_axioms": {_strings_json(prov.trigger_axioms, p)},\n'
+        f'{p}"display_form": {_json_str(prov.display_form)}\n'
+        f"{k}}}\n{ind}}}"
+    )
+
+
+def rule_to_obj(rule: Rule) -> dict:
+    """One rule as the structured document holds it."""
+    return json.loads(_rule_json(rule, ""))
+
+
+def render_structured(rules: list[Rule] | tuple[Rule, ...], source: tuple[str, ...] = ()) -> str:
+    """Canonical JSON document: rules sorted by id, sources sorted, stable bytes.
+
+    Byte-identical to ``json.dumps({"version": 1, "source": sorted(set(source)),
+    "rules": [rule_to_obj(r), ...]}, indent=2) + "\\n"``.
+    """
+    ordered = sorted(rules, key=lambda r: r.id)
+    return (
+        f'{{\n  "version": {STRUCTURED_VERSION},\n'
+        f'  "source": {_strings_json(source, "  ")},\n'
+        f'  "rules": {_list_json([_rule_json(r, "    ") for r in ordered], "  ")}\n'
+        "}\n"
+    )
 
 
 def _obj_to_term(obj: dict) -> Term:
@@ -322,32 +420,6 @@ def _obj_to_term(obj: dict) -> Term:
         case "literal":
             return LiteralTok(value)
     raise ValueError(f"bad term object: {obj!r}")
-
-
-def _atom_to_obj(atom: Atom) -> dict:
-    match atom:
-        case IsA(subject=s, cls=c):
-            return {"kind": "isa", "subject": _term_to_obj(s), "class": _term_to_obj(c)}
-        case Link(subject=s, prop=p, obj=o):
-            return {
-                "kind": "link",
-                "subject": _term_to_obj(s),
-                "prop": _term_to_obj(p),
-                "object": _term_to_obj(o),
-            }
-        case HasFeature(subject=s, feature=f):
-            return {"kind": "feature", "subject": _term_to_obj(s), "feature": {"prop": f.value}}
-        case Not(inner=i):
-            return {"kind": "not", "inner": _atom_to_obj(i)}
-        case SchemaSubClassOf(sub=a, sup=b):
-            return {"kind": "subclass", "sub": _term_to_obj(a), "sup": _term_to_obj(b)}
-        case SchemaEquivalent(a=a, b=b):
-            return {"kind": "equivalent", "a": _term_to_obj(a), "b": _term_to_obj(b)}
-        case SolePart(part=p, whole=w):
-            return {"kind": "sole-part", "part": _term_to_obj(p), "whole": _term_to_obj(w)}
-        case MorePartsExpected(whole=w):
-            return {"kind": "more-parts", "whole": _term_to_obj(w)}
-    raise TypeError(f"unknown atom: {atom!r}")
 
 
 def _obj_to_atom(obj: dict) -> Atom:
@@ -377,32 +449,6 @@ def _obj_to_atom(obj: dict) -> Atom:
         case "more-parts":
             return MorePartsExpected(_obj_to_term(obj["whole"]))
     raise ValueError(f"bad atom object: {obj!r}")
-
-
-def rule_to_obj(rule: Rule) -> dict:
-    return {
-        "id": rule.id,
-        "pattern": rule.pattern.value,
-        "category": rule.category.value,
-        "executable": rule.executable,
-        "if": [_atom_to_obj(a) for a in rule.antecedent],
-        "then": [_atom_to_obj(a) for a in rule.consequent],
-        "provenance": {
-            "source": sorted(set(rule.provenance.sources)),
-            "trigger_axioms": sorted(set(rule.provenance.trigger_axioms)),
-            "display_form": rule.provenance.display_form,
-        },
-    }
-
-
-def render_structured(rules: list[Rule] | tuple[Rule, ...], source: tuple[str, ...] = ()) -> str:
-    """Canonical JSON document: rules sorted by id, sources sorted, stable bytes."""
-    doc = {
-        "version": STRUCTURED_VERSION,
-        "source": sorted(set(source)),
-        "rules": [rule_to_obj(r) for r in sorted(rules, key=lambda r: r.id)],
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def parse_structured(text: str) -> tuple[list[Rule], list[str]]:

@@ -7,6 +7,7 @@ Slow and obviously correct beats fast and clever for an oracle.
 
 from __future__ import annotations
 
+import json
 import random
 
 from owlrules import (
@@ -24,8 +25,10 @@ from owlrules import (
     IsA,
     Link,
     LinkFact,
+    LiteralTok,
     Membership,
     ModelBuilder,
+    MorePartsExpected,
     Not,
     OntologyModel,
     Pattern,
@@ -35,6 +38,7 @@ from owlrules import (
     Rule,
     SchemaEquivalent,
     SchemaSubClassOf,
+    SolePart,
     SubClassOf,
     SubPropertyOf,
     Var,
@@ -375,6 +379,80 @@ def pair_chain_rule_ids(model: OntologyModel) -> dict[Pattern, list[str]]:
             and first.subject != second.obj
         )
     return {Pattern.SUBCLASS_TRANSITIVITY: subclass, Pattern.TRANSITIVE_PROPERTY: transitive}
+
+
+# ---------------------------------------------------------------------------
+# structured document through the stdlib encoder (reference for render_structured)
+
+
+def _term_dict(term) -> dict:
+    if isinstance(term, Var):
+        return {"var": term.name}
+    if isinstance(term, ClassRef):
+        return {"class": term.iri.value}
+    if isinstance(term, PropRef):
+        return {"prop": term.iri.value}
+    if isinstance(term, IndividualRef):
+        return {"individual": term.iri.value}
+    if isinstance(term, LiteralTok):
+        return {"literal": term.text}
+    raise TypeError(f"unknown term: {term!r}")
+
+
+def _atom_dict(atom) -> dict:
+    t = _term_dict
+    if isinstance(atom, IsA):
+        return {"kind": "isa", "subject": t(atom.subject), "class": t(atom.cls)}
+    if isinstance(atom, Link):
+        return {
+            "kind": "link",
+            "subject": t(atom.subject),
+            "prop": t(atom.prop),
+            "object": t(atom.obj),
+        }
+    if isinstance(atom, HasFeature):
+        feature = {"prop": atom.feature.value}
+        return {"kind": "feature", "subject": t(atom.subject), "feature": feature}
+    if isinstance(atom, Not):
+        return {"kind": "not", "inner": _atom_dict(atom.inner)}
+    if isinstance(atom, SchemaSubClassOf):
+        return {"kind": "subclass", "sub": t(atom.sub), "sup": t(atom.sup)}
+    if isinstance(atom, SchemaEquivalent):
+        return {"kind": "equivalent", "a": t(atom.a), "b": t(atom.b)}
+    if isinstance(atom, SolePart):
+        return {"kind": "sole-part", "part": t(atom.part), "whole": t(atom.whole)}
+    if isinstance(atom, MorePartsExpected):
+        return {"kind": "more-parts", "whole": t(atom.whole)}
+    raise TypeError(f"unknown atom: {atom!r}")
+
+
+def json_dumps_structured(rules: list[Rule], source: tuple[str, ...] = ()) -> str:
+    """The structured document as a dict tree through ``json.dumps(indent=2)``.
+
+    This is how ``render_structured`` was first written, and the stdlib's
+    pure-Python indenting encoder is the reference for every byte of it.
+    """
+    doc = {
+        "version": 1,
+        "source": sorted(set(source)),
+        "rules": [
+            {
+                "id": r.id,
+                "pattern": r.pattern.value,
+                "category": r.category.value,
+                "executable": r.executable,
+                "if": [_atom_dict(a) for a in r.antecedent],
+                "then": [_atom_dict(a) for a in r.consequent],
+                "provenance": {
+                    "source": sorted(set(r.provenance.sources)),
+                    "trigger_axioms": sorted(set(r.provenance.trigger_axioms)),
+                    "display_form": r.provenance.display_form,
+                },
+            }
+            for r in sorted(rules, key=lambda r: r.id)
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

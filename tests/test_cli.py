@@ -6,11 +6,16 @@ while still exercising the same code path as the console script.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from conftest import CANONICAL_FILES, DATA_DIR, corpus_path, nested_subclass_chain
+import owlrules
 from owlrules import (
     CATEGORY_ORDER,
     ContradictionError,
@@ -390,7 +395,8 @@ def test_infer_contradictory_fact_file_exits_3(capsys, tmp_path):
     code, out, err = run_cli(capsys, "infer", owl("allvaluesfrom.owl"), "--facts", str(both))
     assert code == EXIT_CONTRADICTION
     assert out == ""
-    assert err.startswith("ERROR ")
+    assert err.startswith(f"ERROR {both}:2:1 contradiction on (anna, Citizen): ")
+    assert err.count("\n") == 1
     assert "anna" in err and "Traceback" not in err
 
 
@@ -480,3 +486,19 @@ def test_repeated_invocation_is_byte_identical(capsys):
 
 def test_default_cap_is_large_enough_to_stay_out_of_the_way():
     assert DEFAULT_CAP >= 10000
+
+
+def test_importing_the_cli_leaves_the_network_stack_unloaded():
+    # xml.sax.saxutils (used only to print RDF/XML) imports urllib.request,
+    # which pulls in http.client, email and ssl: start-up time for every command.
+    src = str(Path(owlrules.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys, owlrules.cli; owlrules.cli.build_arg_parser(); "
+        "print(*sorted(m for m in ('xml.sax.saxutils', 'http.client') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

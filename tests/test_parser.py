@@ -13,8 +13,11 @@ from owlrules import (
     InverseOf,
     Iri,
     LinkFact,
+    Location,
     Membership,
+    ModelBuilder,
     NegMembership,
+    PropertyDecl,
     PropertyKind,
     Severity,
     SubClassOf,
@@ -235,6 +238,13 @@ def test_a_membership_and_its_negation_contradict():
         parse_fact_base("isa(anna, Citizen)\nnot isa(anna, Citizen)\n")
 
 
+def test_a_fact_file_contradiction_carries_the_second_statements_location():
+    text = "isa(anna, Citizen)\n# comment\n\n   not isa(anna, Citizen)\nisa(bob, Citizen)\n"
+    with pytest.raises(ContradictionError) as exc:
+        parse_fact_base(text)
+    assert exc.value.location == Location(4, 4)
+
+
 def test_empty_fact_file():
     base, diags = parse_fact_base("")
     assert diags == []
@@ -270,4 +280,48 @@ def test_rdfxml_print_parse_round_trip(name):
     printed = render_rdfxml(model)
     reparsed, diags = parse_ontology(printed, f"printed:{name}")
     assert not has_errors(diags), [d.message for d in diags]
+    assert reparsed == model
+
+
+QUOTED_NAMES_RDFXML = (
+    "<rdf:RDF>\n"
+    "  <owl:Class rdf:ID=\"Both&quot;'&gt;\"/>\n"
+    "  <owl:Class rdf:ID=\"O'Brien\"/>\n"
+    "  <owl:Class rdf:ID=\"R&amp;D\"/>\n"
+    "  <owl:Class rdf:ID='Say\"Hi'/>\n"
+    "  <owl:Class rdf:ID=\"a&lt;b\"/>\n"
+    "  <owl:ObjectProperty rdf:ID=\"has&amp;'ref\">\n"
+    "    <rdfs:domain rdf:resource='#Say\"Hi'/>\n"
+    "    <rdfs:range rdf:resource=\"#R&amp;D\"/>\n"
+    "  </owl:ObjectProperty>\n"
+    "  <owl:DatatypeProperty rdf:ID='label\"&lt;'>\n"
+    "    <rdfs:domain rdf:resource=\"#O'Brien\"/>\n"
+    "    <rdfs:range rdf:resource=\"xs:&quot;str'&amp;&lt;\"/>\n"
+    "  </owl:DatatypeProperty>\n"
+    "  <owl:Class rdf:about=\"#a&lt;b\">\n"
+    "    <rdfs:subClassOf rdf:resource=\"#Both&quot;'&gt;\"/>\n"
+    "  </owl:Class>\n"
+    "</rdf:RDF>\n"
+)
+
+
+def test_rdfxml_quotes_names_holding_quotes_ampersands_and_angles():
+    # The expected text is what xml.sax.saxutils.quoteattr gave when it was
+    # imported at module level: single quotes around a value holding only a
+    # double quote, &quot; when it holds both.
+    b = ModelBuilder("quotes.owl")
+    for name in ('Say"Hi', "O'Brien", "R&D", "a<b", "Both\"'>"):
+        b.declare_class(Iri(name))
+    b.declare_property(
+        PropertyDecl(Iri("has&'ref"), PropertyKind.OBJECT, Iri('Say"Hi'), Iri("R&D"))
+    )
+    b.declare_property(
+        PropertyDecl(Iri('label"<'), PropertyKind.DATATYPE, Iri("O'Brien"), Iri("xs:\"str'&<"))
+    )
+    b.add_axiom(SubClassOf(Iri("a<b"), Iri("Both\"'>")))
+    model = b.build()
+    printed = render_rdfxml(model)
+    assert printed == QUOTED_NAMES_RDFXML
+    reparsed, diags = parse_ontology(printed, "printed:quotes")
+    assert diags == []
     assert reparsed == model

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from oracles import json_dumps_structured
 
 from owlrules import (
     CATEGORY_ORDER,
@@ -306,3 +307,131 @@ def test_rule_to_obj_link_object_key():
     assert then["kind"] == "link"
     assert then["object"] == {"var": "?y"}
     assert entry["if"][0] == {"kind": "isa", "subject": {"var": "?x"}, "class": {"class": "Fox"}}
+
+
+# ---------------------------------------------------------------------------
+# the direct writer against the stdlib encoder
+
+# Pieces that exercise JSON escaping: quotes, backslashes, control characters,
+# "</", DEL, non-ASCII, a line separator and an astral character (written as
+# a surrogate pair).
+_PIECES = (
+    '"', "\\", "\x00", "\x08", "\n", "\t", "\x1f", "\x7f", "</", "'",
+    "\u00e9", "\u2028", "\u4e2d", "\U0001f600", "a", "Z", "9", "-", "#", " ",
+)
+
+
+def _text(rng: random.Random, lo: int = 0) -> str:
+    return "".join(rng.choice(_PIECES) for _ in range(rng.randint(lo, 6)))
+
+
+def _name(rng: random.Random) -> Iri:
+    # An IRI is non-empty and free of whitespace.
+    while True:
+        text = "".join(c for c in _text(rng, lo=1) if not c.isspace())
+        if text:
+            return Iri(text)
+
+
+def _random_term(rng: random.Random):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Var(rng.choice(("?x", "?y", "?z")))
+    if kind == 1:
+        return ClassRef(_name(rng))
+    if kind == 2:
+        return PropRef(_name(rng))
+    if kind == 3:
+        return IndividualRef(_name(rng))
+    return LiteralTok(_text(rng))
+
+
+_ATOM_MAKERS = (
+    lambda rng, t: IsA(t(rng), t(rng)),
+    lambda rng, t: Link(t(rng), t(rng), t(rng)),
+    lambda rng, t: HasFeature(t(rng), _name(rng)),
+    lambda rng, t: Not(IsA(t(rng), t(rng))),
+    lambda rng, t: Not(Link(t(rng), t(rng), t(rng))),
+    lambda rng, t: SchemaSubClassOf(t(rng), t(rng)),
+    lambda rng, t: SchemaEquivalent(t(rng), t(rng)),
+    lambda rng, t: SolePart(t(rng), t(rng)),
+    lambda rng, t: MorePartsExpected(t(rng)),
+)
+
+
+def _random_atoms(rng: random.Random) -> list:
+    return [rng.choice(_ATOM_MAKERS)(rng, _random_term) for _ in range(rng.randint(1, 3))]
+
+
+def _random_rules(rng: random.Random, count: int) -> list[Rule]:
+    rules = []
+    for _ in range(count):
+        prov = Provenance(
+            sources=tuple(_text(rng) for _ in range(rng.randint(0, 3))),
+            trigger_axioms=tuple(_text(rng) for _ in range(rng.randint(0, 3))),
+            display_form=_text(rng),
+        )
+        pattern = rng.choice(list(Pattern))
+        rules.append(make_rule(pattern, _random_atoms(rng), _random_atoms(rng), prov))
+    return rules
+
+
+def test_the_random_rules_draw_every_atom_kind():
+    rng = random.Random(0)
+    shapes = set()
+    for rule in _random_rules(rng, 60):
+        for atom in rule.antecedent + rule.consequent:
+            shapes.add((Not, type(atom.inner)) if isinstance(atom, Not) else type(atom))
+    assert shapes == {
+        IsA,
+        Link,
+        HasFeature,
+        (Not, IsA),
+        (Not, Link),
+        SchemaSubClassOf,
+        SchemaEquivalent,
+        SolePart,
+        MorePartsExpected,
+    }
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_structured_writer_matches_the_stdlib_encoder(seed):
+    rng = random.Random(seed)
+    rules = _random_rules(rng, rng.randint(0, 8))
+    # Repeat a rule now and then: equal ids keep their input order.
+    if rules and rng.random() < 0.3:
+        rules.insert(rng.randrange(len(rules)), rng.choice(rules))
+    source = tuple(_text(rng) for _ in range(rng.randint(0, 3)))
+    expected = json_dumps_structured(rules, source)
+    assert render_structured(rules, source=source) == expected
+    ordered = sorted(rules, key=lambda r: r.id)
+    assert [rule_to_obj(r) for r in ordered] == json.loads(expected)["rules"]
+
+
+def test_structured_writer_matches_on_empty_lists():
+    empty = '{\n  "version": 1,\n  "source": [],\n  "rules": []\n}\n'
+    assert render_structured([]) == json_dumps_structured([]) == empty
+    bare = make_rule(Pattern.SYMMETRIC, [IsA(VX, ClassRef(Iri("A")))], [IsA(VX, ClassRef(Iri("B")))])
+    assert bare.provenance == Provenance()
+    text = render_structured([bare])
+    assert text == json_dumps_structured([bare])
+    assert '"source": [],' in text and '"trigger_axioms": [],' in text
+
+
+def test_structured_writer_escapes_like_the_stdlib_encoder():
+    nasty = '"\\\x00\x1f\x7f</\u00e9\u2028\u4e2d\U0001f600'
+    rule = make_rule(
+        Pattern.ALLVALUESFROM,
+        [Not(IsA(VY, ClassRef(Iri('C"\\</\u00e9'))))],
+        [Not(Link(VX, PropRef(Iri("p\u4e2d\U0001f600")), LiteralTok(nasty)))],
+        Provenance(sources=(nasty, "a.owl", nasty), trigger_axioms=(nasty,), display_form=nasty),
+    )
+    text = render_structured([rule], source=(nasty,))
+    assert text == json_dumps_structured([rule], (nasty,))
+    assert text.isascii()
+    assert "\\ud83d\\ude00" in text and "\\u2028" in text and "\\u00e9" in text
+    (reparsed,), source = parse_structured(text)
+    assert source == [nasty]
+    assert (reparsed.antecedent, reparsed.consequent) == (rule.antecedent, rule.consequent)
+    assert reparsed.provenance.sources == (nasty, "a.owl")
