@@ -1,9 +1,10 @@
 """Command line front end: ``owlrules <extract|classify|infer> ...``.
 
 Exit codes: 0 success, 1 parse error, 2 merge conflict (or bad usage),
-3 contradiction in the fact base, 4 iteration cap exceeded, 5 integrity
-violations under --strict.  Diagnostics go to stderr as
-``LEVEL file:line:col message``; results go to stdout or --output.
+3 contradiction in the fact base (1 when the fact file also has a malformed
+line), 4 iteration cap exceeded, 5 integrity violations under --strict.
+Diagnostics go to stderr as ``LEVEL file:line:col message``; results go to
+stdout or --output.
 """
 
 from __future__ import annotations
@@ -183,9 +184,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
     try:
         base, diags = parse_fact_base(facts_text)
     except ContradictionError as exc:
+        for diag in exc.diagnostics:
+            print(format_diagnostic(diag, args.facts), file=sys.stderr)
         where = exc.location
         print(f"ERROR {args.facts}:{where.line}:{where.col} {exc}", file=sys.stderr)
-        return EXIT_CONTRADICTION
+        # A malformed line outranks the contradiction.
+        return EXIT_PARSE_ERROR if has_errors(exc.diagnostics) else EXIT_CONTRADICTION
     for diag in diags:
         print(format_diagnostic(diag, args.facts), file=sys.stderr)
     if has_errors(diags):

@@ -57,9 +57,11 @@ from .rules import (
 class ContradictionError(Exception):
     """A membership and its negation name the same (individual, class) pair."""
 
-    # The parser.Location of the second statement when a fact file makes both;
-    # None for a contradiction derived by rules.
+    # The parser.Location of the second statement when a fact file makes both,
+    # and the diagnostics of the file's malformed lines; None and () for a
+    # contradiction derived by rules.
     location = None
+    diagnostics = ()
 
 
 class NonExecutableRuleError(ValueError):
@@ -103,15 +105,15 @@ class FeatureExpected(Fact):
 
 
 def format_fact(fact: Fact) -> str:
-    match fact:
-        case Membership(individual=i, cls=c):
-            return f"isa({i}, {c})"
-        case NegMembership(individual=i, cls=c):
-            return f"not isa({i}, {c})"
-        case LinkFact(subject=s, prop=p, obj=o):
-            return f"link({s}, {p}, {o})"
-        case FeatureExpected(individual=i, feature=f):
-            return f"feature({i}, {f})"
+    kind = type(fact)
+    if kind is LinkFact:
+        return f"link({fact.subject}, {fact.prop}, {fact.obj})"
+    if kind is Membership:
+        return f"isa({fact.individual}, {fact.cls})"
+    if kind is NegMembership:
+        return f"not isa({fact.individual}, {fact.cls})"
+    if kind is FeatureExpected:
+        return f"feature({fact.individual}, {fact.feature})"
     raise TypeError(f"unknown fact: {fact!r}")
 
 
@@ -478,15 +480,7 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
         elif prep.fires and prep.emits:
             positives.append(prep)
 
-    base = initial.copy()
-    for fact in base:
-        if isinstance(fact, Membership) and NegMembership(fact.individual, fact.cls) in base:
-            raise ContradictionError(
-                f"contradiction on ({fact.individual}, {fact.cls}): asserted and "
-                f"negated (sources: {base.source_of(fact)}, "
-                f"{base.source_of(NegMembership(fact.individual, fact.cls))})"
-            )
-
+    base = initial.copy()  # FactBase.add has kept it free of contradictions
     families = {step.key[:2] for prep in positives for step in prep.steps}
     if constraints:
         families.add(("prop", "p"))

@@ -19,20 +19,32 @@ log = logging.getLogger(__name__)
 # identifiers
 
 
-@dataclass(frozen=True, order=True)
-class Iri:
-    """Name of a class, property, individual, or opaque datatype token."""
+class Iri(str):
+    """Name of a class, property, individual, or opaque datatype token.
 
-    value: str
+    An ``Iri`` is a ``str``, validated on construction: non-empty, without
+    whitespace.  Hashing, equality and ordering are the text's, so an ``Iri``
+    equals (and hashes like) the plain string with the same text.  It holds
+    no attributes besides the text; ``.value`` and ``str()`` give that text
+    as a plain ``str``.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.value:
+    __slots__ = ()
+
+    def __new__(cls, value: str) -> "Iri":
+        if not value:
             raise ValueError("IRI must be non-empty")
-        if any(ch.isspace() for ch in self.value):
-            raise ValueError(f"IRI contains whitespace: {self.value!r}")
+        # str.split() splits at exactly the characters str.isspace() accepts.
+        if value.split() != [value]:
+            raise ValueError(f"IRI contains whitespace: {value!r}")
+        return super().__new__(cls, value)
 
-    def __str__(self) -> str:
-        return self.value
+    @property
+    def value(self) -> str:
+        return str(self)
+
+    def __repr__(self) -> str:
+        return f"Iri(value={str.__repr__(self)})"
 
 
 def iri(text: str) -> Iri:

@@ -453,11 +453,13 @@ def parse_fact_base(text: str) -> tuple[FactBase, list[ParseDiagnostic]]:
 
     ``#`` starts a comment line; blank lines are ignored.  Malformed lines
     produce error diagnostics with their line number.  A membership asserted
-    both ways raises :class:`ContradictionError`, its ``location`` set to the
-    line and column of the second statement.
+    both ways raises :class:`ContradictionError` once the whole file is read:
+    its ``location`` is the line and column of the first pair's second
+    statement, and its ``diagnostics`` are those of the malformed lines.
     """
     base = FactBase()
     diags: list[ParseDiagnostic] = []
+    contradiction: ContradictionError | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -481,8 +483,12 @@ def parse_fact_base(text: str) -> tuple[FactBase, list[ParseDiagnostic]]:
         try:
             base.add(fact)
         except ContradictionError as exc:
-            exc.location = Location(lineno, len(raw) - len(raw.lstrip()) + 1)
-            raise
+            if contradiction is None:
+                exc.location = Location(lineno, len(raw) - len(raw.lstrip()) + 1)
+                contradiction = exc
+    if contradiction is not None:
+        contradiction.diagnostics = diags
+        raise contradiction
     return base, diags
 
 

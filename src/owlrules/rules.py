@@ -251,34 +251,34 @@ def with_provenance(rule: Rule, provenance: Provenance) -> Rule:
 
 
 def render_term(term: Term) -> str:
-    match term:
-        case Var(name):
-            return name
-        case ClassRef(i) | PropRef(i) | IndividualRef(i):
-            return i.value
-        case LiteralTok(text):
-            return f'"{text}"'
+    kind = type(term)
+    if kind is Var:
+        return term.name
+    if kind is ClassRef or kind is PropRef or kind is IndividualRef:
+        return str(term.iri)
+    if kind is LiteralTok:
+        return f'"{term.text}"'
     raise TypeError(f"unknown term: {term!r}")
 
 
 def render_atom(atom: Atom) -> str:
-    match atom:
-        case IsA(subject=s, cls=c):
-            return f"{render_term(c)}({render_term(s)})"
-        case Link(subject=s, prop=p, obj=o):
-            return f"({render_term(s)} {render_term(p)} {render_term(o)})"
-        case HasFeature(subject=s, feature=f):
-            return f"hasFeature({render_term(s)},{f.value})"
-        case Not(inner=i):
-            return f"not {render_atom(i)}"
-        case SchemaSubClassOf(sub=a, sup=b):
-            return f"subClassOf({render_term(a)},{render_term(b)})"
-        case SchemaEquivalent(a=a, b=b):
-            return f"equivalent({render_term(a)},{render_term(b)})"
-        case SolePart(part=p, whole=w):
-            return f"solePart({render_term(p)},{render_term(w)})"
-        case MorePartsExpected(whole=w):
-            return f"morePartsExpected({render_term(w)})"
+    kind = type(atom)
+    if kind is IsA:
+        return f"{render_term(atom.cls)}({render_term(atom.subject)})"
+    if kind is Link:
+        return f"({render_term(atom.subject)} {render_term(atom.prop)} {render_term(atom.obj)})"
+    if kind is SchemaSubClassOf:
+        return f"subClassOf({render_term(atom.sub)},{render_term(atom.sup)})"
+    if kind is HasFeature:
+        return f"hasFeature({render_term(atom.subject)},{atom.feature})"
+    if kind is Not:
+        return f"not {render_atom(atom.inner)}"
+    if kind is SchemaEquivalent:
+        return f"equivalent({render_term(atom.a)},{render_term(atom.b)})"
+    if kind is SolePart:
+        return f"solePart({render_term(atom.part)},{render_term(atom.whole)})"
+    if kind is MorePartsExpected:
+        return f"morePartsExpected({render_term(atom.whole)})"
     raise TypeError(f"unknown atom: {atom!r}")
 
 
@@ -317,46 +317,49 @@ def _strings_json(values: tuple[str, ...], ind: str) -> str:
 
 def _term_json(term: Term, ind: str) -> str:
     """A term object whose closing brace sits at indentation ``ind``."""
-    match term:
-        case Var(name):
-            key, value = "var", name
-        case ClassRef(i):
-            key, value = "class", i.value
-        case PropRef(i):
-            key, value = "prop", i.value
-        case IndividualRef(i):
-            key, value = "individual", i.value
-        case LiteralTok(text):
-            key, value = "literal", text
-        case _:
-            raise TypeError(f"unknown term: {term!r}")
+    kind = type(term)
+    if kind is Var:
+        key, value = "var", term.name
+    elif kind is ClassRef:
+        key, value = "class", term.iri
+    elif kind is PropRef:
+        key, value = "prop", term.iri
+    elif kind is IndividualRef:
+        key, value = "individual", term.iri
+    elif kind is LiteralTok:
+        key, value = "literal", term.text
+    else:
+        raise TypeError(f"unknown term: {term!r}")
     return f'{{\n{ind}  "{key}": {_json_str(value)}\n{ind}}}'
 
 
 def _atom_json(atom: Atom, ind: str) -> str:
     """An atom object whose closing brace sits at indentation ``ind``."""
     inner = ind + "  "
-    match atom:
-        case IsA(subject=s, cls=c):
-            kind, fields = "isa", (("subject", s), ("class", c))
-        case Link(subject=s, prop=p, obj=o):
-            kind, fields = "link", (("subject", s), ("prop", p), ("object", o))
-        case HasFeature(subject=s, feature=f):
-            kind, fields = "feature", (("subject", s), ("feature", PropRef(f)))
-        case Not(inner=i):
-            return f'{{\n{inner}"kind": "not",\n{inner}"inner": {_atom_json(i, inner)}\n{ind}}}'
-        case SchemaSubClassOf(sub=a, sup=b):
-            kind, fields = "subclass", (("sub", a), ("sup", b))
-        case SchemaEquivalent(a=a, b=b):
-            kind, fields = "equivalent", (("a", a), ("b", b))
-        case SolePart(part=p, whole=w):
-            kind, fields = "sole-part", (("part", p), ("whole", w))
-        case MorePartsExpected(whole=w):
-            kind, fields = "more-parts", (("whole", w),)
-        case _:
-            raise TypeError(f"unknown atom: {atom!r}")
+    kind = type(atom)
+    if kind is IsA:
+        name, fields = "isa", (("subject", atom.subject), ("class", atom.cls))
+    elif kind is Link:
+        name = "link"
+        fields = (("subject", atom.subject), ("prop", atom.prop), ("object", atom.obj))
+    elif kind is SchemaSubClassOf:
+        name, fields = "subclass", (("sub", atom.sub), ("sup", atom.sup))
+    elif kind is HasFeature:
+        name = "feature"
+        fields = (("subject", atom.subject), ("feature", PropRef(atom.feature)))
+    elif kind is Not:
+        negated = _atom_json(atom.inner, inner)
+        return f'{{\n{inner}"kind": "not",\n{inner}"inner": {negated}\n{ind}}}'
+    elif kind is SchemaEquivalent:
+        name, fields = "equivalent", (("a", atom.a), ("b", atom.b))
+    elif kind is SolePart:
+        name, fields = "sole-part", (("part", atom.part), ("whole", atom.whole))
+    elif kind is MorePartsExpected:
+        name, fields = "more-parts", (("whole", atom.whole),)
+    else:
+        raise TypeError(f"unknown atom: {atom!r}")
     body = "".join(f',\n{inner}"{key}": {_term_json(t, inner)}' for key, t in fields)
-    return f'{{\n{inner}"kind": "{kind}"{body}\n{ind}}}'
+    return f'{{\n{inner}"kind": "{name}"{body}\n{ind}}}'
 
 
 def _atoms_json(atoms: tuple[Atom, ...], ind: str) -> str:

@@ -7,6 +7,7 @@ Slow and obviously correct beats fast and clever for an oracle.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -29,6 +30,7 @@ from owlrules import (
     Membership,
     ModelBuilder,
     MorePartsExpected,
+    NegMembership,
     Not,
     OntologyModel,
     Pattern,
@@ -379,6 +381,72 @@ def pair_chain_rule_ids(model: OntologyModel) -> dict[Pattern, list[str]]:
             and first.subject != second.obj
         )
     return {Pattern.SUBCLASS_TRANSITIVITY: subclass, Pattern.TRANSITIVE_PROPERTY: transitive}
+
+
+# ---------------------------------------------------------------------------
+# rule text and fact text by structural pattern matching (reference for
+# rules.render_term/render_atom/render_text/make_rule ids and engine.format_fact)
+
+
+def render_term_by_match(term) -> str:
+    match term:
+        case Var(name):
+            return name
+        case ClassRef(i) | PropRef(i) | IndividualRef(i):
+            return i.value
+        case LiteralTok(text):
+            return f'"{text}"'
+    raise TypeError(f"unknown term: {term!r}")
+
+
+def render_atom_by_match(atom) -> str:
+    t = render_term_by_match
+    match atom:
+        case IsA(subject=s, cls=c):
+            return f"{t(c)}({t(s)})"
+        case Link(subject=s, prop=p, obj=o):
+            return f"({t(s)} {t(p)} {t(o)})"
+        case HasFeature(subject=s, feature=f):
+            return f"hasFeature({t(s)},{f.value})"
+        case Not(inner=i):
+            return f"not {render_atom_by_match(i)}"
+        case SchemaSubClassOf(sub=a, sup=b):
+            return f"subClassOf({t(a)},{t(b)})"
+        case SchemaEquivalent(a=a, b=b):
+            return f"equivalent({t(a)},{t(b)})"
+        case SolePart(part=p, whole=w):
+            return f"solePart({t(p)},{t(w)})"
+        case MorePartsExpected(whole=w):
+            return f"morePartsExpected({t(w)})"
+    raise TypeError(f"unknown atom: {atom!r}")
+
+
+def _clause_by_match(atoms) -> str:
+    return " and ".join(render_atom_by_match(a) for a in atoms)
+
+
+def render_text_by_match(rule: Rule) -> str:
+    return f"IF {_clause_by_match(rule.antecedent)} THEN {_clause_by_match(rule.consequent)}"
+
+
+def rule_id_by_match(rule: Rule) -> str:
+    """The content-hash id of ``rule``, recomputed from the reference text."""
+    ant, cons = _clause_by_match(rule.antecedent), _clause_by_match(rule.consequent)
+    digest = hashlib.sha256(f"{rule.pattern.value}|{ant}|{cons}".encode()).hexdigest()
+    return f"{rule.pattern.value}-{digest[:10]}"
+
+
+def format_fact_by_match(fact) -> str:
+    match fact:
+        case Membership(individual=i, cls=c):
+            return f"isa({i.value}, {c.value})"
+        case NegMembership(individual=i, cls=c):
+            return f"not isa({i.value}, {c.value})"
+        case LinkFact(subject=s, prop=p, obj=o):
+            return f"link({s.value}, {p.value}, {o.value})"
+        case FeatureExpected(individual=i, feature=f):
+            return f"feature({i.value}, {f.value})"
+    raise TypeError(f"unknown fact: {fact!r}")
 
 
 # ---------------------------------------------------------------------------

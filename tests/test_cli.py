@@ -400,6 +400,25 @@ def test_infer_contradictory_fact_file_exits_3(capsys, tmp_path):
     assert "anna" in err and "Traceback" not in err
 
 
+def test_infer_reports_malformed_fact_lines_before_a_contradiction(capsys, tmp_path):
+    mixed = tmp_path / "facts.txt"
+    mixed.write_text(
+        "isa(anna Citizen\nisa(anna, Citizen)\nnot isa(anna, Citizen)\nlink(a b)\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "infer", owl("allvaluesfrom.owl"), "--facts", str(mixed))
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    lines = err.splitlines()
+    assert [line.split(" ", 2)[:2] for line in lines] == [
+        ["ERROR", f"{mixed}:1:1"],
+        ["ERROR", f"{mixed}:4:1"],
+        ["ERROR", f"{mixed}:3:1"],
+    ]
+    assert "malformed fact line" in lines[0] and "malformed fact line" in lines[1]
+    assert lines[2].startswith(f"ERROR {mixed}:3:1 contradiction on (anna, Citizen): ")
+
+
 def test_infer_contradiction_exit_code(capsys, monkeypatch):
     def explode(rules, base, cap):
         raise ContradictionError("membership asserted both ways for john")

@@ -7,6 +7,7 @@ from conftest import DATA_DIR, corpus_text, load_model
 from oracles import (
     closure_pairs,
     equivalence_lift_pairs,
+    format_fact_by_match,
     joint_closure_pairs,
     naive_saturate,
     random_dag_model,
@@ -17,7 +18,9 @@ from owlrules import (
     ClassRef,
     ContradictionError,
     EquivalentClass,
+    Fact,
     FactBase,
+    FeatureExpected,
     Iri,
     IsA,
     Link,
@@ -72,6 +75,23 @@ def test_format_fact_forms():
     assert format_fact(Membership(Iri("john"), Iri("Man"))) == "isa(john, Man)"
     assert format_fact(NegMembership(Iri("john"), Iri("Man"))) == "not isa(john, Man)"
     assert format_fact(LinkFact(Iri("a"), Iri("p"), Iri("b"))) == "link(a, p, b)"
+
+
+def test_format_fact_matches_the_pattern_matching_reference():
+    names = [Iri(t) for t in ("a", "Car", 'q"\\', "\u00e9t\u00e9", "#1")]
+    kinds = (Membership, NegMembership, FeatureExpected)
+    facts: list[Fact] = [kind(a, b) for kind in kinds for a in names for b in names]
+    facts += [
+        LinkFact(a, p, b, flag)
+        for a in names
+        for p in names[:2]
+        for b in names
+        for flag in (False, True)
+    ]
+    for fact in facts:
+        assert format_fact(fact) == format_fact_by_match(fact)
+    with pytest.raises(TypeError, match="unknown fact"):
+        format_fact(Fact())
 
 
 def test_fact_base_is_duplicate_free_and_tracks_derivations():
@@ -327,11 +347,8 @@ def test_non_executable_rules_are_rejected_by_id():
 
 
 def test_initial_contradiction_is_reported():
-    base = FactBase()
-    base._facts = [Membership(Iri("a"), Iri("B")), NegMembership(Iri("a"), Iri("B"))]
-    base._index = set(base._facts)
-    with pytest.raises(ContradictionError):
-        run_fixpoint([], base, CAP)
+    with pytest.raises(ContradictionError, match=r"contradiction on \(a, B\)"):
+        FactBase([Membership(Iri("a"), Iri("B")), NegMembership(Iri("a"), Iri("B"))])
 
 
 def test_cap_of_one_leaves_a_long_chain_unconverged():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import logging
+import pickle
+import random
+import sys
 
 import pytest
 
@@ -42,6 +45,60 @@ def test_iri_rejects_empty_and_whitespace(bad):
 
 def test_iris_order_lexicographically():
     assert sorted([Iri("b"), Iri("a"), Iri("c")]) == [Iri("a"), Iri("b"), Iri("c")]
+
+
+def test_every_whitespace_code_point_is_rejected_inside_a_name():
+    whitespace = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+    assert len(whitespace) == 29  # Unicode White_Space plus the four C0 separators
+    for ch in whitespace:
+        for text in (f"a{ch}b", ch, f"{ch}a", f"a{ch}"):
+            with pytest.raises(ValueError) as exc:
+                Iri(text)
+            assert str(exc.value) == f"IRI contains whitespace: {text!r}"
+    with pytest.raises(ValueError) as exc:
+        Iri("")
+    assert str(exc.value) == "IRI must be non-empty"
+
+
+@pytest.mark.parametrize("ch", ["\u200b", "\u180e", "\u2060", "\ufeff", "\u00ad"])
+def test_invisible_characters_that_are_not_whitespace_are_accepted(ch):
+    name = Iri(f"a{ch}b")
+    assert name.value == f"a{ch}b"
+    assert Iri(ch) == ch
+
+
+def test_an_iri_sorts_hashes_and_compares_as_its_text():
+    rng = random.Random(5)
+    texts = [
+        "".join(rng.choice("aAbB\u00e9\u4e2d_#0") for _ in range(rng.randint(1, 4)))
+        for _ in range(200)
+    ]
+    names = [Iri(t) for t in texts]
+    assert sorted(names) == sorted(texts)
+    assert all(type(n) is Iri for n in sorted(names))
+    assert all(hash(n) == hash(t) and n == t for n, t in zip(names, texts))
+    assert len(set(names) | set(texts)) == len(set(texts))
+
+
+def test_an_iri_keeps_its_text_forms():
+    car = Iri("Car")
+    assert repr(car) == "Iri(value='Car')"
+    assert repr(Iri("it's")) == 'Iri(value="it\'s")'
+    assert type(car.value) is str and car.value == "Car"
+    assert type(str(car)) is str and str(car) == "Car"
+    assert f"<{car}>" == "<Car>"
+    assert Iri(value="Car") == car
+    copy = pickle.loads(pickle.dumps(car))
+    assert type(copy) is Iri and copy == car
+
+
+def test_an_iri_cannot_take_attributes():
+    car = Iri("Car")
+    with pytest.raises(AttributeError):
+        car.value = "Bus"
+    with pytest.raises(AttributeError):
+        car.note = "x"
+    assert not hasattr(car, "__dict__")
 
 
 def test_equivalent_class_is_canonicalized():

@@ -245,6 +245,17 @@ def test_a_fact_file_contradiction_carries_the_second_statements_location():
     assert exc.value.location == Location(4, 4)
 
 
+def test_a_fact_file_contradiction_carries_every_malformed_line():
+    text = "oops\nisa(a, B)\nnot isa(a, B)\nnot isa(c, D)\nisa(c, D)\nlink(x)\n"
+    with pytest.raises(ContradictionError) as exc:
+        parse_fact_base(text)
+    assert exc.value.location == Location(3, 1)  # the first pair's second statement
+    assert [(d.severity, d.location.line) for d in exc.value.diagnostics] == [
+        (Severity.ERROR, 1),
+        (Severity.ERROR, 6),
+    ]
+
+
 def test_empty_fact_file():
     base, diags = parse_fact_base("")
     assert diags == []

@@ -4,10 +4,17 @@ import json
 import random
 
 import pytest
-from oracles import json_dumps_structured
+from oracles import (
+    json_dumps_structured,
+    render_atom_by_match,
+    render_term_by_match,
+    render_text_by_match,
+    rule_id_by_match,
+)
 
 from owlrules import (
     CATEGORY_ORDER,
+    Atom,
     ClassRef,
     HasFeature,
     IndividualRef,
@@ -25,6 +32,7 @@ from owlrules import (
     SchemaEquivalent,
     SchemaSubClassOf,
     SolePart,
+    Term,
     UnknownPatternError,
     Var,
     classify,
@@ -435,3 +443,35 @@ def test_structured_writer_escapes_like_the_stdlib_encoder():
     assert source == [nasty]
     assert (reparsed.antecedent, reparsed.consequent) == (rule.antecedent, rule.consequent)
     assert reparsed.provenance.sources == (nasty, "a.owl")
+
+
+# ---------------------------------------------------------------------------
+# type-dispatched rendering against the pattern-matching reference
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rule_text_and_ids_match_the_pattern_matching_reference(seed):
+    rng = random.Random(1000 + seed)
+    for rule in _random_rules(rng, 40):
+        assert render_text(rule) == render_text_by_match(rule)
+        assert rule.id == rule_id_by_match(rule)
+        for atom in rule.antecedent + rule.consequent:
+            assert render_atom(atom) == render_atom_by_match(atom)
+            for term in vars(atom).values():
+                if isinstance(term, Term):
+                    assert render_term(term) == render_term_by_match(term)
+
+
+def test_unknown_terms_and_atoms_are_type_errors():
+    with pytest.raises(TypeError, match="unknown term"):
+        render_term(Term())
+    with pytest.raises(TypeError, match="unknown term"):
+        render_atom(IsA(VX, Term()))
+    with pytest.raises(TypeError, match="unknown atom"):
+        render_atom(Not(Atom()))
+    ok = IsA(VX, ClassRef(Iri("A")))
+    for bad in (Atom(), IsA(VX, Term())):
+        category = RuleCategory.MEANING_ENRICHING
+        rule = Rule("x", (bad,), (ok,), Pattern.SYMMETRIC, category, True, Provenance())
+        with pytest.raises(TypeError, match="unknown"):
+            render_structured([rule])
