@@ -1,9 +1,13 @@
 """owlrules: IF-THEN rule extraction and forward chaining over an OWL subset.
 
 Pipeline: ``parse_ontology`` builds an :class:`OntologyModel` from the RDF/XML
-subset; ``extract_all`` scans it for the thirteen rule-licensing shapes;
-``classify`` sorts rules into four categories; ``run_fixpoint`` chains the
-executable ones over a :class:`FactBase` of instance facts.
+subset; ``extract_all`` scans it for the thirteen rule-licensing shapes, each
+rule carrying its pattern's category; ``run_fixpoint`` chains the executable
+ones over a :class:`FactBase` of instance facts.
+
+The package exports the entry points, the types they return and the
+exceptions they raise; everything else is imported from its own module
+(``owlrules.rules``, ``owlrules.model``, ...).
 """
 
 from .engine import (
@@ -39,7 +43,6 @@ from .extract import (
 )
 from .model import (
     AllValuesFrom,
-    Axiom,
     ClassLink,
     EquivalentClass,
     IntersectionOf,
@@ -48,120 +51,62 @@ from .model import (
     MergeConflictError,
     ModelBuilder,
     OntologyModel,
-    OwlClassDecl,
     PropertyDecl,
     PropertyKind,
     SubClassOf,
     SubPropertyOf,
-    add_axiom,
-    iri,
     merge,
 )
 from .parser import (
-    Location,
     ParseDiagnostic,
-    Severity,
     format_diagnostic,
     has_errors,
     parse_fact_base,
     parse_ontology,
-    render_fact_base,
-    render_rdfxml,
 )
 from .rules import (
     CATEGORY_ORDER,
-    STRUCTURED_VERSION,
-    VAR_NAMES,
-    Atom,
-    ClassRef,
-    HasFeature,
-    IndividualRef,
-    IsA,
-    Link,
-    LiteralTok,
-    MorePartsExpected,
-    Not,
     Pattern,
-    PropRef,
-    Provenance,
     Rule,
     RuleCategory,
-    SchemaEquivalent,
-    SchemaSubClassOf,
-    SolePart,
-    Term,
     UnknownPatternError,
-    Var,
-    classify,
-    coerce_pattern,
-    is_executable_pattern,
-    make_rule,
     parse_structured,
-    render_atom,
     render_structured,
-    render_term,
     render_text,
-    rule_to_obj,
-    with_provenance,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllValuesFrom",
-    "Atom",
-    "Axiom",
     "CATEGORY_ORDER",
-    "STRUCTURED_VERSION",
-    "VAR_NAMES",
     "ClassLink",
-    "ClassRef",
     "ContradictionError",
     "EquivalentClass",
     "ExtractionReport",
     "Fact",
     "FactBase",
     "FeatureExpected",
-    "HasFeature",
-    "IndividualRef",
     "InferenceResult",
     "IntersectionOf",
     "InverseOf",
     "Iri",
-    "IsA",
-    "Link",
     "LinkFact",
-    "LiteralTok",
-    "Location",
     "Membership",
     "MergeConflictError",
     "ModelBuilder",
-    "MorePartsExpected",
     "NegMembership",
     "NonExecutableRuleError",
-    "Not",
     "OntologyModel",
-    "OwlClassDecl",
     "ParseDiagnostic",
     "Pattern",
-    "PropRef",
     "PropertyDecl",
     "PropertyKind",
-    "Provenance",
     "Rule",
     "RuleCategory",
-    "SchemaEquivalent",
-    "SchemaSubClassOf",
-    "Severity",
-    "SolePart",
     "SubClassOf",
     "SubPropertyOf",
-    "Term",
     "UnknownPatternError",
-    "Var",
-    "add_axiom",
-    "classify",
-    "coerce_pattern",
     "extract_all",
     "extract_allvaluesfrom",
     "extract_class_feature",
@@ -179,21 +124,12 @@ __all__ = [
     "format_diagnostic",
     "format_fact",
     "has_errors",
-    "iri",
-    "is_executable_pattern",
-    "make_rule",
     "merge",
     "parse_fact_base",
     "parse_ontology",
     "parse_structured",
-    "render_atom",
-    "render_fact_base",
-    "render_rdfxml",
     "render_structured",
-    "render_term",
     "render_text",
-    "rule_to_obj",
     "run_fixpoint",
     "schema_closure",
-    "with_provenance",
 ]

@@ -1,10 +1,11 @@
 """Command line front end: ``owlrules <extract|classify|infer> ...``.
 
-Exit codes: 0 success, 1 parse error, 2 merge conflict (or bad usage),
-3 contradiction in the fact base (1 when the fact file also has a malformed
-line), 4 iteration cap exceeded, 5 integrity violations under --strict.
-Diagnostics go to stderr as ``LEVEL file:line:col message``; results go to
-stdout or --output.
+Exit codes: 0 success, 1 parse error or an unreadable, undecodable (not
+UTF-8) or unwritable file, 2 merge conflict (or bad usage), 3 contradiction in
+the fact base (1 when the fact file also has a malformed line), 4 iteration
+cap exceeded, 5 integrity violations under --strict.  Diagnostics go to
+stderr as ``LEVEL file:line:col message``, or ``ERROR file: reason`` for a
+file that cannot be read or written; results go to stdout or --output.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .parser import (
 from .rules import CATEGORY_ORDER, Rule, render_structured, render_text
 
 EXIT_OK = 0
-EXIT_PARSE_ERROR = 1
+EXIT_PARSE_ERROR = 1  # also for a file that cannot be read or written
 EXIT_MERGE_CONFLICT = 2
 EXIT_CONTRADICTION = 3
 EXIT_CAP_EXCEEDED = 4
@@ -83,14 +84,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
 # pipeline pieces
 
 
+def _read(path: str) -> str | None:
+    """The UTF-8 text of ``path``, or None once the reason it cannot be read is printed."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"ERROR {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _load_models(paths: list[str]) -> tuple[list[OntologyModel], bool]:
     models = []
     failed = False
     for path in paths:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"ERROR {path}: {exc}", file=sys.stderr)
+        text = _read(path)
+        if text is None:
             failed = True
             continue
         model, diags = parse_ontology(text, name=path)
@@ -103,11 +111,17 @@ def _load_models(paths: list[str]) -> tuple[list[OntologyModel], bool]:
     return models, failed
 
 
-def _emit(args: argparse.Namespace, payload: str) -> None:
-    if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
-    else:
+def _emit(args: argparse.Namespace, payload: str) -> int:
+    """Write ``payload`` to --output or stdout; the exit code of the write."""
+    if not args.output:
         sys.stdout.write(payload)
+        return EXIT_OK
+    try:
+        Path(args.output).write_text(payload, encoding="utf-8")
+    except OSError as exc:
+        print(f"ERROR {args.output}: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    return EXIT_OK
 
 
 def _extract_rules(
@@ -143,8 +157,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         payload = render_structured(rules, source=model.source_names)
     else:
         payload = "".join(render_text(r) + "\n" for r in rules)
-    _emit(args, payload)
-    return EXIT_OK
+    return _emit(args, payload)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -164,8 +177,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         lines.append("")
         for rule in grouped:
             lines.append(f"{rule.category.value} {rule.pattern.value} {render_text(rule)}")
-    _emit(args, "".join(line + "\n" for line in lines))
-    return EXIT_OK
+    return _emit(args, "".join(line + "\n" for line in lines))
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -176,10 +188,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if isinstance(got, int):
         return got
     executable, _model = got
-    try:
-        facts_text = Path(args.facts).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"ERROR {args.facts}: {exc}", file=sys.stderr)
+    facts_text = _read(args.facts)
+    if facts_text is None:
         return EXIT_PARSE_ERROR
     try:
         base, diags = parse_fact_base(facts_text)
@@ -212,7 +222,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
             "yes" if result.converged else "no",
         )
     )
-    _emit(args, "".join(line + "\n" for line in lines))
+    written = _emit(args, "".join(line + "\n" for line in lines))
+    if written != EXIT_OK:
+        return written
     if not result.converged:
         return EXIT_CAP_EXCEEDED
     if args.strict and result.violations:

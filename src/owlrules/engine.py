@@ -118,27 +118,26 @@ def format_fact(fact: Fact) -> str:
 
 
 class FactBase:
-    """Duplicate-free fact store that remembers which rule derived what."""
+    """Duplicate-free fact store that remembers which rule derived what.
+
+    One insertion-ordered dict maps each fact to the id of the rule that
+    derived it, or to None for a fact given initially.
+    """
 
     def __init__(self, facts: tuple[Fact, ...] | list[Fact] = ()):
-        self._facts: list[Fact] = []
-        self._index: set[Fact] = set()
-        self.derived_marks: dict[Fact, str] = {}
+        self._sources: dict[Fact, str | None] = {}
         for f in facts:
             self.add(f)
 
     @property
     def facts(self) -> tuple[Fact, ...]:
-        return tuple(self._facts)
+        return tuple(self._sources)
 
     def add(self, fact: Fact, derived_by: str | None = None) -> bool:
-        if fact in self._index:
+        if fact in self._sources:
             return False
         self._check_contradiction(fact, derived_by)
-        self._facts.append(fact)
-        self._index.add(fact)
-        if derived_by is not None:
-            self.derived_marks[fact] = derived_by
+        self._sources[fact] = derived_by
         return True
 
     def _check_contradiction(self, fact: Fact, derived_by: str | None) -> None:
@@ -147,36 +146,28 @@ class FactBase:
             twin = NegMembership(fact.individual, fact.cls)
         elif isinstance(fact, NegMembership):
             twin = Membership(fact.individual, fact.cls)
-        if twin is not None and twin in self._index:
-            pair = (
-                fact.individual,
-                fact.cls,
-            )
-            a = self.derived_marks.get(twin, "initial")
-            b = derived_by or "initial"
+        if twin is not None and twin in self._sources:
             raise ContradictionError(
-                f"contradiction on ({pair[0]}, {pair[1]}): asserted and negated "
-                f"(sources: {a}, {b})"
+                f"contradiction on ({fact.individual}, {fact.cls}): asserted and negated "
+                f"(sources: {self.source_of(twin)}, {derived_by or 'initial'})"
             )
 
     def source_of(self, fact: Fact) -> str:
-        return self.derived_marks.get(fact, "initial")
+        return self._sources.get(fact) or "initial"
 
     def copy(self) -> "FactBase":
         clone = FactBase()
-        clone._facts = list(self._facts)
-        clone._index = set(self._index)
-        clone.derived_marks = dict(self.derived_marks)
+        clone._sources = dict(self._sources)
         return clone
 
     def __contains__(self, fact: Fact) -> bool:
-        return fact in self._index
+        return fact in self._sources
 
     def __iter__(self):
-        return iter(self._facts)
+        return iter(self._sources)
 
     def __len__(self) -> int:
-        return len(self._facts)
+        return len(self._sources)
 
 
 @dataclass

@@ -24,7 +24,7 @@ symmetric properties and inverse pairs skipped for a missing domain or range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .model import (
     AllValuesFrom,
@@ -55,7 +55,6 @@ from .rules import (
     MorePartsExpected,
     Var,
     make_rule,
-    with_provenance,
 )
 
 VX = Var("?x")
@@ -460,9 +459,9 @@ def extract_all(model: OntologyModel) -> ExtractionReport:
             seen = merged.setdefault(rule.id, rule)
             if seen is not rule:
                 old, new = seen.provenance, rule.provenance
-                merged[rule.id] = with_provenance(
+                merged[rule.id] = replace(
                     seen,
-                    Provenance(
+                    provenance=Provenance(
                         sources=tuple(sorted({*old.sources, *new.sources})),
                         trigger_axioms=tuple(sorted({*old.trigger_axioms, *new.trigger_axioms})),
                         display_form=old.display_form,

@@ -2,7 +2,7 @@
 
 The model is a plain value object.  Parsing lives in :mod:`owlrules.parser`;
 everything here is constructible programmatically through :class:`ModelBuilder`
-or the pure helpers :func:`add_axiom` / :func:`merge`.
+or the pure helper :func:`merge`.
 """
 
 from __future__ import annotations
@@ -68,16 +68,6 @@ class PropertyKind(Enum):
     OBJECT = "object"
     SYMMETRIC = "symmetric"
     TRANSITIVE = "transitive"
-
-    @property
-    def is_object_like(self) -> bool:
-        """Symmetric and transitive properties behave as object properties."""
-        return self is not PropertyKind.DATATYPE
-
-
-@dataclass(frozen=True)
-class OwlClassDecl:
-    iri: Iri
 
 
 @dataclass(frozen=True)
@@ -247,7 +237,7 @@ class OntologyModel:
     an index of the axioms built once, on first use, and return fresh lists.
     """
 
-    classes: tuple[OwlClassDecl, ...] = ()
+    classes: tuple[Iri, ...] = ()
     properties: dict[Iri, PropertyDecl] = field(default_factory=dict)
     axioms: tuple[Axiom, ...] = ()
     source_names: tuple[str, ...] = ()
@@ -265,7 +255,7 @@ class OntologyModel:
             subs.setdefault(ax.sup, []).append(ax.sub)
         for names in (*sups.values(), *subs.values()):
             names.sort()
-        return _ModelIndex(frozenset(d.iri for d in self.classes), by_kind, sups, subs)
+        return _ModelIndex(frozenset(self.classes), by_kind, sups, subs)
 
     def class_iris(self) -> frozenset[Iri]:
         return self._index.classes
@@ -304,42 +294,33 @@ class ModelBuilder:
     """Mutable accumulator used by the parser, merge, and tests."""
 
     def __init__(self, source_name: str | None = None):
-        self._classes: dict[Iri, OwlClassDecl] = {}
+        self._classes: dict[Iri, None] = {}  # declared names, in declaration order
         self._props: dict[Iri, PropertyDecl] = {}
-        self._axioms: list[Axiom] = []
-        self._axiom_set: set[Axiom] = set()
+        self._axioms: dict[Axiom, None] = {}  # each axiom once, in insertion order
         self._sources: list[str] = [source_name] if source_name else []
 
-    @classmethod
-    def from_model(cls, model: OntologyModel) -> "ModelBuilder":
-        b = cls()
-        b._sources = list(model.source_names)
-        for d in model.classes:
-            b._classes[d.iri] = d
-        b._props = dict(model.properties)
-        b._axioms = list(model.axioms)
-        b._axiom_set = set(model.axioms)
-        return b
-
     def declare_class(self, name: Iri) -> None:
-        # Re-declaration merges: a class decl carries nothing but its name.
-        self._classes.setdefault(name, OwlClassDecl(name))
+        # Re-declaration merges: a class carries nothing but its name.
+        self._classes[name] = None
 
-    def declare_property(
-        self,
-        decl: PropertyDecl,
-        *,
-        on_kind_conflict: str = "keep-first",
-        on_field_conflict: str = "keep-first",
-    ) -> list[str]:
+    def declare_property(self, decl: PropertyDecl, *, merging: bool = False) -> list[str]:
         """Add or merge a property declaration; returns human-readable notes.
 
-        ``on_kind_conflict``: "keep-first" (parser policy) or "error" (merge
-        policy).  Explicit declarations always replace implicit ones; implicit
-        ones never demote an existing declaration.
+        Between two explicit declarations of one property, the parser's policy
+        (the default) keeps the first kind, domain and range and notes each
+        conflict.  With ``merging``, a kind conflict raises
+        :class:`MergeConflictError` and conflicting domains and ranges resolve
+        to the lexicographic minimum, so the result does not depend on the
+        order of declarations.  Explicit declarations always replace implicit
+        ones; implicit ones never demote an existing declaration.
         """
         notes: list[str] = []
-        self.declare_domain_range_classes(decl)
+        # Domains are always classes; ranges only for object-like kinds
+        # (datatype ranges stay opaque tokens).
+        if decl.domain is not None:
+            self.declare_class(decl.domain)
+        if decl.range is not None and decl.kind is not PropertyKind.DATATYPE:
+            self.declare_class(decl.range)
         old = self._props.get(decl.iri)
         if old is None:
             self._props[decl.iri] = decl
@@ -350,33 +331,24 @@ class ModelBuilder:
             self._props[decl.iri] = decl
             return notes
         if old.kind is not decl.kind:
-            if on_kind_conflict == "error":
+            if merging:
                 raise MergeConflictError(decl.iri, (old.kind, decl.kind))
             notes.append(
                 f"property {decl.iri} re-declared as {decl.kind.value}; "
                 f"keeping {old.kind.value}"
             )
             decl = PropertyDecl(decl.iri, old.kind, decl.domain, decl.range)
-        domain, dn = _resolve_field(decl.iri, "domain", old.domain, decl.domain, on_field_conflict)
-        rng, rn = _resolve_field(decl.iri, "range", old.range, decl.range, on_field_conflict)
+        domain, dn = _resolve_field(decl.iri, "domain", old.domain, decl.domain, merging)
+        rng, rn = _resolve_field(decl.iri, "range", old.range, decl.range, merging)
         notes.extend(dn + rn)
         self._props[decl.iri] = PropertyDecl(decl.iri, old.kind, domain, rng)
         return notes
 
-    def declare_domain_range_classes(self, decl: PropertyDecl) -> None:
-        # Domain references are always classes; ranges only for object-like
-        # kinds (datatype ranges stay opaque tokens).
-        if decl.domain is not None:
-            self.declare_class(decl.domain)
-        if decl.range is not None and decl.kind.is_object_like:
-            self.declare_class(decl.range)
-
     def add_axiom(self, ax: Axiom) -> bool:
         """Insert an axiom once; auto-declare every name it references."""
-        if ax in self._axiom_set:
+        if ax in self._axioms:
             return False
-        self._axiom_set.add(ax)
-        self._axioms.append(ax)
+        self._axioms[ax] = None
         for c in _class_refs(ax):
             self.declare_class(c)
         for p in _prop_refs(ax):
@@ -389,7 +361,7 @@ class ModelBuilder:
 
     def build(self) -> OntologyModel:
         return OntologyModel(
-            classes=tuple(self._classes.values()),
+            classes=tuple(self._classes),
             properties=dict(self._props),
             axioms=tuple(self._axioms),
             source_names=tuple(self._sources),
@@ -397,13 +369,13 @@ class ModelBuilder:
 
 
 def _resolve_field(
-    name: Iri, label: str, old: Iri | None, new: Iri | None, policy: str
+    name: Iri, label: str, old: Iri | None, new: Iri | None, merging: bool
 ) -> tuple[Iri | None, list[str]]:
     if new is None or old == new:
         return old, []
     if old is None:
         return new, []
-    if policy == "lexicographic-min":
+    if merging:
         keep = min(old, new)
         return keep, [f"property {name} has multiple {label}s ({old}, {new}); keeping {keep}"]
     return old, [f"property {name} has multiple {label}s; keeping the first ({old})"]
@@ -435,13 +407,6 @@ def _prop_refs(ax: Axiom) -> tuple[Iri, ...]:
     return ()
 
 
-def add_axiom(model: OntologyModel, ax: Axiom) -> OntologyModel:
-    """Return a new model with ``ax`` inserted (idempotent)."""
-    b = ModelBuilder.from_model(model)
-    b.add_axiom(ax)
-    return b.build()
-
-
 def merge(models: list[OntologyModel]) -> OntologyModel:
     """Union of declarations and axioms across ``models``.
 
@@ -455,13 +420,10 @@ def merge(models: list[OntologyModel]) -> OntologyModel:
     for m in models:
         for s in m.source_names:
             b.add_source(s)
-        for d in m.classes:
-            b.declare_class(d.iri)
+        for name in m.classes:
+            b.declare_class(name)
         for d in m.properties.values():
-            notes = b.declare_property(
-                d, on_kind_conflict="error", on_field_conflict="lexicographic-min"
-            )
-            for note in notes:
+            for note in b.declare_property(d, merging=True):
                 log.warning("%s", note)
         for ax in m.axioms:
             b.add_axiom(ax)

@@ -32,7 +32,6 @@ from .engine import (
     LinkFact,
     Membership,
     NegMembership,
-    format_fact,
 )
 from .model import (
     AllValuesFrom,
@@ -64,8 +63,6 @@ _PROPERTY_ELEMENTS = {
     "owl:SymmetricProperty": PropertyKind.SYMMETRIC,
     "owl:TransitiveProperty": PropertyKind.TRANSITIVE,
 }
-
-_KIND_ELEMENTS = {kind: name for name, kind in _PROPERTY_ELEMENTS.items()}
 
 _KNOWN_PREFIXES = ("owl:", "rdf:", "rdfs:")
 
@@ -490,101 +487,3 @@ def parse_fact_base(text: str) -> tuple[FactBase, list[ParseDiagnostic]]:
         contradiction.diagnostics = diags
         raise contradiction
     return base, diags
-
-
-def render_fact_base(facts: list[Fact] | tuple[Fact, ...]) -> str:
-    return "".join(format_fact(f) + "\n" for f in facts)
-
-
-# ---------------------------------------------------------------------------
-# debug printer (inverse of parse_ontology up to structural equality)
-
-
-def _quoteattr(value: str) -> str:
-    # Imported on use: xml.sax.saxutils pulls in urllib.request, http.client,
-    # email and ssl, which every other command would pay for at start-up.
-    from xml.sax.saxutils import quoteattr
-
-    return quoteattr(value)
-
-
-def _ref(name: Iri) -> str:
-    return _quoteattr(f"#{name.value}")
-
-
-def render_rdfxml(model: OntologyModel) -> str:
-    """Serialize a model back into the subset; reparsing yields an equal model."""
-    out = [f"<{ROOT_ELEMENT}>"]
-    for cls in sorted(model.class_iris()):
-        out.append(f"  <owl:Class rdf:ID={_quoteattr(cls.value)}/>")
-    for name in sorted(model.properties):
-        decl = model.properties[name]
-        tag = _KIND_ELEMENTS[decl.kind]
-        body = []
-        if decl.domain is not None:
-            body.append(f"    <rdfs:domain rdf:resource={_ref(decl.domain)}/>")
-        if decl.range is not None:
-            token = (
-                _quoteattr(decl.range.value)
-                if decl.kind is PropertyKind.DATATYPE
-                else _ref(decl.range)
-            )
-            body.append(f"    <rdfs:range rdf:resource={token}/>")
-        if body:
-            out.append(f"  <{tag} rdf:ID={_quoteattr(name.value)}>")
-            out.extend(body)
-            out.append(f"  </{tag}>")
-        else:
-            out.append(f"  <{tag} rdf:ID={_quoteattr(name.value)}/>")
-    for ax in model.axioms:
-        out.extend(_render_axiom(ax, model))
-    out.append(f"</{ROOT_ELEMENT}>")
-    return "\n".join(out) + "\n"
-
-
-def _render_axiom(ax: Axiom, model: OntologyModel) -> list[str]:
-    if isinstance(ax, SubClassOf):
-        return [
-            f"  <owl:Class rdf:about={_ref(ax.sub)}>",
-            f"    <rdfs:subClassOf rdf:resource={_ref(ax.sup)}/>",
-            "  </owl:Class>",
-        ]
-    if isinstance(ax, EquivalentClass):
-        return [
-            f"  <owl:Class rdf:about={_ref(ax.a)}>",
-            f"    <owl:equivalentClass rdf:resource={_ref(ax.b)}/>",
-            "  </owl:Class>",
-        ]
-    if isinstance(ax, (SubPropertyOf, InverseOf)):
-        first = ax.sub if isinstance(ax, SubPropertyOf) else ax.prop
-        second = ax.sup if isinstance(ax, SubPropertyOf) else ax.inverse
-        child = "rdfs:subPropertyOf" if isinstance(ax, SubPropertyOf) else "owl:inverseOf"
-        decl = model.property(first)
-        tag = _KIND_ELEMENTS[decl.kind if decl else PropertyKind.OBJECT]
-        return [
-            f"  <{tag} rdf:about={_ref(first)}>",
-            f"    <{child} rdf:resource={_ref(second)}/>",
-            f"  </{tag}>",
-        ]
-    if isinstance(ax, AllValuesFrom):
-        return [
-            "  <owl:Restriction>",
-            f"    <owl:onProperty rdf:resource={_ref(ax.on_property)}/>",
-            f"    <owl:allValuesFrom rdf:resource={_ref(ax.filler)}/>",
-            "  </owl:Restriction>",
-        ]
-    if isinstance(ax, IntersectionOf):
-        lines = [
-            f"  <owl:Class rdf:about={_ref(ax.defined)}>",
-            '    <owl:intersectionOf rdf:parseType="Collection">',
-        ]
-        lines.extend(f"      <owl:Class rdf:about={_ref(p)}/>" for p in ax.parts)
-        lines.extend(["    </owl:intersectionOf>", "  </owl:Class>"])
-        return lines
-    if isinstance(ax, ClassLink):
-        return [
-            f"  <owl:Class rdf:about={_ref(ax.subject)}>",
-            f"    <{ax.prop} rdf:resource={_ref(ax.obj)}/>",
-            "  </owl:Class>",
-        ]
-    raise TypeError(f"unknown axiom: {ax!r}")

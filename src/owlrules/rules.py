@@ -2,15 +2,15 @@
 
 The structured (JSON) document is written directly as text, its strings
 escaped by the C function ``json.dumps`` uses.  Its bytes are exactly those of
-``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"`` over the dict tree
-that :func:`rule_to_obj` returns per rule.
+``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"`` over the same document
+as a dict tree, which :func:`parse_structured` reads back.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .model import Iri
@@ -184,10 +184,6 @@ def classify(pattern: Pattern | str) -> RuleCategory:
     return _CLASSIFICATION[coerce_pattern(pattern)]
 
 
-def is_executable_pattern(pattern: Pattern | str) -> bool:
-    return coerce_pattern(pattern) is not Pattern.SOLE_PARTOF
-
-
 # ---------------------------------------------------------------------------
 # rules
 
@@ -205,17 +201,20 @@ class Rule:
     antecedent: tuple[Atom, ...]
     consequent: tuple[Atom, ...]
     pattern: Pattern
-    category: RuleCategory
-    executable: bool
     provenance: Provenance
 
     def __post_init__(self) -> None:
         if not self.antecedent or not self.consequent:
             raise ValueError("rule sides must be non-empty")
-        if self.category is not classify(self.pattern):
-            raise ValueError(f"category {self.category} inconsistent with {self.pattern}")
-        if self.executable is not is_executable_pattern(self.pattern):
-            raise ValueError(f"executable flag inconsistent with {self.pattern}")
+
+    @property
+    def category(self) -> RuleCategory:
+        return classify(self.pattern)
+
+    @property
+    def executable(self) -> bool:
+        """Every pattern but the advisory sole-partof heuristic can be chained."""
+        return self.pattern != Pattern.SOLE_PARTOF
 
 
 def make_rule(
@@ -224,7 +223,7 @@ def make_rule(
     consequent: tuple[Atom, ...] | list[Atom],
     provenance: Provenance | None = None,
 ) -> Rule:
-    """Build a rule with its deterministic id, category, and executable flag."""
+    """Build a rule with its deterministic id."""
     pattern = coerce_pattern(pattern)
     ant = tuple(antecedent)
     cons = tuple(consequent)
@@ -236,14 +235,8 @@ def make_rule(
         antecedent=ant,
         consequent=cons,
         pattern=pattern,
-        category=classify(pattern),
-        executable=is_executable_pattern(pattern),
         provenance=provenance or Provenance(),
     )
-
-
-def with_provenance(rule: Rule, provenance: Provenance) -> Rule:
-    return replace(rule, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +380,12 @@ def _rule_json(rule: Rule, ind: str) -> str:
     )
 
 
-def rule_to_obj(rule: Rule) -> dict:
-    """One rule as the structured document holds it."""
-    return json.loads(_rule_json(rule, ""))
-
-
 def render_structured(rules: list[Rule] | tuple[Rule, ...], source: tuple[str, ...] = ()) -> str:
     """Canonical JSON document: rules sorted by id, sources sorted, stable bytes.
 
     Byte-identical to ``json.dumps({"version": 1, "source": sorted(set(source)),
-    "rules": [rule_to_obj(r), ...]}, indent=2) + "\\n"``.
+    "rules": [...]}, indent=2) + "\\n"``, each rule an object with the keys
+    written by ``_rule_json``.
     """
     ordered = sorted(rules, key=lambda r: r.id)
     return (

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from owlrules import OntologyModel, ParseDiagnostic, Severity, parse_ontology
+from owlrules import OntologyModel, ParseDiagnostic, parse_ontology
+from owlrules.parser import Severity
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 # Larger inference fixtures with their expected outputs.

@@ -14,35 +14,37 @@ import random
 from owlrules import (
     AllValuesFrom,
     ClassLink,
-    ClassRef,
     EquivalentClass,
     Fact,
     FeatureExpected,
-    HasFeature,
-    IndividualRef,
     IntersectionOf,
     InverseOf,
     Iri,
-    IsA,
-    Link,
     LinkFact,
-    LiteralTok,
     Membership,
     ModelBuilder,
-    MorePartsExpected,
     NegMembership,
-    Not,
     OntologyModel,
     Pattern,
-    PropRef,
     PropertyDecl,
     PropertyKind,
     Rule,
+    SubClassOf,
+    SubPropertyOf,
+)
+from owlrules.rules import (
+    ClassRef,
+    HasFeature,
+    IndividualRef,
+    IsA,
+    Link,
+    LiteralTok,
+    MorePartsExpected,
+    Not,
+    PropRef,
     SchemaEquivalent,
     SchemaSubClassOf,
     SolePart,
-    SubClassOf,
-    SubPropertyOf,
     Var,
     make_rule,
 )

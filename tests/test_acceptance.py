@@ -18,7 +18,6 @@ from oracles import (
     random_instance,
 )
 from owlrules import (
-    ClassRef,
     FactBase,
     Iri,
     LinkFact,
@@ -26,11 +25,8 @@ from owlrules import (
     OntologyModel,
     Pattern,
     RuleCategory,
-    SchemaSubClassOf,
-    classify,
     extract_all,
     has_errors,
-    make_rule,
     merge,
     parse_fact_base,
     render_structured,
@@ -38,6 +34,7 @@ from owlrules import (
     run_fixpoint,
     schema_closure,
 )
+from owlrules.rules import ClassRef, SchemaSubClassOf, classify, make_rule
 from owlrules.cli import main
 from test_extract import GOLDEN, PER_PATTERN
 

@@ -503,13 +503,51 @@ def test_repeated_invocation_is_byte_identical(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("command", ["extract", "infer"])
+def test_an_ontology_file_that_is_not_utf8_exits_1(capsys, tmp_path, command):
+    bad = tmp_path / "bad.owl"
+    bad.write_bytes(b"<owl:Class rdf:ID='A'/>\n\xff\n")
+    argv = [command, str(bad)]
+    if command == "infer":
+        argv += ["--facts", facts("facts_subarea.txt")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.startswith(f"ERROR {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+def test_a_fact_file_that_is_not_utf8_exits_1(capsys, tmp_path):
+    bad = tmp_path / "facts.txt"
+    bad.write_bytes(b"link(latgale, subAreaOf, latvia)\n\xff\n")
+    code, out, err = run_cli(capsys, "infer", owl("transitive_resource.owl"), "--facts", str(bad))
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.startswith(f"ERROR {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["extract", "infer"])
+@pytest.mark.parametrize("target", ["missing/dir/out.txt", "."], ids=["missing-dir", "a-directory"])
+def test_an_unwritable_output_exits_1_with_nothing_on_stdout(capsys, tmp_path, command, target):
+    output = tmp_path / target
+    argv = [command, owl("transitive_resource.owl"), "--output", str(output)]
+    if command == "infer":
+        argv += ["--facts", facts("facts_subarea.txt")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.startswith(f"ERROR {output}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_default_cap_is_large_enough_to_stay_out_of_the_way():
     assert DEFAULT_CAP >= 10000
 
 
 def test_importing_the_cli_leaves_the_network_stack_unloaded():
-    # xml.sax.saxutils (used only to print RDF/XML) imports urllib.request,
-    # which pulls in http.client, email and ssl: start-up time for every command.
+    # xml.sax.saxutils imports urllib.request, which pulls in http.client,
+    # email and ssl: start-up time for every command.
     src = str(Path(owlrules.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     probe = (

@@ -15,28 +15,19 @@ from oracles import (
 )
 
 from owlrules import (
-    ClassRef,
     ContradictionError,
     EquivalentClass,
     Fact,
     FactBase,
     FeatureExpected,
     Iri,
-    IsA,
-    Link,
     LinkFact,
     Membership,
     ModelBuilder,
-    MorePartsExpected,
     NegMembership,
     NonExecutableRuleError,
     Pattern,
-    PropRef,
-    SchemaEquivalent,
-    SchemaSubClassOf,
-    SolePart,
     SubClassOf,
-    Var,
     extract_all,
     extract_allvaluesfrom,
     extract_cooccurrence,
@@ -46,11 +37,22 @@ from owlrules import (
     extract_symmetric,
     extract_transitive,
     format_fact,
-    make_rule,
     parse_fact_base,
     parse_ontology,
     run_fixpoint,
     schema_closure,
+)
+from owlrules.rules import (
+    ClassRef,
+    IsA,
+    Link,
+    MorePartsExpected,
+    PropRef,
+    SchemaEquivalent,
+    SchemaSubClassOf,
+    SolePart,
+    Var,
+    make_rule,
 )
 
 VX, VY, VZ = Var("?x"), Var("?y"), Var("?z")

@@ -18,7 +18,6 @@ from owlrules import (
     Rule,
     RuleCategory,
     SubClassOf,
-    add_axiom,
     extract_all,
     extract_allvaluesfrom,
     extract_class_feature,
@@ -336,7 +335,9 @@ def test_adding_an_axiom_only_retracts_sole_partof_rules():
         model = random_model(rng)
         before = {r.id: r for r in extract_all(model).rules}
         extra = SubClassOf(*rng.sample([Iri(f"C{i}") for i in range(6)], 2))
-        bigger = add_axiom(model, extra)
+        extra_model = ModelBuilder()
+        extra_model.add_axiom(extra)
+        bigger = merge([model, extra_model.build()])
         if bigger == model:
             continue
         grown += 1

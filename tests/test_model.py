@@ -18,10 +18,9 @@ from owlrules import (
     PropertyDecl,
     PropertyKind,
     SubClassOf,
-    add_axiom,
-    iri,
     merge,
 )
+from owlrules.model import iri
 
 
 def test_iri_normalization_strips_hash_and_whitespace():
@@ -175,17 +174,43 @@ def test_explicit_declaration_wins_over_implicit():
     assert model.property(Iri("p")).kind is PropertyKind.TRANSITIVE
 
 
-def test_add_axiom_function_leaves_input_untouched():
+def test_declare_property_keeps_the_first_declaration_and_notes_each_conflict():
     b = ModelBuilder()
-    b.add_axiom(SubClassOf(Iri("A"), Iri("B")))
-    before = b.build()
-    after = add_axiom(before, SubClassOf(Iri("B"), Iri("C")))
+    b.declare_property(PropertyDecl(Iri("p"), PropertyKind.OBJECT, Iri("Zebra"), Iri("R")))
+    notes = b.declare_property(PropertyDecl(Iri("p"), PropertyKind.SYMMETRIC, Iri("Ant"), Iri("R")))
+    assert notes == [
+        "property p re-declared as symmetric; keeping object",
+        "property p has multiple domains; keeping the first (Zebra)",
+    ]
+    assert b.build().property(Iri("p")) == PropertyDecl(
+        Iri("p"), PropertyKind.OBJECT, Iri("Zebra"), Iri("R")
+    )
+
+
+def test_model_classes_are_the_declared_names_in_declaration_order():
+    b = ModelBuilder()
+    b.declare_class(Iri("Car"))
+    b.add_axiom(SubClassOf(Iri("House"), Iri("Car")))
+    b.declare_property(PropertyDecl(Iri("p"), PropertyKind.OBJECT, Iri("Road"), Iri("City")))
+    assert b.build().classes == (Iri("Car"), Iri("House"), Iri("Road"), Iri("City"))
+
+
+def test_merge_leaves_its_inputs_untouched():
+    before = _model_of(SubClassOf(Iri("A"), Iri("B")))
+    after = merge([before, _model_of(SubClassOf(Iri("B"), Iri("C")))])
     assert len(before.axioms) == 1
     assert len(after.axioms) == 2
 
 
 # ---------------------------------------------------------------------------
 # structural equality
+
+
+def _model_of(*axioms):
+    b = ModelBuilder()
+    for ax in axioms:
+        b.add_axiom(ax)
+    return b.build()
 
 
 def _chain_model(*, sources=(), flip=False):
@@ -233,10 +258,10 @@ def test_lists_returned_by_the_index_are_the_callers_own():
     assert model == _chain_model()
 
 
-def test_add_axiom_indexes_the_new_model_only():
+def test_merge_indexes_the_new_model_only():
     before = _chain_model()
     assert before.superclasses_of(Iri("House")) == [Iri("City")]  # index built
-    after = add_axiom(before, SubClassOf(Iri("House"), Iri("Building")))
+    after = merge([before, _model_of(SubClassOf(Iri("House"), Iri("Building")))])
     assert after.superclasses_of(Iri("House")) == [Iri("Building"), Iri("City")]
     assert before.superclasses_of(Iri("House")) == [Iri("City")]
     assert after.has_class(Iri("Building")) and not before.has_class(Iri("Building"))
@@ -249,7 +274,7 @@ def test_building_the_index_leaves_equality_alone():
     assert indexed == fresh and fresh == indexed
     other.axioms_of(SubClassOf)
     assert indexed == other
-    grown = add_axiom(indexed, SubClassOf(Iri("House"), Iri("Building")))
+    grown = merge([indexed, _model_of(SubClassOf(Iri("House"), Iri("Building")))])
     grown.axioms_of(SubClassOf)
     assert grown != indexed and indexed != grown
 

@@ -14,38 +14,37 @@ from oracles import (
 
 from owlrules import (
     CATEGORY_ORDER,
+    Iri,
+    Pattern,
+    Rule,
+    RuleCategory,
+    UnknownPatternError,
+    parse_structured,
+    render_structured,
+    render_text,
+)
+from owlrules.rules import (
     Atom,
     ClassRef,
     HasFeature,
     IndividualRef,
     IsA,
-    Iri,
     Link,
     LiteralTok,
     MorePartsExpected,
     Not,
-    Pattern,
     PropRef,
     Provenance,
-    Rule,
-    RuleCategory,
     SchemaEquivalent,
     SchemaSubClassOf,
     SolePart,
     Term,
-    UnknownPatternError,
     Var,
     classify,
     coerce_pattern,
-    is_executable_pattern,
     make_rule,
-    parse_structured,
     render_atom,
-    render_structured,
     render_term,
-    render_text,
-    rule_to_obj,
-    with_provenance,
 )
 
 VX, VY = Var("?x"), Var("?y")
@@ -96,10 +95,19 @@ def test_unknown_pattern_is_rejected():
         coerce_pattern("")
 
 
+def _rule_of(pattern: Pattern) -> Rule:
+    return make_rule(pattern, [IsA(VX, ClassRef(Iri("A")))], [IsA(VX, ClassRef(Iri("B")))])
+
+
 def test_only_sole_partof_is_non_executable():
     for pattern in Pattern:
         expected = pattern is not Pattern.SOLE_PARTOF
-        assert is_executable_pattern(pattern) is expected
+        assert _rule_of(pattern).executable is expected
+
+
+def test_a_rules_category_is_its_patterns():
+    for pattern in Pattern:
+        assert _rule_of(pattern).category is classify(pattern)
 
 
 def test_var_names_are_restricted():
@@ -153,39 +161,22 @@ def test_rule_requires_nonempty_sides():
 
 
 def test_rule_rejects_category_drift():
+    # The category is read from the pattern: a rule cannot be given another.
     template = _fox_rule()
-    with pytest.raises(ValueError):
-        Rule(
-            id=template.id,
-            pattern=template.pattern,
-            category=RuleCategory.UNOBVIOUS,  # wrong on purpose
-            executable=True,
-            antecedent=template.antecedent,
-            consequent=template.consequent,
-            provenance=template.provenance,
-        )
+    with pytest.raises(TypeError):
+        Rule(**vars(template), category=RuleCategory.UNOBVIOUS)
+    with pytest.raises(AttributeError):
+        template.category = RuleCategory.UNOBVIOUS
+    assert Rule(**vars(template)).category is RuleCategory.SPECIFYING
 
 
 def test_rule_rejects_executable_drift():
     template = _fox_rule()
-    with pytest.raises(ValueError):
-        Rule(
-            id=template.id,
-            pattern=template.pattern,
-            category=template.category,
-            executable=False,  # cooccurrence rules are executable
-            antecedent=template.antecedent,
-            consequent=template.consequent,
-            provenance=template.provenance,
-        )
-
-
-def test_with_provenance_keeps_identity():
-    rule = _fox_rule()
-    tagged = with_provenance(rule, Provenance(sources=("a.owl",), display_form="IF Fox..."))
-    assert tagged.id == rule.id
-    assert tagged.provenance.sources == ("a.owl",)
-    assert rule.provenance.sources == ()
+    with pytest.raises(TypeError):
+        Rule(**vars(template), executable=False)
+    with pytest.raises(AttributeError):
+        template.executable = False
+    assert Rule(**vars(template)).executable is True
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +300,8 @@ def test_structured_output_ends_with_newline():
     assert render_structured([]).endswith("\n")
 
 
-def test_rule_to_obj_link_object_key():
-    entry = rule_to_obj(_fox_rule())
+def test_structured_link_object_key():
+    (entry,) = json.loads(render_structured([_fox_rule()]))["rules"]
     then = entry["then"][0]
     assert then["kind"] == "link"
     assert then["object"] == {"var": "?y"}
@@ -413,8 +404,6 @@ def test_structured_writer_matches_the_stdlib_encoder(seed):
     source = tuple(_text(rng) for _ in range(rng.randint(0, 3)))
     expected = json_dumps_structured(rules, source)
     assert render_structured(rules, source=source) == expected
-    ordered = sorted(rules, key=lambda r: r.id)
-    assert [rule_to_obj(r) for r in ordered] == json.loads(expected)["rules"]
 
 
 def test_structured_writer_matches_on_empty_lists():
@@ -471,7 +460,6 @@ def test_unknown_terms_and_atoms_are_type_errors():
         render_atom(Not(Atom()))
     ok = IsA(VX, ClassRef(Iri("A")))
     for bad in (Atom(), IsA(VX, Term())):
-        category = RuleCategory.MEANING_ENRICHING
-        rule = Rule("x", (bad,), (ok,), Pattern.SYMMETRIC, category, True, Provenance())
+        rule = Rule("x", (bad,), (ok,), Pattern.SYMMETRIC, Provenance())
         with pytest.raises(TypeError, match="unknown"):
             render_structured([rule])

@@ -1,0 +1,65 @@
+"""The package's public surface: ``owlrules.__all__`` is what its callers use.
+
+The callers are the benchmark scripts under ``bench/`` and the README's
+"Library" example.  Every name they import from ``owlrules``, read as
+``owlrules.<name>`` or look up by name must be exported; the tests import
+everything else from the module that defines it.
+"""
+
+import ast
+import pkgutil
+import re
+from pathlib import Path
+
+import owlrules
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBMODULES = {m.name for m in pkgutil.iter_modules(owlrules.__path__)}
+
+
+def _names_used(source: str) -> set[str]:
+    """Names imported from, read from, or looked up by name on ``owlrules``."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "owlrules":
+            names.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "owlrules"
+        ):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["ENTRY_POINTS"]
+        ):
+            names.update(ast.literal_eval(node.value).values())  # getattr(owlrules, ...)
+    return {n for n in names if not n.startswith("__") and n not in SUBMODULES}
+
+
+def _readme_library_example() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    found = re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.M | re.S)
+    assert found, "README has no Library example"
+    return found.group(1)
+
+
+def test_all_exports_every_name_the_bench_and_the_readme_use():
+    used = {
+        path.name: _names_used(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "bench").glob("*.py"))
+    }
+    used["README.md"] = _names_used(_readme_library_example())
+    assert used["README.md"] and used["worker.py"] and used["generators.py"]
+    missing = {
+        where: sorted(names - set(owlrules.__all__)) for where, names in used.items()
+    }
+    assert not any(missing.values()), missing
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from owlrules import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(owlrules.__all__)
+    assert len(set(owlrules.__all__)) == len(owlrules.__all__)
