@@ -5,13 +5,14 @@ UTF-8) or unwritable file, 2 merge conflict (or bad usage), 3 contradiction in
 the fact base (1 when the fact file also has a malformed line), 4 iteration
 cap exceeded, 5 integrity violations under --strict.  Diagnostics go to
 stderr as ``LEVEL file:line:col message``, or ``ERROR file: reason`` for a
-file that cannot be read or written; results go to stdout or --output.
+file that cannot be read or written; the notes of the merge and the
+extraction warnings go there as ``WARNING message``.  Results go to stdout
+or --output.  Input files are UTF-8; a leading byte-order mark is ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
@@ -85,9 +86,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str | None:
-    """The UTF-8 text of ``path``, or None once the reason it cannot be read is printed."""
+    """The UTF-8 text of ``path`` (a leading byte-order mark dropped), or None
+    once the reason it cannot be read is printed."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"ERROR {path}: {exc}", file=sys.stderr)
         return None
@@ -135,6 +137,8 @@ def _extract_rules(
     except MergeConflictError as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return EXIT_MERGE_CONFLICT
+    for note in model.notes:
+        print(f"WARNING {note}", file=sys.stderr)
     report = extract_all(model)
     for warning in report.warnings:
         print(f"WARNING {warning}", file=sys.stderr)
@@ -233,7 +237,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     args = build_arg_parser().parse_args(argv)
     return args.run(args)
 

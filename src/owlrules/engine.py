@@ -230,20 +230,13 @@ class _FactIndex:
 # ---------------------------------------------------------------------------
 # rule compilation
 
-# A step matches one antecedent atom.  Its ``key`` names the index bucket to
-# read; Var entries in it are variables bound by earlier atoms, filled in from
-# the bindings.  Its ``ops`` test the row columns the key leaves open:
-# (column, name, _CONST) compares with a ground name, (column, var, _CHECK)
-# with a bound variable, and (column, var, _BIND) binds a variable first met
-# in this atom.
+# A step matches one antecedent atom: the tuple (key, dynamic, ops).  Its
+# ``key`` names the index bucket to read; Var entries in it are variables bound
+# by earlier atoms, filled in from the bindings when ``dynamic`` is true.  Its
+# ``ops`` test the row columns the key leaves open: (column, name, _CONST)
+# compares with a ground name, (column, var, _CHECK) with a bound variable, and
+# (column, var, _BIND) binds a variable first met in this atom.
 _CONST, _CHECK, _BIND = range(3)
-
-
-@dataclass(frozen=True)
-class _Step:
-    key: tuple
-    dynamic: bool  # the key holds variables
-    ops: tuple[tuple[int, object, int], ...]
 
 
 def _part(term: Term) -> Var | Iri | None:
@@ -254,7 +247,7 @@ def _part(term: Term) -> Var | Iri | None:
     return None  # literals never match a name
 
 
-def _compile_atom(atom: Atom, bound: set[str]) -> _Step | None:
+def _compile_atom(atom: Atom, bound: set[str]) -> tuple[tuple, bool, tuple] | None:
     """Compile ``atom`` after the atoms that bound ``bound`` (which it extends).
 
     Returns None for an atom that no fact can match.
@@ -289,8 +282,7 @@ def _compile_atom(atom: Atom, bound: set[str]) -> _Step | None:
         else:
             ops.append((col, part.name, _BIND))
             bound.add(part.name)
-    dynamic = any(isinstance(x, Var) for x in key)
-    return _Step(key=key, dynamic=dynamic, ops=tuple(ops))
+    return key, any(isinstance(x, Var) for x in key), tuple(ops)
 
 
 def _ground(term: Term, binds: dict[str, Iri]) -> Iri:
@@ -336,25 +328,15 @@ def _is_ground_atom(atom: Atom) -> bool:
     return not any(isinstance(t, Var) for t in terms)
 
 
-@dataclass
-class _Prepared:
-    rule: Rule
-    steps: list[_Step]  # one per instance atom of the antecedent, in order
-    fires: bool  # False when some atom can never match, e.g. a variable-bearing schema atom
-    emits: bool  # True when some consequent atom is instance-level
+def _prepare(rule: Rule) -> tuple[Rule, list[tuple[tuple, bool, tuple]]] | None:
+    """Compile ``rule`` into ``(rule, steps)``, one step per instance atom of
+    its antecedent, in order.
 
-
-@dataclass
-class _Constraint:
-    rule: Rule
-    prop: Iri
-    filler: Iri
-
-
-def _prepare(rule: Rule) -> _Prepared | _Constraint:
-    if any(isinstance(a, Not) for a in rule.consequent):
-        return _prepare_constraint(rule)
-    steps: list[_Step] = []
+    Returns None for a rule that can derive nothing: some atom can never match
+    (e.g. a variable-bearing schema atom), or no consequent atom is
+    instance-level.
+    """
+    steps = []
     bound: set[str] = set()
     fires = True
     for atom in rule.antecedent:
@@ -376,11 +358,13 @@ def _prepare(rule: Rule) -> _Prepared | _Constraint:
                 fires = False
         else:
             raise ValueError(f"rule {rule.id}: unsupported antecedent atom {atom!r}")
-    emits = any(isinstance(a, _INSTANCE_ATOMS) for a in rule.consequent)
-    return _Prepared(rule=rule, steps=steps, fires=fires, emits=emits)
+    if not fires or not any(isinstance(a, _INSTANCE_ATOMS) for a in rule.consequent):
+        return None
+    return rule, steps
 
 
-def _prepare_constraint(rule: Rule) -> _Constraint:
+def _prepare_constraint(rule: Rule) -> tuple[Rule, Iri, Iri]:
+    """The integrity check ``(rule, property, filler)`` of a negated-consequent rule."""
     ok = (
         len(rule.consequent) == 1
         and len(rule.antecedent) == 1
@@ -400,7 +384,7 @@ def _prepare_constraint(rule: Rule) -> _Constraint:
         )
     if not ok:
         raise ValueError(f"rule {rule.id}: unsupported integrity-check shape")
-    return _Constraint(rule=rule, prop=head.prop.iri, filler=guard.cls.iri)
+    return rule, head.prop.iri, guard.cls.iri
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +392,7 @@ def _prepare_constraint(rule: Rule) -> _Constraint:
 
 
 def _round(
-    prepared: list[_Prepared], base: FactBase, index: _FactIndex, delta_start: int
+    prepared: list[tuple[Rule, list]], base: FactBase, index: _FactIndex, delta_start: int
 ) -> list[tuple[Fact, str]]:
     """Fire every rule on the bindings that use a fact at ``delta_start`` or later.
 
@@ -419,16 +403,15 @@ def _round(
     staged: list[tuple[Fact, str]] = []
     rows, buckets = index.rows, index.buckets
 
-    def search(prep: _Prepared, i: int, pivot: int, binds: dict[str, Iri]) -> None:
-        if i == len(prep.steps):
-            for atom in prep.rule.consequent:
+    def search(rule: Rule, steps: list, i: int, pivot: int, binds: dict[str, Iri]) -> None:
+        if i == len(steps):
+            for atom in rule.consequent:
                 fact = _instantiate(atom, binds)
-                if fact is not None and base.add(fact, derived_by=prep.rule.id):
-                    staged.append((fact, prep.rule.id))
+                if fact is not None and base.add(fact, derived_by=rule.id):
+                    staged.append((fact, rule.id))
             return
-        step = prep.steps[i]
-        key = step.key
-        if step.dynamic:
+        key, dynamic, ops = steps[i]
+        if dynamic:
             key = tuple(binds[x.name] if isinstance(x, Var) else x for x in key)
         bucket = buckets.get(key)
         if not bucket:
@@ -439,18 +422,18 @@ def _round(
             bucket = bucket[bisect_left(bucket, delta_start) :]
         for pos in bucket:
             row = rows[pos]
-            for col, arg, op in step.ops:
+            for col, arg, op in ops:
                 if op == _BIND:
                     binds[arg] = row[col]
                 elif row[col] != (binds[arg] if op == _CHECK else arg):
                     break
             else:
-                search(prep, i + 1, pivot, binds)
+                search(rule, steps, i + 1, pivot, binds)
 
-    for prep in prepared:
+    for rule, steps in prepared:
         # A rule without instance atoms has one (empty) binding: pivot -1.
-        for pivot in range(len(prep.steps)) if prep.steps else (-1,):
-            search(prep, 0, pivot, {})
+        for pivot in range(len(steps)) if steps else (-1,):
+            search(rule, steps, 0, pivot, {})
     return staged
 
 
@@ -462,17 +445,18 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
     if bad:
         raise NonExecutableRuleError(f"non-executable rules passed to fixpoint: {', '.join(bad)}")
 
-    positives: list[_Prepared] = []
-    constraints: list[_Constraint] = []
+    positives = []
+    constraints = []
     for rule in rules:
-        prep = _prepare(rule)
-        if isinstance(prep, _Constraint):
-            constraints.append(prep)
-        elif prep.fires and prep.emits:
-            positives.append(prep)
+        if any(isinstance(a, Not) for a in rule.consequent):
+            constraints.append(_prepare_constraint(rule))
+        else:
+            prepared = _prepare(rule)
+            if prepared is not None:
+                positives.append(prepared)
 
     base = initial.copy()  # FactBase.add has kept it free of contradictions
-    families = {step.key[:2] for prep in positives for step in prep.steps}
+    families = {key[:2] for _, steps in positives for key, _, _ in steps}
     if constraints:
         families.add(("prop", "p"))
     index = _FactIndex(base, families)
@@ -491,11 +475,11 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
         index.extend(fact for fact, _ in staged)
 
     violations: list[tuple[Fact, str]] = []
-    for con in constraints:
-        for pos in index.buckets.get(("prop", "p", con.prop), ()):
+    for rule, prop, filler in constraints:
+        for pos in index.buckets.get(("prop", "p", prop), ()):
             link = LinkFact(*index.rows[pos])
-            if not link.obj_is_class and Membership(link.obj, con.filler) not in base:
-                violations.append((link, con.rule.id))
+            if not link.obj_is_class and Membership(link.obj, filler) not in base:
+                violations.append((link, rule.id))
 
     return InferenceResult(
         final=base,

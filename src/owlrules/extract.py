@@ -16,15 +16,24 @@ Thirteen scanners, one per licensed shape:
   intersection                 intersection class decomposed into its parts
   inverse                      both directions of an inverse property pair
 
-Each shape has one public entry point, ``extract_<shape>(model)``, which
-returns its rules.  ``extract_all`` runs them all, deduplicates by rule id
-(merging provenance), returns the rules in canonical id order, and warns of
-symmetric properties and inverse pairs skipped for a missing domain or range.
+Each scanner body is a generator that yields one shape per rule:
+``(antecedent, consequent, trigger axioms, display form)``, where the trigger
+axioms are the ``describe()`` texts of the axioms that license the rule.  The
+``_scanner(pattern)`` decorator turns it into the public entry point
+``extract_<shape>(model) -> list[Rule]``, which builds each rule and its
+provenance (the model's sorted source names, the sorted distinct triggers and
+the display form), and registers it in ``_EXTRACTORS`` in definition order,
+which is ``Pattern`` order.  ``extract_all`` runs them all, deduplicates by
+rule id (merging trigger axioms), returns the rules in canonical id order,
+and warns of symmetric properties and inverse pairs skipped for a missing
+domain or range.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
+from functools import wraps
 
 from .model import (
     AllValuesFrom,
@@ -40,6 +49,7 @@ from .model import (
     SubPropertyOf,
 )
 from .rules import (
+    Atom,
     ClassRef,
     HasFeature,
     IsA,
@@ -61,6 +71,11 @@ VX = Var("?x")
 VY = Var("?y")
 VZ = Var("?z")
 
+# (antecedent, consequent, trigger axioms, display form) of one rule
+_Shape = tuple[list[Atom], list[Atom], list[str], str]
+_Shapes = Callable[[OntologyModel], Iterator[_Shape]]
+_Scanner = Callable[[OntologyModel], list[Rule]]
+
 
 @dataclass
 class ExtractionReport:
@@ -69,18 +84,31 @@ class ExtractionReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _sources(model: OntologyModel) -> tuple[str, ...]:
-    """Sorted, duplicate-free source names: computed once per scanner call and
-    shared by the provenance of every rule it emits."""
-    return tuple(sorted(set(model.source_names)))
+_EXTRACTORS: dict[Pattern, _Scanner] = {}
 
 
-def _prov(sources: tuple[str, ...], triggers: list[str], display_form: str) -> Provenance:
-    return Provenance(
-        sources=sources,
-        trigger_axioms=tuple(sorted(set(triggers))),
-        display_form=display_form,
-    )
+def _scanner(pattern: Pattern) -> Callable[[_Shapes], _Scanner]:
+    """Make a shape generator the public scanner of ``pattern`` and register it."""
+
+    def register(shapes: _Shapes) -> _Scanner:
+        @wraps(shapes)
+        def scan(model: OntologyModel) -> list[Rule]:
+            # Computed once per call and shared by every rule's provenance.
+            sources = tuple(sorted(set(model.source_names)))
+            return [
+                make_rule(
+                    pattern,
+                    antecedent,
+                    consequent,
+                    Provenance(sources, tuple(sorted(set(triggers))), display_form),
+                )
+                for antecedent, consequent, triggers, display_form in shapes(model)
+            ]
+
+        _EXTRACTORS[pattern] = scan
+        return scan
+
+    return register
 
 
 def _sorted_props(model: OntologyModel) -> list[PropertyDecl]:
@@ -109,164 +137,113 @@ def _sorted_inverses(model: OntologyModel) -> list[InverseOf]:
 # the thirteen single-pattern entry points
 
 
-def extract_class_feature(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.CLASS_FEATURE)
+def extract_class_feature(model: OntologyModel) -> Iterator[_Shape]:
     by_domain: dict[Iri, list[PropertyDecl]] = {}
     for d in _sorted_props(model):
         if d.kind is PropertyKind.DATATYPE and d.domain is not None:
             by_domain.setdefault(d.domain, []).append(d)
     for cls in sorted(by_domain):
         feats = by_domain[cls]  # already iri-sorted
-        rule = make_rule(
-            Pattern.CLASS_FEATURE,
+        yield (
             [IsA(VX, ClassRef(cls))],
             [HasFeature(VX, d.iri) for d in feats],
-            _prov(
-                sources,
-                [d.describe() for d in feats],
-                f"IF {cls} THEN {' and '.join(str(d.iri) for d in feats)}",
-            ),
+            [d.describe() for d in feats],
+            f"IF {cls} THEN {' and '.join(str(d.iri) for d in feats)}",
         )
-        rules.append(rule)
-    return rules
 
 
-def extract_equivalence_inheritance(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.EQUIVALENCE_INHERITANCE)
+def extract_equivalence_inheritance(model: OntologyModel) -> Iterator[_Shape]:
     for ax in sorted(model.axioms_of(EquivalentClass), key=lambda a: (a.a, a.b)):
         for lifted, declared in ((ax.a, ax.b), (ax.b, ax.a)):
             for sup in model.superclasses_of(declared):
                 if sup == lifted:
                     continue
-                sub_ax = SubClassOf(declared, sup)
-                rules.append(
-                    make_rule(
-                        Pattern.EQUIVALENCE_INHERITANCE,
-                        [
-                            SchemaEquivalent(ClassRef(lifted), ClassRef(declared)),
-                            SchemaSubClassOf(ClassRef(declared), ClassRef(sup)),
-                        ],
-                        [SchemaSubClassOf(ClassRef(lifted), ClassRef(sup))],
-                        _prov(
-                            sources,
-                            [ax.describe(), sub_ax.describe()],
-                            f'IF {declared} equivalent {lifted} THEN ("part of" {sup}) ∈ {lifted}',
-                        ),
-                    )
+                yield (
+                    [
+                        SchemaEquivalent(ClassRef(lifted), ClassRef(declared)),
+                        SchemaSubClassOf(ClassRef(declared), ClassRef(sup)),
+                    ],
+                    [SchemaSubClassOf(ClassRef(lifted), ClassRef(sup))],
+                    [ax.describe(), SubClassOf(declared, sup).describe()],
+                    f'IF {declared} equivalent {lifted} THEN ("part of" {sup}) ∈ {lifted}',
                 )
-    return rules
 
 
-def extract_domain_range_identification(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.DOMAIN_RANGE_IDENTIFICATION)
+def extract_domain_range_identification(model: OntologyModel) -> Iterator[_Shape]:
     for d in _plain_object_props(model):
-        rules.append(
-            make_rule(
-                Pattern.DOMAIN_RANGE_IDENTIFICATION,
-                [Link(VX, PropRef(d.iri), VY), IsA(VY, ClassRef(d.range))],
-                [IsA(VX, ClassRef(d.domain))],
-                _prov(sources, [d.describe()], f"IF ({d.iri} {d.range}) THEN {d.domain}"),
-            )
+        yield (
+            [Link(VX, PropRef(d.iri), VY), IsA(VY, ClassRef(d.range))],
+            [IsA(VX, ClassRef(d.domain))],
+            [d.describe()],
+            f"IF ({d.iri} {d.range}) THEN {d.domain}",
         )
-    return rules
 
 
-def extract_subclass_transitivity(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.SUBCLASS_TRANSITIVITY)
+def extract_subclass_transitivity(model: OntologyModel) -> Iterator[_Shape]:
     for first in sorted(model.axioms_of(SubClassOf), key=lambda a: (a.sub, a.sup)):
         a, b = first.sub, first.sup
         for c in model.superclasses_of(b):  # joined through the middle class
             if c == a:
                 continue
-            rules.append(
-                make_rule(
-                    Pattern.SUBCLASS_TRANSITIVITY,
-                    [
-                        SchemaSubClassOf(ClassRef(a), ClassRef(b)),
-                        SchemaSubClassOf(ClassRef(b), ClassRef(c)),
-                    ],
-                    [SchemaSubClassOf(ClassRef(a), ClassRef(c))],
-                    _prov(
-                        sources,
-                        [first.describe(), SubClassOf(b, c).describe()],
-                        f'IF ({a} "part of" {b}) and ({b} "part of" {c}) '
-                        f'THEN ({a} "part of" {c})',
-                    ),
-                )
+            yield (
+                [
+                    SchemaSubClassOf(ClassRef(a), ClassRef(b)),
+                    SchemaSubClassOf(ClassRef(b), ClassRef(c)),
+                ],
+                [SchemaSubClassOf(ClassRef(a), ClassRef(c))],
+                [first.describe(), SubClassOf(b, c).describe()],
+                f'IF ({a} "part of" {b}) and ({b} "part of" {c}) THEN ({a} "part of" {c})',
             )
-    return rules
 
 
-def extract_relation_propagation(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.RELATION_PROPAGATION)
+def extract_relation_propagation(model: OntologyModel) -> Iterator[_Shape]:
     for d in _plain_object_props(model):
         for sup in model.superclasses_of(d.range):
-            sub_ax = SubClassOf(d.range, sup)
-            rules.append(
-                make_rule(
-                    Pattern.RELATION_PROPAGATION,
-                    [
-                        Link(VX, PropRef(d.iri), VY),
-                        IsA(VY, ClassRef(d.range)),
-                        SchemaSubClassOf(ClassRef(d.range), ClassRef(sup)),
-                    ],
-                    [Link(VX, PropRef(d.iri), ClassRef(sup))],
-                    _prov(
-                        sources,
-                        [d.describe(), sub_ax.describe()],
-                        f'IF ({d.domain} "{d.iri}" {d.range}) and '
-                        f'({d.range} "part of" {sup}) THEN ({d.domain} "{d.iri}" {sup})',
-                    ),
-                )
+            yield (
+                [
+                    Link(VX, PropRef(d.iri), VY),
+                    IsA(VY, ClassRef(d.range)),
+                    SchemaSubClassOf(ClassRef(d.range), ClassRef(sup)),
+                ],
+                [Link(VX, PropRef(d.iri), ClassRef(sup))],
+                [d.describe(), SubClassOf(d.range, sup).describe()],
+                f'IF ({d.domain} "{d.iri}" {d.range}) and '
+                f'({d.range} "part of" {sup}) THEN ({d.domain} "{d.iri}" {sup})',
             )
-    return rules
 
 
-def extract_subproperty_lift(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.SUBPROPERTY_LIFT)
+def extract_subproperty_lift(model: OntologyModel) -> Iterator[_Shape]:
     for ax in sorted(model.axioms_of(SubPropertyOf), key=lambda a: (a.sub, a.sup)):
-        rules.append(
-            make_rule(
-                Pattern.SUBPROPERTY_LIFT,
-                [Link(VX, PropRef(ax.sub), VY)],
-                [Link(VX, PropRef(ax.sup), VY)],
-                _prov(
-                    sources,
-                    [ax.describe()],
-                    f'IF {ax.sub} and "subproperty of" THEN {ax.sup}',
-                ),
-            )
+        yield (
+            [Link(VX, PropRef(ax.sub), VY)],
+            [Link(VX, PropRef(ax.sup), VY)],
+            [ax.describe()],
+            f'IF {ax.sub} and "subproperty of" THEN {ax.sup}',
         )
-    return rules
 
 
-def extract_symmetric(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.SYMMETRIC)
+def extract_symmetric(model: OntologyModel) -> Iterator[_Shape]:
     for d in _sorted_props(model):
         if d.kind is not PropertyKind.SYMMETRIC or not _has_domain_and_range(d):
             continue
         for here, there in ((d.domain, d.range), (d.range, d.domain)):
-            rules.append(
-                make_rule(
-                    Pattern.SYMMETRIC,
-                    [IsA(VX, ClassRef(here))],
-                    [Link(VX, PropRef(d.iri), ClassRef(there))],
-                    _prov(sources, [d.describe()], f"IF {here} THEN ({d.iri} {there})"),
-                )
+            yield (
+                [IsA(VX, ClassRef(here))],
+                [Link(VX, PropRef(d.iri), ClassRef(there))],
+                [d.describe()],
+                f"IF {here} THEN ({d.iri} {there})",
             )
-    return rules
 
 
-def extract_transitive(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.TRANSITIVE_PROPERTY)
+def extract_transitive(model: OntologyModel) -> Iterator[_Shape]:
     # property -> subject -> that subject's links, sorted by object
     links: dict[Iri, dict[Iri, list[ClassLink]]] = {}
     for ax in sorted(model.axioms_of(ClassLink), key=lambda a: (a.prop, a.subject, a.obj)):
@@ -276,17 +253,11 @@ def extract_transitive(model: OntologyModel) -> list[Rule]:
         if d.kind is not PropertyKind.TRANSITIVE:
             continue
         p = PropRef(d.iri)
-        rules.append(
-            make_rule(
-                Pattern.TRANSITIVE_PROPERTY,
-                [Link(VX, p, VY), Link(VY, p, VZ)],
-                [Link(VX, p, VZ)],
-                _prov(
-                    sources,
-                    [d.describe()],
-                    f'IF (?x "{d.iri}" ?y) and (?y "{d.iri}" ?z) THEN (?x "{d.iri}" ?z)',
-                ),
-            )
+        yield (
+            [Link(VX, p, VY), Link(VY, p, VZ)],
+            [Link(VX, p, VZ)],
+            [d.describe()],
+            f'IF (?x "{d.iri}" ?y) and (?y "{d.iri}" ?z) THEN (?x "{d.iri}" ?z)',
         )
         by_subject = links.get(d.iri, {})
         for first in (ax for mine in by_subject.values() for ax in mine):
@@ -294,146 +265,83 @@ def extract_transitive(model: OntologyModel) -> list[Rule]:
                 if first.subject == second.obj:
                     continue
                 a, b, c = first.subject, first.obj, second.obj
-                rules.append(
-                    make_rule(
-                        Pattern.TRANSITIVE_PROPERTY,
-                        [
-                            Link(ClassRef(a), p, ClassRef(b)),
-                            Link(ClassRef(b), p, ClassRef(c)),
-                        ],
-                        [Link(ClassRef(a), p, ClassRef(c))],
-                        _prov(
-                            sources,
-                            [d.describe(), first.describe(), second.describe()],
-                            f'IF ({a} "{d.iri}" {b}) and ({b} "{d.iri}" {c}) '
-                            f'THEN ({a} "{d.iri}" {c})',
-                        ),
-                    )
+                yield (
+                    [Link(ClassRef(a), p, ClassRef(b)), Link(ClassRef(b), p, ClassRef(c))],
+                    [Link(ClassRef(a), p, ClassRef(c))],
+                    [d.describe(), first.describe(), second.describe()],
+                    f'IF ({a} "{d.iri}" {b}) and ({b} "{d.iri}" {c}) THEN ({a} "{d.iri}" {c})',
                 )
-    return rules
 
 
-def extract_sole_partof(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.SOLE_PARTOF)
+def extract_sole_partof(model: OntologyModel) -> Iterator[_Shape]:
     subs = model.subs_by_super()
     for whole in sorted(subs):
         parts = subs[whole]
         if len(parts) != 1:
             continue
         part = parts[0]
-        ax = SubClassOf(part, whole)
-        rules.append(
-            make_rule(
-                Pattern.SOLE_PARTOF,
-                [SolePart(ClassRef(part), ClassRef(whole))],
-                [MorePartsExpected(ClassRef(whole))],
-                _prov(
-                    sources,
-                    [ax.describe()],
-                    f'IF {whole} and only one "part of" THEN (more "part of" ∈ {whole})',
-                ),
-            )
+        yield (
+            [SolePart(ClassRef(part), ClassRef(whole))],
+            [MorePartsExpected(ClassRef(whole))],
+            [SubClassOf(part, whole).describe()],
+            f'IF {whole} and only one "part of" THEN (more "part of" ∈ {whole})',
         )
-    return rules
 
 
-def extract_cooccurrence(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.COOCCURRENCE)
+def extract_cooccurrence(model: OntologyModel) -> Iterator[_Shape]:
     for d in _plain_object_props(model):
-        rules.append(
-            make_rule(
-                Pattern.COOCCURRENCE,
-                [IsA(VX, ClassRef(d.domain)), IsA(VY, ClassRef(d.range))],
-                [Link(VX, PropRef(d.iri), VY)],
-                _prov(sources, [d.describe()], f"IF {d.domain} and {d.range} THEN {d.iri}"),
-            )
+        yield (
+            [IsA(VX, ClassRef(d.domain)), IsA(VY, ClassRef(d.range))],
+            [Link(VX, PropRef(d.iri), VY)],
+            [d.describe()],
+            f"IF {d.domain} and {d.range} THEN {d.iri}",
         )
-    return rules
 
 
-def extract_allvaluesfrom(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.ALLVALUESFROM)
+def extract_allvaluesfrom(model: OntologyModel) -> Iterator[_Shape]:
     for ax in sorted(model.axioms_of(AllValuesFrom), key=lambda a: (a.on_property, a.filler)):
-        rules.append(
-            make_rule(
-                Pattern.ALLVALUESFROM,
-                [Not(IsA(VY, ClassRef(ax.filler)))],
-                [Not(Link(VX, PropRef(ax.on_property), VY))],
-                _prov(
-                    sources,
-                    [ax.describe()],
-                    f"IF not {ax.filler} THEN not {ax.on_property}",
-                ),
-            )
+        yield (
+            [Not(IsA(VY, ClassRef(ax.filler)))],
+            [Not(Link(VX, PropRef(ax.on_property), VY))],
+            [ax.describe()],
+            f"IF not {ax.filler} THEN not {ax.on_property}",
         )
-    return rules
 
 
-def extract_intersection(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.INTERSECTION)
+def extract_intersection(model: OntologyModel) -> Iterator[_Shape]:
     for ax in sorted(model.axioms_of(IntersectionOf), key=lambda a: (a.defined, a.parts)):
-        rules.append(
-            make_rule(
-                Pattern.INTERSECTION,
-                [IsA(VX, ClassRef(ax.defined))],
-                [IsA(VX, ClassRef(p)) for p in ax.parts],  # listing order kept
-                _prov(
-                    sources,
-                    [ax.describe()],
-                    f"IF {ax.defined} THEN {' and '.join(str(p) for p in ax.parts)}",
-                ),
-            )
+        yield (
+            [IsA(VX, ClassRef(ax.defined))],
+            [IsA(VX, ClassRef(p)) for p in ax.parts],  # listing order kept
+            [ax.describe()],
+            f"IF {ax.defined} THEN {' and '.join(str(p) for p in ax.parts)}",
         )
-    return rules
 
 
-def extract_inverse(model: OntologyModel) -> list[Rule]:
-    rules = []
-    sources = _sources(model)
+@_scanner(Pattern.INVERSE)
+def extract_inverse(model: OntologyModel) -> Iterator[_Shape]:
     for ax in _sorted_inverses(model):
         decl = model.property(ax.prop)
         if not _has_domain_and_range(decl):
             continue
         d, r = decl.domain, decl.range
         triggers = [ax.describe(), decl.describe()]
-        rules.append(
-            make_rule(
-                Pattern.INVERSE,
-                [IsA(VX, ClassRef(d))],
-                [Link(VX, PropRef(ax.prop), ClassRef(r))],
-                _prov(sources, triggers, f"IF {d} THEN ({ax.prop} {r})"),
-            )
+        yield (
+            [IsA(VX, ClassRef(d))],
+            [Link(VX, PropRef(ax.prop), ClassRef(r))],
+            triggers,
+            f"IF {d} THEN ({ax.prop} {r})",
         )
-        rules.append(
-            make_rule(
-                Pattern.INVERSE,
-                [IsA(VX, ClassRef(r))],
-                [Link(VX, PropRef(ax.inverse), ClassRef(d))],
-                _prov(sources, triggers, f"IF {r} THEN ({ax.inverse} {d})"),
-            )
+        yield (
+            [IsA(VX, ClassRef(r))],
+            [Link(VX, PropRef(ax.inverse), ClassRef(d))],
+            triggers,
+            f"IF {r} THEN ({ax.inverse} {d})",
         )
-    return rules
-
-
-_EXTRACTORS = {
-    Pattern.CLASS_FEATURE: extract_class_feature,
-    Pattern.EQUIVALENCE_INHERITANCE: extract_equivalence_inheritance,
-    Pattern.DOMAIN_RANGE_IDENTIFICATION: extract_domain_range_identification,
-    Pattern.SUBCLASS_TRANSITIVITY: extract_subclass_transitivity,
-    Pattern.RELATION_PROPAGATION: extract_relation_propagation,
-    Pattern.SUBPROPERTY_LIFT: extract_subproperty_lift,
-    Pattern.SYMMETRIC: extract_symmetric,
-    Pattern.TRANSITIVE_PROPERTY: extract_transitive,
-    Pattern.SOLE_PARTOF: extract_sole_partof,
-    Pattern.COOCCURRENCE: extract_cooccurrence,
-    Pattern.ALLVALUESFROM: extract_allvaluesfrom,
-    Pattern.INTERSECTION: extract_intersection,
-    Pattern.INVERSE: extract_inverse,
-}
 
 
 def _guard_warnings(model: OntologyModel) -> list[str]:
@@ -452,21 +360,16 @@ def _guard_warnings(model: OntologyModel) -> list[str]:
 
 
 def extract_all(model: OntologyModel) -> ExtractionReport:
-    """Run every scanner; dedup by id (provenance merged), sort by id."""
+    """Run every scanner; dedup by id (trigger axioms merged), sort by id."""
     merged: dict[str, Rule] = {}
     for extract in _EXTRACTORS.values():
         for rule in extract(model):
             seen = merged.setdefault(rule.id, rule)
             if seen is not rule:
-                old, new = seen.provenance, rule.provenance
-                merged[rule.id] = replace(
-                    seen,
-                    provenance=Provenance(
-                        sources=tuple(sorted({*old.sources, *new.sources})),
-                        trigger_axioms=tuple(sorted({*old.trigger_axioms, *new.trigger_axioms})),
-                        display_form=old.display_form,
-                    ),
-                )
+                # Every rule of one model carries the same sources.
+                old = seen.provenance
+                triggers = tuple(sorted({*old.trigger_axioms, *rule.provenance.trigger_axioms}))
+                merged[rule.id] = replace(seen, provenance=replace(old, trigger_axioms=triggers))
     ordered = [merged[rid] for rid in sorted(merged)]
     counts = dict.fromkeys(_EXTRACTORS, 0)
     for rule in ordered:

@@ -7,12 +7,9 @@ or the pure helper :func:`merge`.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +230,17 @@ class OntologyModel:
     """Immutable snapshot of declarations plus a duplicate-free axiom list.
 
     Equality is structural: declared names, property shapes, and the axiom
-    *set* — source names and axiom order are ignored.  The lookups below read
-    an index of the axioms built once, on first use, and return fresh lists.
+    *set* — source names, notes and axiom order are ignored.  The lookups
+    below read an index of the axioms built once, on first use, and return
+    fresh lists.
     """
 
     classes: tuple[Iri, ...] = ()
     properties: dict[Iri, PropertyDecl] = field(default_factory=dict)
     axioms: tuple[Axiom, ...] = ()
     source_names: tuple[str, ...] = ()
+    # What ``merge`` resolved on the way (conflicting domains or ranges).
+    notes: tuple[str, ...] = ()
 
     @cached_property
     def _index(self) -> _ModelIndex:
@@ -411,20 +411,21 @@ def merge(models: list[OntologyModel]) -> OntologyModel:
     """Union of declarations and axioms across ``models``.
 
     Property kind conflicts raise :class:`MergeConflictError`.  Conflicting
-    non-None domains/ranges resolve to the lexicographic minimum (and log a
-    warning) so the result does not depend on input order.
+    non-None domains/ranges resolve to the lexicographic minimum, so the result
+    does not depend on input order; each such resolution is described in the
+    result's ``notes``.
     """
     if not models:
         raise ValueError("merge requires at least one model")
     b = ModelBuilder()
+    notes: list[str] = []
     for m in models:
         for s in m.source_names:
             b.add_source(s)
         for name in m.classes:
             b.declare_class(name)
         for d in m.properties.values():
-            for note in b.declare_property(d, merging=True):
-                log.warning("%s", note)
+            notes.extend(b.declare_property(d, merging=True))
         for ax in m.axioms:
             b.add_axiom(ax)
-    return b.build()
+    return replace(b.build(), notes=tuple(notes))

@@ -5,6 +5,8 @@ captures stdout/stderr, which keeps the process boundary out of the loop
 while still exercising the same code path as the console script.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -241,7 +243,7 @@ def test_classify_empty_file_all_zeroes(capsys):
     assert out.splitlines() == [f"{c.value}: 0" for c in CATEGORY_ORDER]
 
 
-def test_classify_merged_corpus_matches_library_tally(capsys, caplog):
+def test_classify_merged_corpus_matches_library_tally(capsys):
     """Counts over the merged corpus agree with a direct library recount.
 
     Merging every fragment into one ontology is not the same as pooling
@@ -250,7 +252,7 @@ def test_classify_merged_corpus_matches_library_tally(capsys, caplog):
     consistent with ``extract_all`` on the merged model either way.
     """
     files = [owl(n) for n in CANONICAL_FILES if n.endswith(".owl")]
-    code, out, _ = run_cli(capsys, "classify", *files)
+    code, out, err = run_cli(capsys, "classify", *files)
     assert code == EXIT_OK
 
     models = []
@@ -274,7 +276,27 @@ def test_classify_merged_corpus_matches_library_tally(capsys, caplog):
     seen = [line.split()[0] for line in detail]
     assert seen == sorted(seen, key=[c.value for c in CATEGORY_ORDER].index)
     # the shared liveIn property collapses across fragments, with a warning
-    assert any("multiple domains" in message for message in caplog.messages)
+    assert err.splitlines() == [
+        "WARNING property liveIn has multiple domains (Man, Fox); keeping Fox",
+        "WARNING property liveIn has multiple ranges (House, Hole); keeping Hole",
+    ]
+
+
+def test_merge_warnings_reach_stderr_on_every_call_in_one_process(tmp_path):
+    """Each call of ``main`` writes the merge notes to the current stderr."""
+    zebra, apple = tmp_path / "a.owl", tmp_path / "c.owl"
+    for path, domain in ((zebra, "Zebra"), (apple, "Apple")):
+        path.write_text(
+            f'<owl:ObjectProperty rdf:ID="p"><rdfs:domain rdf:resource="#{domain}"/>'
+            "</owl:ObjectProperty>\n",
+            encoding="utf-8",
+        )
+    warning = "WARNING property p has multiple domains (Zebra, Apple); keeping Apple\n"
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["extract", str(zebra), str(apple)]) == EXIT_OK
+        assert err.getvalue() == warning
 
 
 def test_classify_structured_equals_extract_structured(capsys):
@@ -527,6 +549,29 @@ def test_a_fact_file_that_is_not_utf8_exits_1(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_a_fragment_with_a_byte_order_mark_and_declaration_reads_as_without(capsys, tmp_path):
+    text = '<?xml version="1.0" encoding="UTF-8"?>\n' + Path(owl("symmetric.owl")).read_text(
+        encoding="utf-8"
+    )
+    plain, marked = tmp_path / "plain.owl", tmp_path / "marked.owl"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    expected = run_cli(capsys, "extract", str(plain))
+    assert expected[0] == EXIT_OK and expected[1]
+    assert run_cli(capsys, "extract", str(marked)) == expected
+
+
+def test_a_fact_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    text = Path(facts("facts_subarea.txt")).read_text(encoding="utf-8")
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    ontology = owl("transitive_resource.owl")
+    expected = run_cli(capsys, "infer", ontology, "--facts", str(plain))
+    assert expected[0] == EXIT_OK and "derived:" in expected[1]
+    assert run_cli(capsys, "infer", ontology, "--facts", str(marked)) == expected
+
+
 @pytest.mark.parametrize("command", ["extract", "infer"])
 @pytest.mark.parametrize("target", ["missing/dir/out.txt", "."], ids=["missing-dir", "a-directory"])
 def test_an_unwritable_output_exits_1_with_nothing_on_stdout(capsys, tmp_path, command, target):
@@ -547,12 +592,14 @@ def test_default_cap_is_large_enough_to_stay_out_of_the_way():
 
 def test_importing_the_cli_leaves_the_network_stack_unloaded():
     # xml.sax.saxutils imports urllib.request, which pulls in http.client,
-    # email and ssl: start-up time for every command.
+    # email and ssl: start-up time for every command.  Nothing logs, so
+    # logging is start-up time spent for nothing too.
     src = str(Path(owlrules.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     probe = (
         "import sys, owlrules.cli; owlrules.cli.build_arg_parser(); "
-        "print(*sorted(m for m in ('xml.sax.saxutils', 'http.client') if m in sys.modules))"
+        "print(*sorted(m for m in ('xml.sax.saxutils', 'http.client', 'logging') "
+        "if m in sys.modules))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
-from conftest import CANONICAL_FILES, FRAGMENTS, load_model
+from conftest import CANONICAL_FILES, DATA_DIR, FRAGMENTS, load_model
 from oracles import expected_pattern_counts, pair_chain_rule_ids, random_model
 
 from owlrules import (
@@ -33,8 +35,11 @@ from owlrules import (
     extract_symmetric,
     extract_transitive,
     merge,
+    parse_ontology,
     render_text,
 )
+import owlrules
+from owlrules import extract
 
 PER_PATTERN = {
     "class-feature": extract_class_feature,
@@ -347,3 +352,39 @@ def test_adding_an_axiom_only_retracts_sole_partof_rules():
                 continue
             assert rule_id in after, f"{rule_id} vanished after adding {extra.describe()}"
     assert grown > 10  # the loop must actually have exercised growth
+
+
+def _bench_entry_points() -> dict[str, str]:
+    """``bench/worker.py``'s table of pattern -> scanner name, read without importing it."""
+    worker = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+    for node in ast.parse(worker.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
+            "ENTRY_POINTS"
+        ]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/worker.py has no ENTRY_POINTS table")
+
+
+def test_scanner_registry_is_one_public_scanner_per_pattern_in_pattern_order():
+    assert list(extract._EXTRACTORS) == list(Pattern)
+    names = _bench_entry_points()
+    assert list(names) == [p.value for p in extract._EXTRACTORS]
+    for pattern, scanner in extract._EXTRACTORS.items():
+        assert scanner is getattr(owlrules, names[pattern.value])
+        assert scanner.__name__ == names[pattern.value]
+
+
+def test_each_scanner_emits_only_its_pattern_with_the_models_sorted_sources():
+    text = (DATA_DIR / "patterns.owl").read_text(encoding="utf-8")
+    parsed = {}
+    for name in ("z/patterns.owl", "a/patterns.owl"):
+        parsed[name], diags = parse_ontology(text, name=name)
+        assert not diags
+    model = merge([parsed["z/patterns.owl"], parsed["a/patterns.owl"], parsed["z/patterns.owl"]])
+    assert model.source_names == ("z/patterns.owl", "a/patterns.owl", "z/patterns.owl")
+    for pattern, scanner in extract._EXTRACTORS.items():
+        rules = scanner(model)
+        assert isinstance(rules, list) and rules, pattern  # patterns.owl fires every shape
+        for rule in rules:
+            assert rule.pattern is pattern
+            assert rule.provenance.sources == ("a/patterns.owl", "z/patterns.owl")
