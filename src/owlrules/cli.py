@@ -86,10 +86,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str | None:
-    """The UTF-8 text of ``path`` (a leading byte-order mark dropped), or None
-    once the reason it cannot be read is printed."""
+    """The UTF-8 text of ``path``, or None once the reason it cannot be read
+    is printed.  (The parsers ignore a leading byte-order mark.)"""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"ERROR {path}: {exc}", file=sys.stderr)
         return None

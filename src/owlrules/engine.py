@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .model import (
     EquivalentClass,
     Iri,
     OntologyModel,
     SubClassOf,
+    Value,
+    fields_repr,
 )
 from .rules import (
     Atom,
@@ -73,35 +74,44 @@ class NonExecutableRuleError(ValueError):
 
 
 class Fact:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Membership(Fact):
-    individual: Iri
-    cls: Iri
+class Membership(Fact, Value):
+    __slots__ = ()
+    __match_args__ = ("individual", "cls")
+
+    # ``kind``, not ``cls``: the class field takes that name as a keyword.
+    def __new__(kind, individual: Iri, cls: Iri) -> "Membership":
+        return tuple.__new__(kind, (kind, individual, cls))
 
 
-@dataclass(frozen=True)
-class NegMembership(Fact):
-    individual: Iri
-    cls: Iri
+class NegMembership(Fact, Value):
+    __slots__ = ()
+    __match_args__ = ("individual", "cls")
+
+    def __new__(kind, individual: Iri, cls: Iri) -> "NegMembership":
+        return tuple.__new__(kind, (kind, individual, cls))
 
 
-@dataclass(frozen=True)
-class LinkFact(Fact):
-    subject: Iri
-    prop: Iri
-    obj: Iri
-    # True when the object names a class rather than an individual (the
-    # symmetric/inverse shapes conclude links that point at a class).
-    obj_is_class: bool = False
+class LinkFact(Fact, Value):
+    """``obj_is_class`` is true when the object names a class rather than an
+    individual (the symmetric/inverse shapes conclude links that point at a
+    class)."""
+
+    __slots__ = ()
+    __match_args__ = ("subject", "prop", "obj", "obj_is_class")
+
+    def __new__(cls, subject: Iri, prop: Iri, obj: Iri, obj_is_class: bool = False) -> "LinkFact":
+        return tuple.__new__(cls, (cls, subject, prop, obj, obj_is_class))
 
 
-@dataclass(frozen=True)
-class FeatureExpected(Fact):
-    individual: Iri
-    feature: Iri
+class FeatureExpected(Fact, Value):
+    __slots__ = ()
+    __match_args__ = ("individual", "feature")
+
+    def __new__(cls, individual: Iri, feature: Iri) -> "FeatureExpected":
+        return tuple.__new__(cls, (cls, individual, feature))
 
 
 def format_fact(fact: Fact) -> str:
@@ -170,13 +180,24 @@ class FactBase:
         return len(self._sources)
 
 
-@dataclass
 class InferenceResult:
-    final: FactBase
-    iterations: int
-    derived: list[tuple[Fact, str]]
-    violations: list[tuple[Fact, str]]
-    converged: bool
+    def __init__(
+        self,
+        final: FactBase,
+        iterations: int,
+        derived: list[tuple[Fact, str]],
+        violations: list[tuple[Fact, str]],
+        converged: bool,
+    ) -> None:
+        self.final = final
+        self.iterations = iterations
+        self.derived = derived
+        self.violations = violations
+        self.converged = converged
+
+    def __repr__(self) -> str:
+        fields = ("final", "iterations", "derived", "violations", "converged")
+        return fields_repr("InferenceResult", self, fields)
 
 
 # ---------------------------------------------------------------------------

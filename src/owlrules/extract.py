@@ -32,7 +32,6 @@ domain or range.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, replace
 from functools import wraps
 
 from .model import (
@@ -47,6 +46,7 @@ from .model import (
     PropertyKind,
     SubClassOf,
     SubPropertyOf,
+    fields_repr,
 )
 from .rules import (
     Atom,
@@ -77,11 +77,19 @@ _Shapes = Callable[[OntologyModel], Iterator[_Shape]]
 _Scanner = Callable[[OntologyModel], list[Rule]]
 
 
-@dataclass
 class ExtractionReport:
-    rules: list[Rule] = field(default_factory=list)
-    counts: dict[Pattern, int] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        rules: list[Rule] | None = None,
+        counts: dict[Pattern, int] | None = None,
+        warnings: list[str] | None = None,
+    ) -> None:
+        self.rules = [] if rules is None else rules
+        self.counts = {} if counts is None else counts
+        self.warnings = [] if warnings is None else warnings
+
+    def __repr__(self) -> str:
+        return fields_repr("ExtractionReport", self, ("rules", "counts", "warnings"))
 
 
 _EXTRACTORS: dict[Pattern, _Scanner] = {}
@@ -369,7 +377,10 @@ def extract_all(model: OntologyModel) -> ExtractionReport:
                 # Every rule of one model carries the same sources.
                 old = seen.provenance
                 triggers = tuple(sorted({*old.trigger_axioms, *rule.provenance.trigger_axioms}))
-                merged[rule.id] = replace(seen, provenance=replace(old, trigger_axioms=triggers))
+                provenance = Provenance(old.sources, triggers, old.display_form)
+                merged[rule.id] = Rule(
+                    seen.id, seen.antecedent, seen.consequent, seen.pattern, provenance
+                )
     ordered = [merged[rid] for rid in sorted(merged)]
     counts = dict.fromkeys(_EXTRACTORS, 0)
     for rule in ordered:

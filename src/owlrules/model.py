@@ -7,9 +7,53 @@ or the pure helper :func:`merge`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+
+try:  # the C descriptor that collections.namedtuple uses for its fields
+    from _collections import _tuplegetter
+except ImportError:  # pragma: no cover - not CPython
+    from operator import itemgetter
+
+    def _tuplegetter(index: int, doc: None) -> property:
+        return property(itemgetter(index), doc=doc)
+
+
+# ---------------------------------------------------------------------------
+# value types
+
+
+class Value(tuple):
+    """Base of the immutable value types: terms, atoms, facts, axioms, rules.
+
+    An instance is the tuple ``(kind, *fields)``, where ``kind`` is the class
+    it was built as (or, for an implicit :class:`PropertyDecl`, the class it
+    stands for), so hashing and equality are the tuple's, in C, and values of
+    different kinds never compare equal.  Each subclass declares
+    ``__slots__ = ()`` (no instance dict), names its fields in order in
+    ``__match_args__`` -- each becomes a read-only attribute, unless the class
+    defines that name itself -- and builds the tuple in ``__new__``, checking
+    its arguments there.  ``repr`` and pickling read the fields by name.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        for index, name in enumerate(cls.__dict__.get("__match_args__", ()), start=1):
+            if name not in cls.__dict__:
+                setattr(cls, name, _tuplegetter(index, None))
+
+    def __repr__(self) -> str:
+        return fields_repr(self[0].__name__, self, self.__match_args__)
+
+    def __reduce__(self) -> tuple:
+        return self[0], tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def fields_repr(name: str, obj: object, fields: tuple[str, ...]) -> str:
+    """``name(field=value!r, ...)`` over the named attributes of ``obj``."""
+    return f"{name}({', '.join(f'{f}={getattr(obj, f)!r}' for f in fields)})"
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +111,24 @@ class PropertyKind(Enum):
     TRANSITIVE = "transitive"
 
 
-@dataclass(frozen=True)
-class PropertyDecl:
-    iri: Iri
-    kind: PropertyKind
-    domain: Iri | None = None
-    range: Iri | None = None
-    # Bookkeeping only: set for declarations synthesized from a reference.
-    # Excluded from equality so explicit/implicit variants compare equal.
-    implicit: bool = field(default=False, compare=False)
+class PropertyDecl(Value):
+    __slots__ = ()
+    __match_args__ = ("iri", "kind", "domain", "range", "implicit")
+    # Bookkeeping only: true for declarations synthesized from a reference.
+    # Those are built as the subclass below, with the same kind tag and
+    # fields, so explicit and implicit variants compare (and hash) equal.
+    implicit = False
+
+    def __new__(
+        cls,
+        iri: Iri,
+        kind: PropertyKind,
+        domain: Iri | None = None,
+        range: Iri | None = None,
+        implicit: bool = False,
+    ) -> "PropertyDecl":
+        built_as = _ImplicitPropertyDecl if implicit else PropertyDecl
+        return tuple.__new__(built_as, (PropertyDecl, iri, kind, domain, range))
 
     def describe(self) -> str:
         bits = []
@@ -87,12 +140,19 @@ class PropertyDecl:
         return f"{self.kind.value.capitalize()}Property({self.iri}{suffix})"
 
 
+class _ImplicitPropertyDecl(PropertyDecl):
+    __slots__ = ()
+    implicit = True
+
+
 # ---------------------------------------------------------------------------
 # axioms
 
 
 class Axiom:
-    """Base class for schema assertions; variants are frozen dataclasses."""
+    """Base class for schema assertions; each variant is a :class:`Value`."""
+
+    __slots__ = ()
 
     def describe(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -103,101 +163,100 @@ def _require_distinct(a: Iri, b: Iri, what: str) -> None:
         raise ValueError(f"{what} may not relate {a} to itself")
 
 
-@dataclass(frozen=True)
-class SubClassOf(Axiom):
-    sub: Iri
-    sup: Iri
+class SubClassOf(Axiom, Value):
+    __slots__ = ()
+    __match_args__ = ("sub", "sup")
 
-    def __post_init__(self) -> None:
-        _require_distinct(self.sub, self.sup, "SubClassOf")
+    def __new__(cls, sub: Iri, sup: Iri) -> "SubClassOf":
+        _require_distinct(sub, sup, "SubClassOf")
+        return tuple.__new__(cls, (cls, sub, sup))
 
     def describe(self) -> str:
         return f"SubClassOf({self.sub},{self.sup})"
 
 
-@dataclass(frozen=True)
-class EquivalentClass(Axiom):
+class EquivalentClass(Axiom, Value):
     """Unordered equivalence, stored with the lexicographically smaller Iri first."""
 
-    a: Iri
-    b: Iri
+    __slots__ = ()
+    __match_args__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        _require_distinct(self.a, self.b, "EquivalentClass")
-        if self.b < self.a:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+    def __new__(cls, a: Iri, b: Iri) -> "EquivalentClass":
+        _require_distinct(a, b, "EquivalentClass")
+        return tuple.__new__(cls, (cls, b, a) if b < a else (cls, a, b))
 
     def describe(self) -> str:
         return f"EquivalentClass({self.a},{self.b})"
 
 
-@dataclass(frozen=True)
-class SubPropertyOf(Axiom):
-    sub: Iri
-    sup: Iri
+class SubPropertyOf(Axiom, Value):
+    __slots__ = ()
+    __match_args__ = ("sub", "sup")
 
-    def __post_init__(self) -> None:
-        _require_distinct(self.sub, self.sup, "SubPropertyOf")
+    def __new__(cls, sub: Iri, sup: Iri) -> "SubPropertyOf":
+        _require_distinct(sub, sup, "SubPropertyOf")
+        return tuple.__new__(cls, (cls, sub, sup))
 
     def describe(self) -> str:
         return f"SubPropertyOf({self.sub},{self.sup})"
 
 
-@dataclass(frozen=True)
-class InverseOf(Axiom):
-    prop: Iri
-    inverse: Iri
+class InverseOf(Axiom, Value):
+    __slots__ = ()
+    __match_args__ = ("prop", "inverse")
 
-    def __post_init__(self) -> None:
-        _require_distinct(self.prop, self.inverse, "InverseOf")
+    def __new__(cls, prop: Iri, inverse: Iri) -> "InverseOf":
+        _require_distinct(prop, inverse, "InverseOf")
+        return tuple.__new__(cls, (cls, prop, inverse))
 
     def describe(self) -> str:
         return f"InverseOf({self.prop},{self.inverse})"
 
 
-@dataclass(frozen=True)
-class AllValuesFrom(Axiom):
+class AllValuesFrom(Axiom, Value):
     """Value restriction: every value of ``on_property`` falls in ``filler``."""
 
-    on_property: Iri
-    filler: Iri
+    __slots__ = ()
+    __match_args__ = ("on_property", "filler")
+
+    def __new__(cls, on_property: Iri, filler: Iri) -> "AllValuesFrom":
+        return tuple.__new__(cls, (cls, on_property, filler))
 
     def describe(self) -> str:
         return f"AllValuesFrom({self.on_property},{self.filler})"
 
 
-@dataclass(frozen=True)
-class IntersectionOf(Axiom):
+class IntersectionOf(Axiom, Value):
     """``defined`` is exactly the intersection of ``parts`` (listing order kept)."""
 
-    defined: Iri
-    parts: tuple[Iri, ...]
+    __slots__ = ()
+    __match_args__ = ("defined", "parts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if len(self.parts) < 2:
+    def __new__(cls, defined: Iri, parts: tuple[Iri, ...]) -> "IntersectionOf":
+        parts = tuple(parts)
+        if len(parts) < 2:
             raise ValueError("IntersectionOf needs at least two parts")
-        if self.defined in self.parts:
-            raise ValueError(f"IntersectionOf part repeats the defined class {self.defined}")
+        if defined in parts:
+            raise ValueError(f"IntersectionOf part repeats the defined class {defined}")
+        return tuple.__new__(cls, (cls, defined, parts))
 
     def describe(self) -> str:
         inner = ",".join(str(p) for p in self.parts)
         return f"IntersectionOf({self.defined},[{inner}])"
 
 
-@dataclass(frozen=True)
-class ClassLink(Axiom):
+class ClassLink(Axiom, Value):
     """Custom property element asserted directly between two class elements.
 
     The only axiom allowed to relate a name to itself (self-links are stored
     but never matched by the extractor).
     """
 
-    subject: Iri
-    prop: Iri
-    obj: Iri
+    __slots__ = ()
+    __match_args__ = ("subject", "prop", "obj")
+
+    def __new__(cls, subject: Iri, prop: Iri, obj: Iri) -> "ClassLink":
+        return tuple.__new__(cls, (cls, subject, prop, obj))
 
     def describe(self) -> str:
         return f"ClassLink({self.subject},{self.prop},{self.obj})"
@@ -217,30 +276,55 @@ class MergeConflictError(Exception):
         self.kinds = kinds
 
 
-@dataclass(frozen=True)
 class _ModelIndex:
-    classes: frozenset[Iri]
-    by_kind: dict[type, list[Axiom]]  # axioms by concrete class, in model order
-    sups: dict[Iri, list[Iri]]  # sorted direct superclasses of each subclass
-    subs: dict[Iri, list[Iri]]  # sorted direct subclasses of each superclass
+    __slots__ = ("classes", "by_kind", "sups", "subs")
+
+    def __init__(
+        self,
+        classes: frozenset[Iri],
+        by_kind: dict[type, list[Axiom]],
+        sups: dict[Iri, list[Iri]],
+        subs: dict[Iri, list[Iri]],
+    ) -> None:
+        self.classes = classes
+        self.by_kind = by_kind  # axioms by concrete class, in model order
+        self.sups = sups  # sorted direct superclasses of each subclass
+        self.subs = subs  # sorted direct subclasses of each superclass
 
 
-@dataclass(frozen=True, eq=False)
 class OntologyModel:
     """Immutable snapshot of declarations plus a duplicate-free axiom list.
 
     Equality is structural: declared names, property shapes, and the axiom
     *set* — source names, notes and axiom order are ignored.  The lookups
     below read an index of the axioms built once, on first use, and return
-    fresh lists.
+    fresh lists.  ``notes`` holds what ``merge`` resolved on the way
+    (conflicting domains or ranges).
     """
 
-    classes: tuple[Iri, ...] = ()
-    properties: dict[Iri, PropertyDecl] = field(default_factory=dict)
-    axioms: tuple[Axiom, ...] = ()
-    source_names: tuple[str, ...] = ()
-    # What ``merge`` resolved on the way (conflicting domains or ranges).
-    notes: tuple[str, ...] = ()
+    def __init__(
+        self,
+        classes: tuple[Iri, ...] = (),
+        properties: dict[Iri, PropertyDecl] | None = None,
+        axioms: tuple[Axiom, ...] = (),
+        source_names: tuple[str, ...] = (),
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        # Stored past __setattr__, which refuses every assignment.
+        vars(self).update(
+            classes=classes,
+            properties={} if properties is None else properties,
+            axioms=axioms,
+            source_names=source_names,
+            notes=notes,
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ("classes", "properties", "axioms", "source_names", "notes")
+        return fields_repr("OntologyModel", self, fields)
 
     @cached_property
     def _index(self) -> _ModelIndex:
@@ -277,9 +361,8 @@ class OntologyModel:
         return {sup: list(subs) for sup, subs in self._index.subs.items()}
 
     def structure(self) -> tuple:
-        props = frozenset(
-            (d.iri, d.kind, d.domain, d.range) for d in self.properties.values()
-        )
+        # A declaration's equality leaves out whether it was implicit.
+        props = frozenset(self.properties.values())
         return (self.class_iris(), props, frozenset(self.axioms))
 
     def __eq__(self, other: object) -> bool:
@@ -428,4 +511,7 @@ def merge(models: list[OntologyModel]) -> OntologyModel:
             notes.extend(b.declare_property(d, merging=True))
         for ax in m.axioms:
             b.add_axiom(ax)
-    return replace(b.build(), notes=tuple(notes))
+    built = b.build()
+    return OntologyModel(
+        built.classes, built.properties, built.axioms, built.source_names, tuple(notes)
+    )

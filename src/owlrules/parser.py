@@ -20,7 +20,6 @@ owl/rdf/rdfs elements produce warnings and are skipped.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from xml.parsers import expat
 
@@ -47,6 +46,7 @@ from .model import (
     PropertyKind,
     SubClassOf,
     SubPropertyOf,
+    Value,
     iri,
 )
 
@@ -66,6 +66,8 @@ _PROPERTY_ELEMENTS = {
 
 _KNOWN_PREFIXES = ("owl:", "rdf:", "rdfs:")
 
+_BOM = "\ufeff"  # a UTF-8 byte-order mark, as decoded text
+
 
 # ---------------------------------------------------------------------------
 # diagnostics
@@ -76,17 +78,20 @@ class Severity(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Location:
-    line: int
-    col: int
+class Location(Value):
+    __slots__ = ()
+    __match_args__ = ("line", "col")
+
+    def __new__(cls, line: int, col: int) -> "Location":
+        return tuple.__new__(cls, (cls, line, col))
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    severity: Severity
-    message: str
-    location: Location
+class ParseDiagnostic(Value):
+    __slots__ = ()
+    __match_args__ = ("severity", "message", "location")
+
+    def __new__(cls, severity: Severity, message: str, location: Location) -> "ParseDiagnostic":
+        return tuple.__new__(cls, (cls, severity, message, location))
 
 
 def has_errors(diagnostics: list[ParseDiagnostic]) -> bool:
@@ -130,12 +135,14 @@ def _sniff_root_name(text: str) -> str | None:
 # element tree (internal)
 
 
-@dataclass
 class _Element:
-    name: str
-    attrs: dict[str, str]
-    location: Location
-    children: list["_Element"] = field(default_factory=list)
+    __slots__ = ("name", "attrs", "location", "children")
+
+    def __init__(self, name: str, attrs: dict[str, str], location: Location) -> None:
+        self.name = name
+        self.attrs = attrs
+        self.location = location
+        self.children: list[_Element] = []
 
     def attr(self, *names: str) -> str | None:
         for n in names:
@@ -423,9 +430,9 @@ def parse_ontology(text: str, name: str = "<input>") -> tuple[OntologyModel, lis
     """Parse one document (auto-wrapped when the root is not ``rdf:RDF``).
 
     Always returns a model; callers must treat any error-severity diagnostic
-    as a rejection of the parse.
+    as a rejection of the parse.  A leading byte-order mark is ignored.
     """
-    forest, xml_error = _read_tree(text)
+    forest, xml_error = _read_tree(text.removeprefix(_BOM))
     interp = _Interp(name)
     if xml_error is not None:
         interp.diags.append(xml_error)
@@ -448,16 +455,17 @@ def parse_fact_base(text: str) -> tuple[FactBase, list[ParseDiagnostic]]:
     """Line-oriented facts: ``isa(a, B)``, ``not isa(a, B)``, ``link(a, p, b)``,
     ``feature(a, F)``.
 
-    ``#`` starts a comment line; blank lines are ignored.  Malformed lines
-    produce error diagnostics with their line number.  A membership asserted
-    both ways raises :class:`ContradictionError` once the whole file is read:
-    its ``location`` is the line and column of the first pair's second
-    statement, and its ``diagnostics`` are those of the malformed lines.
+    ``#`` starts a comment line; blank lines and a leading byte-order mark
+    are ignored.  Malformed lines produce error diagnostics with their line
+    number.  A membership asserted both ways raises
+    :class:`ContradictionError` once the whole file is read: its ``location``
+    is the line and column of the first pair's second statement, and its
+    ``diagnostics`` are those of the malformed lines.
     """
     base = FactBase()
     diags: list[ParseDiagnostic] = []
     contradiction: ContradictionError | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix(_BOM).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from enum import Enum
 
-from .model import Iri
+from .model import Iri, Value
 
 VAR_NAMES = ("?x", "?y", "?z")
 
@@ -23,36 +22,49 @@ VAR_NAMES = ("?x", "?y", "?z")
 
 
 class Term:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
+class Var(Term, Value):
+    __slots__ = ()
+    __match_args__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if self.name not in VAR_NAMES:
-            raise ValueError(f"variable must be one of {VAR_NAMES}, got {self.name!r}")
-
-
-@dataclass(frozen=True)
-class ClassRef(Term):
-    iri: Iri
+    def __new__(cls, name: str) -> "Var":
+        if name not in VAR_NAMES:
+            raise ValueError(f"variable must be one of {VAR_NAMES}, got {name!r}")
+        return tuple.__new__(cls, (cls, name))
 
 
-@dataclass(frozen=True)
-class PropRef(Term):
-    iri: Iri
+class ClassRef(Term, Value):
+    __slots__ = ()
+    __match_args__ = ("iri",)
+
+    def __new__(cls, iri: Iri) -> "ClassRef":
+        return tuple.__new__(cls, (cls, iri))
 
 
-@dataclass(frozen=True)
-class IndividualRef(Term):
-    iri: Iri
+class PropRef(Term, Value):
+    __slots__ = ()
+    __match_args__ = ("iri",)
+
+    def __new__(cls, iri: Iri) -> "PropRef":
+        return tuple.__new__(cls, (cls, iri))
 
 
-@dataclass(frozen=True)
-class LiteralTok(Term):
-    text: str
+class IndividualRef(Term, Value):
+    __slots__ = ()
+    __match_args__ = ("iri",)
+
+    def __new__(cls, iri: Iri) -> "IndividualRef":
+        return tuple.__new__(cls, (cls, iri))
+
+
+class LiteralTok(Term, Value):
+    __slots__ = ()
+    __match_args__ = ("text",)
+
+    def __new__(cls, text: str) -> "LiteralTok":
+        return tuple.__new__(cls, (cls, text))
 
 
 # ---------------------------------------------------------------------------
@@ -60,58 +72,74 @@ class LiteralTok(Term):
 
 
 class Atom:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsA(Atom):
-    subject: Term
-    cls: Term
+class IsA(Atom, Value):
+    __slots__ = ()
+    __match_args__ = ("subject", "cls")
+
+    # ``kind``, not ``cls``: the class field takes that name as a keyword.
+    def __new__(kind, subject: Term, cls: Term) -> "IsA":
+        return tuple.__new__(kind, (kind, subject, cls))
 
 
-@dataclass(frozen=True)
-class Link(Atom):
-    subject: Term
-    prop: Term
-    obj: Term
+class Link(Atom, Value):
+    __slots__ = ()
+    __match_args__ = ("subject", "prop", "obj")
+
+    def __new__(cls, subject: Term, prop: Term, obj: Term) -> "Link":
+        return tuple.__new__(cls, (cls, subject, prop, obj))
 
 
-@dataclass(frozen=True)
-class HasFeature(Atom):
-    subject: Term
-    feature: Iri
+class HasFeature(Atom, Value):
+    __slots__ = ()
+    __match_args__ = ("subject", "feature")
+
+    def __new__(cls, subject: Term, feature: Iri) -> "HasFeature":
+        return tuple.__new__(cls, (cls, subject, feature))
 
 
-@dataclass(frozen=True)
-class Not(Atom):
-    inner: Atom
+class Not(Atom, Value):
+    __slots__ = ()
+    __match_args__ = ("inner",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.inner, Not):
+    def __new__(cls, inner: Atom) -> "Not":
+        if isinstance(inner, Not):
             raise ValueError("negation does not nest")
+        return tuple.__new__(cls, (cls, inner))
 
 
-@dataclass(frozen=True)
-class SchemaSubClassOf(Atom):
-    sub: Term
-    sup: Term
+class SchemaSubClassOf(Atom, Value):
+    __slots__ = ()
+    __match_args__ = ("sub", "sup")
+
+    def __new__(cls, sub: Term, sup: Term) -> "SchemaSubClassOf":
+        return tuple.__new__(cls, (cls, sub, sup))
 
 
-@dataclass(frozen=True)
-class SchemaEquivalent(Atom):
-    a: Term
-    b: Term
+class SchemaEquivalent(Atom, Value):
+    __slots__ = ()
+    __match_args__ = ("a", "b")
+
+    def __new__(cls, a: Term, b: Term) -> "SchemaEquivalent":
+        return tuple.__new__(cls, (cls, a, b))
 
 
-@dataclass(frozen=True)
-class SolePart(Atom):
-    part: Term
-    whole: Term
+class SolePart(Atom, Value):
+    __slots__ = ()
+    __match_args__ = ("part", "whole")
+
+    def __new__(cls, part: Term, whole: Term) -> "SolePart":
+        return tuple.__new__(cls, (cls, part, whole))
 
 
-@dataclass(frozen=True)
-class MorePartsExpected(Atom):
-    whole: Term
+class MorePartsExpected(Atom, Value):
+    __slots__ = ()
+    __match_args__ = ("whole",)
+
+    def __new__(cls, whole: Term) -> "MorePartsExpected":
+        return tuple.__new__(cls, (cls, whole))
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +216,34 @@ def classify(pattern: Pattern | str) -> RuleCategory:
 # rules
 
 
-@dataclass(frozen=True)
-class Provenance:
-    sources: tuple[str, ...] = ()
-    trigger_axioms: tuple[str, ...] = ()
-    display_form: str = ""
+class Provenance(Value):
+    __slots__ = ()
+    __match_args__ = ("sources", "trigger_axioms", "display_form")
+
+    def __new__(
+        cls,
+        sources: tuple[str, ...] = (),
+        trigger_axioms: tuple[str, ...] = (),
+        display_form: str = "",
+    ) -> "Provenance":
+        return tuple.__new__(cls, (cls, sources, trigger_axioms, display_form))
 
 
-@dataclass(frozen=True)
-class Rule:
-    id: str
-    antecedent: tuple[Atom, ...]
-    consequent: tuple[Atom, ...]
-    pattern: Pattern
-    provenance: Provenance
+class Rule(Value):
+    __slots__ = ()
+    __match_args__ = ("id", "antecedent", "consequent", "pattern", "provenance")
 
-    def __post_init__(self) -> None:
-        if not self.antecedent or not self.consequent:
+    def __new__(
+        cls,
+        id: str,
+        antecedent: tuple[Atom, ...],
+        consequent: tuple[Atom, ...],
+        pattern: Pattern,
+        provenance: Provenance,
+    ) -> "Rule":
+        if not antecedent or not consequent:
             raise ValueError("rule sides must be non-empty")
+        return tuple.__new__(cls, (cls, id, antecedent, consequent, pattern, provenance))
 
     @property
     def category(self) -> RuleCategory:

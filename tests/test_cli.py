@@ -593,13 +593,14 @@ def test_default_cap_is_large_enough_to_stay_out_of_the_way():
 def test_importing_the_cli_leaves_the_network_stack_unloaded():
     # xml.sax.saxutils imports urllib.request, which pulls in http.client,
     # email and ssl: start-up time for every command.  Nothing logs, so
-    # logging is start-up time spent for nothing too.
+    # logging is start-up time spent for nothing too.  dataclasses (and the
+    # inspect it imports) would build classes by generating their methods.
     src = str(Path(owlrules.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
+    unloaded = ("xml.sax.saxutils", "http.client", "logging", "dataclasses", "inspect")
     probe = (
         "import sys, owlrules.cli; owlrules.cli.build_arg_parser(); "
-        "print(*sorted(m for m in ('xml.sax.saxutils', 'http.client', 'logging') "
-        "if m in sys.modules))"
+        f"print(*sorted(m for m in {unloaded!r} if m in sys.modules))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60

@@ -191,6 +191,22 @@ def test_wrapping_preserves_line_numbers():
     assert warning.location.line == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '<?xml version="1.0"?>\n<owl:Class rdf:ID="A">\n<owl:bogus rdf:resource="#B"/>\n'
+        '<rdfs:subClassOf rdf:resource="#B"/>\n</owl:Class>\n',
+        '<rdf:RDF>\n  <owl:Class rdf:ID="A"><owl:bogus/></owl:Class>\n</rdf:RDF>\n',
+        "<owl:Class rdf:ID='A'>",
+    ],
+    ids=["declared-fragment", "rdf-root", "malformed"],
+)
+def test_an_ontology_with_a_byte_order_mark_parses_as_without(text):
+    model, diags = parse_ontology(text, "x.owl")
+    assert diags  # each text has a located diagnostic to compare
+    assert parse_ontology("\ufeff" + text, "x.owl") == (model, diags)
+
+
 def test_format_diagnostic_layout():
     _, diags = parse_ontology("<owl:Class rdf:ID='A'>", "file.owl")
     line = format_diagnostic(diags[0], "file.owl")
@@ -250,6 +266,17 @@ def test_a_fact_file_contradiction_carries_every_malformed_line():
         (Severity.ERROR, 1),
         (Severity.ERROR, 6),
     ]
+
+
+def test_a_fact_file_with_a_byte_order_mark_parses_as_without():
+    text = "isa(anna, Citizen)\nnonsense here\nlink(anna, livesIn, riga)\n"
+    base, diags = parse_fact_base(text)
+    marked, marked_diags = parse_fact_base("\ufeff" + text)
+    assert marked.facts == base.facts and len(base) == 2
+    assert marked_diags == diags and diags[0].location == Location(2, 1)
+    with pytest.raises(ContradictionError) as exc:
+        parse_fact_base("\ufeffisa(a, B)\n  not isa(a, B)\n")
+    assert exc.value.location == Location(2, 3)
 
 
 def test_empty_fact_file():

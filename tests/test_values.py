@@ -1,0 +1,237 @@
+"""The value types: terms, atoms, rules, facts, axioms and diagnostics.
+
+Each is an immutable, hashable value: equal to a value of its own kind built
+from equal fields, unequal to every value of another kind, and printed as
+``Kind(field=value, ...)``, which error messages show.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+from owlrules import (
+    AllValuesFrom,
+    ClassLink,
+    ContradictionError,
+    EquivalentClass,
+    ExtractionReport,
+    FactBase,
+    FeatureExpected,
+    InferenceResult,
+    IntersectionOf,
+    InverseOf,
+    Iri,
+    LinkFact,
+    Membership,
+    NegMembership,
+    OntologyModel,
+    Pattern,
+    PropertyDecl,
+    PropertyKind,
+    Rule,
+    SubClassOf,
+    SubPropertyOf,
+)
+from owlrules.parser import Location, ParseDiagnostic, Severity
+from owlrules.rules import (
+    ClassRef,
+    HasFeature,
+    IndividualRef,
+    IsA,
+    Link,
+    LiteralTok,
+    MorePartsExpected,
+    Not,
+    PropRef,
+    Provenance,
+    SchemaEquivalent,
+    SchemaSubClassOf,
+    SolePart,
+    Var,
+)
+
+A, B, P = Iri("A"), Iri("B"), Iri("p")
+VX, VY = Var("?x"), Var("?y")
+CA, CB = ClassRef(A), ClassRef(B)
+
+# Each value type, built once, with the repr that error messages show.
+REPRS = [
+    (Var("?x"), "Var(name='?x')"),
+    (CA, "ClassRef(iri=Iri(value='A'))"),
+    (PropRef(P), "PropRef(iri=Iri(value='p'))"),
+    (IndividualRef(Iri("ann")), "IndividualRef(iri=Iri(value='ann'))"),
+    (LiteralTok("it's"), 'LiteralTok(text="it\'s")'),
+    (
+        IsA(subject=VX, cls=CA),
+        "IsA(subject=Var(name='?x'), cls=ClassRef(iri=Iri(value='A')))",
+    ),
+    (
+        Link(VX, PropRef(P), VY),
+        "Link(subject=Var(name='?x'), prop=PropRef(iri=Iri(value='p')), obj=Var(name='?y'))",
+    ),
+    (HasFeature(VX, Iri("f")), "HasFeature(subject=Var(name='?x'), feature=Iri(value='f'))"),
+    (
+        Not(IsA(VY, CB)),
+        "Not(inner=IsA(subject=Var(name='?y'), cls=ClassRef(iri=Iri(value='B'))))",
+    ),
+    (
+        SchemaSubClassOf(CA, CB),
+        "SchemaSubClassOf(sub=ClassRef(iri=Iri(value='A')), sup=ClassRef(iri=Iri(value='B')))",
+    ),
+    (
+        SchemaEquivalent(CA, CB),
+        "SchemaEquivalent(a=ClassRef(iri=Iri(value='A')), b=ClassRef(iri=Iri(value='B')))",
+    ),
+    (
+        SolePart(CA, CB),
+        "SolePart(part=ClassRef(iri=Iri(value='A')), whole=ClassRef(iri=Iri(value='B')))",
+    ),
+    (MorePartsExpected(CB), "MorePartsExpected(whole=ClassRef(iri=Iri(value='B')))"),
+    (
+        Provenance(("a.owl",), ("SubClassOf(A,B)",), "IF A THEN B"),
+        "Provenance(sources=('a.owl',), trigger_axioms=('SubClassOf(A,B)',), "
+        "display_form='IF A THEN B')",
+    ),
+    (
+        Rule("x-1", (IsA(VX, CA),), (IsA(VX, CB),), Pattern.INTERSECTION, Provenance()),
+        "Rule(id='x-1', antecedent=(IsA(subject=Var(name='?x'), "
+        "cls=ClassRef(iri=Iri(value='A'))),), consequent=(IsA(subject=Var(name='?x'), "
+        "cls=ClassRef(iri=Iri(value='B'))),), pattern=<Pattern.INTERSECTION: "
+        "'intersection'>, provenance=Provenance(sources=(), trigger_axioms=(), "
+        "display_form=''))",
+    ),
+    (
+        PropertyDecl(P, PropertyKind.OBJECT, A, None, implicit=True),
+        "PropertyDecl(iri=Iri(value='p'), kind=<PropertyKind.OBJECT: 'object'>, "
+        "domain=Iri(value='A'), range=None, implicit=True)",
+    ),
+    (
+        PropertyDecl(P, PropertyKind.DATATYPE, range=Iri("xs:int")),
+        "PropertyDecl(iri=Iri(value='p'), kind=<PropertyKind.DATATYPE: 'datatype'>, "
+        "domain=None, range=Iri(value='xs:int'), implicit=False)",
+    ),
+    (SubClassOf(A, B), "SubClassOf(sub=Iri(value='A'), sup=Iri(value='B'))"),
+    (EquivalentClass(B, A), "EquivalentClass(a=Iri(value='A'), b=Iri(value='B'))"),
+    (SubPropertyOf(P, Iri("q")), "SubPropertyOf(sub=Iri(value='p'), sup=Iri(value='q'))"),
+    (InverseOf(P, Iri("q")), "InverseOf(prop=Iri(value='p'), inverse=Iri(value='q'))"),
+    (AllValuesFrom(P, B), "AllValuesFrom(on_property=Iri(value='p'), filler=Iri(value='B'))"),
+    (
+        IntersectionOf(Iri("C"), [A, B]),
+        "IntersectionOf(defined=Iri(value='C'), parts=(Iri(value='A'), Iri(value='B')))",
+    ),
+    (
+        ClassLink(A, P, B),
+        "ClassLink(subject=Iri(value='A'), prop=Iri(value='p'), obj=Iri(value='B'))",
+    ),
+    (
+        Membership(individual=Iri("ann"), cls=A),
+        "Membership(individual=Iri(value='ann'), cls=Iri(value='A'))",
+    ),
+    (
+        NegMembership(individual=Iri("ann"), cls=A),
+        "NegMembership(individual=Iri(value='ann'), cls=Iri(value='A'))",
+    ),
+    (
+        LinkFact(Iri("ann"), P, B, True),
+        "LinkFact(subject=Iri(value='ann'), prop=Iri(value='p'), obj=Iri(value='B'), "
+        "obj_is_class=True)",
+    ),
+    (
+        FeatureExpected(Iri("ann"), Iri("f")),
+        "FeatureExpected(individual=Iri(value='ann'), feature=Iri(value='f'))",
+    ),
+    (Location(3, 7), "Location(line=3, col=7)"),
+    (
+        ParseDiagnostic(Severity.WARNING, "skipped", Location(3, 7)),
+        "ParseDiagnostic(severity=<Severity.WARNING: 'warning'>, message='skipped', "
+        "location=Location(line=3, col=7))",
+    ),
+]
+VALUES = [value for value, _ in REPRS]
+
+
+@pytest.mark.parametrize("value, text", REPRS, ids=[type(v).__name__ for v in VALUES])
+def test_a_value_prints_its_kind_and_fields(value, text):
+    assert repr(value) == text
+
+
+def test_the_records_print_their_kind_and_fields():
+    model = OntologyModel(
+        (A,), {P: PropertyDecl(P, PropertyKind.OBJECT)}, (SubClassOf(A, B),), ("a.owl",), ("n",)
+    )
+    assert repr(model) == (
+        "OntologyModel(classes=(Iri(value='A'),), properties={Iri(value='p'): "
+        "PropertyDecl(iri=Iri(value='p'), kind=<PropertyKind.OBJECT: 'object'>, "
+        "domain=None, range=None, implicit=False)}, axioms=(SubClassOf(sub=Iri(value='A'), "
+        "sup=Iri(value='B')),), source_names=('a.owl',), notes=('n',))"
+    )
+    report = ExtractionReport([], {Pattern.SYMMETRIC: 0}, ["w"])
+    assert repr(report) == (
+        "ExtractionReport(rules=[], counts={<Pattern.SYMMETRIC: 'symmetric'>: 0}, warnings=['w'])"
+    )
+    base = FactBase()
+    result = InferenceResult(base, 1, [], [], True)
+    assert repr(result) == (
+        f"InferenceResult(final={base!r}, iterations=1, derived=[], violations=[], converged=True)"
+    )
+
+
+def test_kinds_built_from_equal_fields_stay_apart():
+    a, x, y, q = Iri("a"), Iri("X"), Iri("Y"), Iri("q")
+    cx = ClassRef(x)
+    groups = [
+        [Membership(a, x), NegMembership(a, x), FeatureExpected(a, x)],
+        [LinkFact(a, q, y), ClassLink(a, q, y)],
+        [ClassRef(y), PropRef(y), IndividualRef(y), LiteralTok("Y")],
+        [IsA(VX, cx), SchemaSubClassOf(VX, cx), SchemaEquivalent(VX, cx), SolePart(VX, cx)],
+        [MorePartsExpected(cx), Not(IsA(VX, cx)), HasFeature(VX, x)],
+        [SubClassOf(x, y), SubPropertyOf(x, y), InverseOf(x, y), AllValuesFrom(x, y)],
+        [EquivalentClass(x, y)],
+    ]
+    every = [value for group in groups for value in group] + VALUES
+    for i, one in enumerate(every):
+        for other in every[i + 1 :]:
+            assert one != other and not one == other, (one, other)
+    as_keys = {value: i for i, value in enumerate(every)}
+    assert len(set(every)) == len(every) == len(as_keys)
+    for i, value in enumerate(every):
+        assert as_keys[value] == i
+        twin = pickle.loads(pickle.dumps(value))  # an equal value, built anew
+        assert twin == value and hash(twin) == hash(value) and type(twin) is type(value)
+        assert not twin != value
+
+
+def test_a_negated_membership_is_not_mistaken_for_the_membership():
+    a = Iri("a")
+    base = FactBase([Membership(a, A), FeatureExpected(a, A)])
+    assert NegMembership(a, A) not in base and Membership(a, A) in base
+    with pytest.raises(ContradictionError):
+        base.add(NegMembership(a, A))  # not dropped as a duplicate
+    assert len(base) == 2
+
+
+@pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
+def test_a_value_takes_no_assignment_and_has_no_instance_dict(value):
+    assert not hasattr(value, "__dict__")
+    for name in (*value.__match_args__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_a_model_takes_no_assignment():
+    model = OntologyModel()
+    with pytest.raises(AttributeError):
+        model.classes = (A,)
+    assert model.classes == () and model.properties == {}
+
+
+def test_property_declarations_differing_only_in_implicit_are_equal():
+    explicit = PropertyDecl(P, PropertyKind.OBJECT, A, B)
+    implicit = PropertyDecl(P, PropertyKind.OBJECT, A, B, implicit=True)
+    assert (explicit.implicit, implicit.implicit) == (False, True)
+    assert explicit == implicit and not explicit != implicit
+    assert hash(explicit) == hash(implicit) and len({explicit, implicit}) == 1
+    assert PropertyDecl(P, PropertyKind.OBJECT, A) != explicit
+    assert pickle.loads(pickle.dumps(implicit)).implicit is True
