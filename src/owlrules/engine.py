@@ -1,14 +1,16 @@
 """Forward chaining over instance facts, plus schema-level subclass closure.
 
 ``run_fixpoint`` saturates a fact base under executable rules by semi-naive
-rounds.  Each call indexes the facts by kind and predicate, and within those
-by subject and by object (only the lookups its rules make), and appends every
-round's new facts to the index.  Each rule is compiled once: an antecedent
-atom reads only the index bucket that its ground terms and already-bound
-variables select.  In a round, each
-atom in turn is the pivot that must match a fact derived in the previous
-round; atoms before the pivot match only older facts and atoms after it match
-any fact, so each binding is produced once, at its leftmost new fact.
+rounds.  Each call indexes the facts themselves by kind and predicate, and
+within those by subject and by object (only the lookups its rules make), and
+appends every round's new facts to the index.  Each rule is compiled once: an
+antecedent atom reads only the index bucket that its ground terms and
+already-bound variables select, and a consequent atom becomes a fact kind and
+its fields, which a binding fills into a plain tuple that is looked up before
+any fact is built.  In a round, each atom in turn is the pivot that must match
+a fact derived in the previous round; atoms before the pivot match only older
+facts and atoms after it match any fact, so each binding is produced once, at
+its leftmost new fact.
 
 Matching binds the variables ?x/?y/?z to fact components, with one restriction:
 the object of a class-flagged link fact never binds a variable (it names a
@@ -207,158 +209,127 @@ class InferenceResult:
 class _FactIndex:
     """A fact base's facts by position, bucketed by what an atom can look up.
 
-    The fact at position ``pos`` becomes the row (subject, predicate, object,
-    object-is-class), where the predicate is the class, property or feature
-    (a link's row is its ``LinkFact`` fields).  ``pos`` joins the buckets
-    ``(kind, "")``, ``(kind, "p", predicate)``, ``(kind, "s", predicate,
-    subject)`` and, for links, ``(kind, "o", predicate, object)`` -- those
-    whose family, the first two key entries, is in ``families``: the rules
-    read no other bucket.  Buckets hold positions in insertion order, so the
-    facts added by the last ``extend`` are a suffix of each.
+    ``rows[pos]`` is the fact at position ``pos`` itself: the tuple ``(kind,
+    subject, predicate[, object, object-is-class])``, where the predicate is
+    the class, property or feature.  ``pos`` joins the buckets ``(kind, "")``,
+    ``(kind, "p", predicate)``, ``(kind, "s", predicate, subject)`` and, for
+    links, ``(kind, "o", predicate, object)`` -- those whose family, the first
+    two key entries, is in ``families``: the rules read no other bucket.
+    Buckets hold positions in insertion order, so the facts added by the last
+    ``extend`` are a suffix of each.
     """
 
-    def __init__(self, facts, families: set[tuple[str, str]]) -> None:
-        self.rows: list[tuple | None] = []
+    def __init__(self, facts, families: set[tuple[type, str]]) -> None:
+        self.rows: list[Fact] = []
         self.buckets: dict[tuple, list[int]] = defaultdict(list)
         self.families = families
         self.extend(facts)
 
     def extend(self, facts) -> None:
-        buckets, families = self.buckets, self.families
+        rows, buckets, families = self.rows, self.buckets, self.families
         for fact in facts:
-            pos = len(self.rows)
-            if isinstance(fact, LinkFact):
-                kind, row = "prop", (fact.subject, fact.prop, fact.obj, fact.obj_is_class)
-            elif isinstance(fact, Membership):
-                kind, row = "cls", (fact.individual, fact.cls, None, False)
-            elif isinstance(fact, FeatureExpected):
-                kind, row = "feature", (fact.individual, fact.feature, None, False)
-            else:  # negated memberships match no antecedent atom
-                self.rows.append(None)
-                continue
-            self.rows.append(row)
-            subject, pred, obj, _ = row
+            pos = len(rows)
+            rows.append(fact)
+            kind, subject, pred = fact[:3]
             if (kind, "") in families:
                 buckets[(kind, "")].append(pos)
             if (kind, "p") in families:
                 buckets[(kind, "p", pred)].append(pos)
             if (kind, "s") in families:
                 buckets[(kind, "s", pred, subject)].append(pos)
-            if (kind, "o") in families:
-                buckets[(kind, "o", pred, obj)].append(pos)
+            if (kind, "o") in families:  # links only
+                buckets[(kind, "o", pred, fact[3])].append(pos)
 
 
 # ---------------------------------------------------------------------------
 # rule compilation
 
+# The fact kind an instance atom matches and concludes; its fields line up
+# with the atom's.
+_FACT_OF = {IsA: Membership, Link: LinkFact, HasFeature: FeatureExpected}
+
 # A step matches one antecedent atom: the tuple (key, dynamic, ops).  Its
 # ``key`` names the index bucket to read; Var entries in it are variables bound
 # by earlier atoms, filled in from the bindings when ``dynamic`` is true.  Its
-# ``ops`` test the row columns the key leaves open: (column, name, _CONST)
+# ``ops`` test the fact columns the key leaves open: (column, name, _CONST)
 # compares with a ground name, (column, var, _CHECK) with a bound variable, and
 # (column, var, _BIND) binds a variable first met in this atom.
 _CONST, _CHECK, _BIND = range(3)
 
 
-def _part(term: Term) -> Var | Iri | None:
-    if isinstance(term, Var):
+def _part(term: Term | Iri) -> Var | Iri | None:
+    if isinstance(term, (Var, Iri)):
         return term
     if isinstance(term, (ClassRef, PropRef, IndividualRef)):
         return term.iri
     return None  # literals never match a name
 
 
-def _compile_atom(atom: Atom, bound: set[str]) -> tuple[tuple, bool, tuple] | None:
+def _compile_atom(atom: Atom, bound: set[Var]) -> tuple[tuple, bool, tuple] | None:
     """Compile ``atom`` after the atoms that bound ``bound`` (which it extends).
 
     Returns None for an atom that no fact can match.
     """
-    if isinstance(atom, IsA):
-        kind, parts = "cls", [_part(atom.subject), _part(atom.cls)]
-    elif isinstance(atom, Link):
-        kind, parts = "prop", [_part(atom.subject), _part(atom.prop), _part(atom.obj)]
-    else:
-        kind, parts = "feature", [_part(atom.subject), atom.feature]
+    kind = _FACT_OF[type(atom)]
+    parts = [_part(t) for t in atom[1:]]  # fact columns 1, 2 and, for links, 3
     if any(p is None for p in parts):
         return None
-    known = [not isinstance(p, Var) or p.name in bound for p in parts]
+    known = [not isinstance(p, Var) or p in bound for p in parts]
     if not known[1]:
         key, keyed = (kind, ""), ()
     elif known[0]:
-        key, keyed = (kind, "s", parts[1], parts[0]), (0, 1)
-    elif kind == "prop" and known[2]:
-        key, keyed = (kind, "o", parts[1], parts[2]), (1, 2)
+        key, keyed = (kind, "s", parts[1], parts[0]), (1, 2)
+    elif kind is LinkFact and known[2]:
+        key, keyed = (kind, "o", parts[1], parts[2]), (2, 3)
     else:
-        key, keyed = (kind, "p", parts[1]), (1,)
+        key, keyed = (kind, "p", parts[1]), (2,)
     ops = []
-    if kind == "prop" and isinstance(parts[2], Var):
-        ops.append((3, False, _CONST))  # a class-flagged object binds no variable
-    for col, part in enumerate(parts):
+    if kind is LinkFact and isinstance(parts[2], Var):
+        ops.append((4, False, _CONST))  # a class-flagged object binds no variable
+    for col, part in enumerate(parts, start=1):
         if col in keyed:
             continue
         if not isinstance(part, Var):
             ops.append((col, part, _CONST))
-        elif part.name in bound:
-            ops.append((col, part.name, _CHECK))
+        elif part in bound:
+            ops.append((col, part, _CHECK))
         else:
-            ops.append((col, part.name, _BIND))
-            bound.add(part.name)
+            ops.append((col, part, _BIND))
+            bound.add(part)
     return key, any(isinstance(x, Var) for x in key), tuple(ops)
 
 
-def _ground(term: Term, binds: dict[str, Iri]) -> Iri:
-    if isinstance(term, Var):
-        try:
-            return binds[term.name]
-        except KeyError:
-            raise ValueError(f"consequent variable {term.name} is unbound") from None
-    if isinstance(term, (ClassRef, PropRef, IndividualRef)):
-        return term.iri
-    raise ValueError(f"cannot ground {term!r}")
-
-
-def _instantiate(atom: Atom, binds: dict[str, Iri]) -> Fact | None:
-    if isinstance(atom, IsA):
-        return Membership(_ground(atom.subject, binds), _ground(atom.cls, binds))
-    if isinstance(atom, Link):
-        return LinkFact(
-            _ground(atom.subject, binds),
-            _ground(atom.prop, binds),
-            _ground(atom.obj, binds),
-            obj_is_class=isinstance(atom.obj, ClassRef),
-        )
-    if isinstance(atom, HasFeature):
-        return FeatureExpected(_ground(atom.subject, binds), atom.feature)
-    return None  # schema atoms have no instance-level fact
+def _compile_head(rule: Rule, atom: Atom, bound: set[Var]) -> tuple[type, tuple]:
+    """``(fact kind, fields)`` for a consequent atom: each field a name, a
+    variable from ``bound``, or (last, for a link) the object-is-class flag."""
+    fields: list = []
+    for term in atom[1:]:
+        part = _part(term)
+        if part is None:
+            raise ValueError(f"rule {rule.id}: cannot ground {term!r}")
+        if isinstance(part, Var) and part not in bound:
+            raise ValueError(f"rule {rule.id}: consequent variable {part.name} is unbound")
+        fields.append(part)
+    if type(atom) is Link:
+        fields.append(isinstance(atom.obj, ClassRef))
+    return _FACT_OF[type(atom)], tuple(fields)
 
 
 _SCHEMA_ATOMS = (SchemaSubClassOf, SchemaEquivalent, SolePart, MorePartsExpected)
-_INSTANCE_ATOMS = (IsA, Link, HasFeature)
 
 
-def _is_ground_atom(atom: Atom) -> bool:
-    terms: tuple[Term, ...]
-    if isinstance(atom, (SchemaSubClassOf, SchemaEquivalent)):
-        terms = (atom.sub, atom.sup) if isinstance(atom, SchemaSubClassOf) else (atom.a, atom.b)
-    elif isinstance(atom, SolePart):
-        terms = (atom.part, atom.whole)
-    elif isinstance(atom, MorePartsExpected):
-        terms = (atom.whole,)
-    else:
-        return False
-    return not any(isinstance(t, Var) for t in terms)
-
-
-def _prepare(rule: Rule) -> tuple[Rule, list[tuple[tuple, bool, tuple]]] | None:
-    """Compile ``rule`` into ``(rule, steps)``, one step per instance atom of
-    its antecedent, in order.
+def _prepare(rule: Rule) -> tuple[str, list[tuple[tuple, bool, tuple]], list] | None:
+    """Compile ``rule`` into ``(rule id, steps, heads)``: one step per instance
+    atom of its antecedent, in order, and one head per instance atom of its
+    consequent.
 
     Returns None for a rule that can derive nothing: some atom can never match
     (e.g. a variable-bearing schema atom), or no consequent atom is
-    instance-level.
+    instance-level.  Raises ``ValueError`` naming the rule for an atom the
+    engine cannot run, even if no fact would ever match the rule.
     """
     steps = []
-    bound: set[str] = set()
+    bound: set[Var] = set()
     fires = True
     for atom in rule.antecedent:
         if isinstance(atom, Not):
@@ -366,7 +337,7 @@ def _prepare(rule: Rule) -> tuple[Rule, list[tuple[tuple, bool, tuple]]] | None:
                 f"rule {rule.id}: negated antecedents are only supported on "
                 "integrity-check rules"
             )
-        if isinstance(atom, _INSTANCE_ATOMS):
+        if type(atom) in _FACT_OF:
             step = _compile_atom(atom, bound)
             if step is None:
                 fires = False
@@ -375,13 +346,14 @@ def _prepare(rule: Rule) -> tuple[Rule, list[tuple[tuple, bool, tuple]]] | None:
         elif isinstance(atom, _SCHEMA_ATOMS):
             # Ground schema atoms held at extraction time; variable-bearing
             # ones have nothing to match and silence the rule.
-            if not _is_ground_atom(atom):
+            if any(isinstance(t, Var) for t in atom[1:]):
                 fires = False
         else:
             raise ValueError(f"rule {rule.id}: unsupported antecedent atom {atom!r}")
-    if not fires or not any(isinstance(a, _INSTANCE_ATOMS) for a in rule.consequent):
+    if not fires:
         return None
-    return rule, steps
+    heads = [_compile_head(rule, a, bound) for a in rule.consequent if type(a) in _FACT_OF]
+    return (rule.id, steps, heads) if heads else None
 
 
 def _prepare_constraint(rule: Rule) -> tuple[Rule, Iri, Iri]:
@@ -413,7 +385,7 @@ def _prepare_constraint(rule: Rule) -> tuple[Rule, Iri, Iri]:
 
 
 def _round(
-    prepared: list[tuple[Rule, list]], base: FactBase, index: _FactIndex, delta_start: int
+    prepared: list[tuple[str, list, list]], base: FactBase, index: _FactIndex, delta_start: int
 ) -> list[tuple[Fact, str]]:
     """Fire every rule on the bindings that use a fact at ``delta_start`` or later.
 
@@ -424,16 +396,22 @@ def _round(
     staged: list[tuple[Fact, str]] = []
     rows, buckets = index.rows, index.buckets
 
-    def search(rule: Rule, steps: list, i: int, pivot: int, binds: dict[str, Iri]) -> None:
+    def search(
+        rule_id: str, steps: list, heads: list, i: int, pivot: int, binds: dict[Var, Iri]
+    ) -> None:
         if i == len(steps):
-            for atom in rule.consequent:
-                fact = _instantiate(atom, binds)
-                if fact is not None and base.add(fact, derived_by=rule.id):
-                    staged.append((fact, rule.id))
+            for kind, fields in heads:
+                # Names and flags are never keys of ``binds``.  The plain tuple
+                # hashes and compares as the fact it spells.
+                row = (kind, *[binds.get(f, f) for f in fields])
+                if row not in base:
+                    fact = tuple.__new__(kind, row)
+                    base.add(fact, derived_by=rule_id)
+                    staged.append((fact, rule_id))
             return
         key, dynamic, ops = steps[i]
         if dynamic:
-            key = tuple(binds[x.name] if isinstance(x, Var) else x for x in key)
+            key = tuple([binds.get(x, x) for x in key])
         bucket = buckets.get(key)
         if not bucket:
             return
@@ -449,12 +427,12 @@ def _round(
                 elif row[col] != (binds[arg] if op == _CHECK else arg):
                     break
             else:
-                search(rule, steps, i + 1, pivot, binds)
+                search(rule_id, steps, heads, i + 1, pivot, binds)
 
-    for rule, steps in prepared:
+    for rule_id, steps, heads in prepared:
         # A rule without instance atoms has one (empty) binding: pivot -1.
         for pivot in range(len(steps)) if steps else (-1,):
-            search(rule, steps, 0, pivot, {})
+            search(rule_id, steps, heads, 0, pivot, {})
     return staged
 
 
@@ -477,9 +455,9 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
                 positives.append(prepared)
 
     base = initial.copy()  # FactBase.add has kept it free of contradictions
-    families = {key[:2] for _, steps in positives for key, _, _ in steps}
+    families = {key[:2] for _, steps, _ in positives for key, _, _ in steps}
     if constraints:
-        families.add(("prop", "p"))
+        families.add((LinkFact, "p"))
     index = _FactIndex(base, families)
     derived: list[tuple[Fact, str]] = []
     delta_start = 0  # every initial fact is new in the first round
@@ -497,8 +475,8 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
 
     violations: list[tuple[Fact, str]] = []
     for rule, prop, filler in constraints:
-        for pos in index.buckets.get(("prop", "p", prop), ()):
-            link = LinkFact(*index.rows[pos])
+        for pos in index.buckets.get((LinkFact, "p", prop), ()):
+            link = index.rows[pos]
             if not link.obj_is_class and Membership(link.obj, filler) not in base:
                 violations.append((link, rule.id))
 

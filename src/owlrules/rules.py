@@ -438,6 +438,8 @@ def _obj_to_term(obj: dict) -> Term:
     if len(obj) != 1:
         raise ValueError(f"bad term object: {obj!r}")
     key, value = next(iter(obj.items()))
+    if not isinstance(value, str):
+        raise ValueError(f"bad term object: {obj!r}")
     match key:
         case "var":
             return Var(value)
@@ -482,24 +484,40 @@ def _obj_to_atom(obj: dict) -> Atom:
 
 
 def parse_structured(text: str) -> tuple[list[Rule], list[str]]:
-    """Inverse of :func:`render_structured`; validates ids against content."""
+    """Inverse of :func:`render_structured`; validates ids against content.
+
+    Any malformed document raises ``ValueError``.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"rule document must be a JSON object, not {type(doc).__name__}")
     if doc.get("version") != STRUCTURED_VERSION:
         raise ValueError(f"unsupported document version: {doc.get('version')!r}")
-    rules: list[Rule] = []
-    for obj in doc["rules"]:
-        prov = Provenance(
-            sources=tuple(obj["provenance"]["source"]),
-            trigger_axioms=tuple(obj["provenance"]["trigger_axioms"]),
-            display_form=obj["provenance"]["display_form"],
-        )
-        rule = make_rule(
-            obj["pattern"],
-            [_obj_to_atom(a) for a in obj["if"]],
-            [_obj_to_atom(a) for a in obj["then"]],
-            prov,
-        )
-        if rule.id != obj["id"]:
-            raise ValueError(f"rule id {obj['id']!r} does not match content ({rule.id})")
-        rules.append(rule)
-    return rules, list(doc["source"])
+    try:
+        rules = [_obj_to_rule(obj) for obj in doc["rules"]]
+        return rules, list(_strings(doc["source"]))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed rule document: {type(exc).__name__}: {exc}") from None
+
+
+def _strings(value: list) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _obj_to_rule(obj: dict) -> Rule:
+    prov = obj["provenance"]
+    if not isinstance(prov["display_form"], str):
+        raise ValueError(f"display_form must be a string, got {prov['display_form']!r}")
+    rule = make_rule(
+        obj["pattern"],
+        [_obj_to_atom(a) for a in obj["if"]],
+        [_obj_to_atom(a) for a in obj["then"]],
+        Provenance(
+            _strings(prov["source"]), _strings(prov["trigger_axioms"]), prov["display_form"]
+        ),
+    )
+    if rule.id != obj["id"]:
+        raise ValueError(f"rule id {obj['id']!r} does not match content ({rule.id})")
+    return rule

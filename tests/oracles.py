@@ -671,6 +671,100 @@ def random_instance(
     return rules, facts
 
 
+# Few names, so that hand-built rules often match the facts.
+_INDS = tuple(Iri(f"i{k}") for k in range(3))
+_CLS2 = _CLASSES[:2]
+_PROP2 = _PROPS[:2]
+
+
+def _random_term(rng: random.Random, ref, names: tuple[Iri, ...], var_odds: float = 0.7):
+    """A variable with probability ``var_odds``, else a reference to one of
+    ``names``, rarely a literal spelling one of them (which must match nothing)."""
+    r = rng.random()
+    if r < var_odds:
+        return rng.choice((VX, VX, VY, VY, VZ))
+    if r < 0.96:
+        return ref(rng.choice(names))
+    return LiteralTok(rng.choice(names))
+
+
+def _random_body_atom(rng: random.Random):
+    maker = rng.randrange(10)
+    subject = _random_term(rng, IndividualRef, _INDS)
+    if maker < 4:
+        if rng.random() < 0.5:
+            obj = _random_term(rng, IndividualRef, _INDS)
+        else:
+            obj = _random_term(rng, ClassRef, _CLS2)
+        return Link(subject, _random_term(rng, PropRef, _PROP2, 0.2), obj)
+    if maker < 7:
+        return IsA(subject, _random_term(rng, ClassRef, _CLS2, 0.2))
+    if maker < 9:
+        return HasFeature(subject, rng.choice(_FEATURES))
+    # a schema atom: held when ground, silencing the rule when not
+    return SchemaSubClassOf(ClassRef(rng.choice(_CLS2)), _random_term(rng, ClassRef, _CLS2, 0.3))
+
+
+def _random_head_atom(rng: random.Random, bound: list[Var]):
+    def term(ref, names):
+        if bound and rng.random() < 0.7:
+            return rng.choice(bound)
+        return ref(rng.choice(names))
+
+    maker = rng.randrange(3)
+    subject = term(IndividualRef, _INDS)
+    if maker == 0:
+        obj = term(IndividualRef, _INDS) if rng.random() < 0.7 else term(ClassRef, _CLS2)
+        return Link(subject, term(PropRef, _PROP2), obj)
+    if maker == 1:
+        return IsA(subject, term(ClassRef, _CLS2))
+    return HasFeature(subject, rng.choice(_FEATURES))
+
+
+def _random_rule(rng: random.Random) -> Rule:
+    if rng.random() < 0.1:
+        return make_rule(
+            Pattern.ALLVALUESFROM,
+            [Not(IsA(VY, ClassRef(rng.choice(_CLS2))))],
+            [Not(Link(VX, PropRef(rng.choice(_PROP2)), VY))],
+        )
+    body = [_random_body_atom(rng) for _ in range(rng.randint(1, 3))]
+    bound: list[Var] = []
+    for atom in body:
+        if not isinstance(atom, SchemaSubClassOf):
+            for term in atom[1:]:
+                if isinstance(term, Var) and term not in bound:
+                    bound.append(term)
+    head = [_random_head_atom(rng, bound) for _ in range(rng.randint(1, 2))]
+    return make_rule(Pattern.SUBPROPERTY_LIFT, body, head)
+
+
+def random_rule_instance(rng: random.Random) -> tuple[list[Rule], list[Fact]]:
+    """Hand-built rules of any instance-level shape plus a seed fact base.
+
+    Antecedents mix variables (also in the predicate position, and repeated),
+    names and literals; consequents use only variables the antecedent binds.
+    Facts include class-flagged links and expected features.
+    """
+    rules = [_random_rule(rng) for _ in range(rng.randint(1, 4))]
+    facts: list[Fact] = []
+    for _ in range(rng.randint(3, 12)):
+        r = rng.random()
+        fact: Fact
+        if r < 0.35:
+            fact = Membership(rng.choice(_INDS), rng.choice(_CLS2))
+        elif r < 0.6:
+            fact = LinkFact(rng.choice(_INDS), rng.choice(_PROP2), rng.choice(_INDS))
+        elif r < 0.8:
+            subject = rng.choice(_INDS + _CLS2)
+            fact = LinkFact(subject, rng.choice(_PROP2), rng.choice(_CLS2), obj_is_class=True)
+        else:
+            fact = FeatureExpected(rng.choice(_INDS), rng.choice(_FEATURES))
+        if fact not in facts:
+            facts.append(fact)
+    return rules, facts
+
+
 def herbrand_cap(rules: list[Rule], facts: list[Fact]) -> int:
     """|individuals|^2 * |properties| + |individuals| * |classes| + 1."""
     individuals: set[Iri] = set()

@@ -12,6 +12,7 @@ from oracles import (
     naive_saturate,
     random_dag_model,
     random_instance,
+    random_rule_instance,
 )
 
 from owlrules import (
@@ -44,9 +45,12 @@ from owlrules import (
 )
 from owlrules.rules import (
     ClassRef,
+    HasFeature,
     IsA,
     Link,
+    LiteralTok,
     MorePartsExpected,
+    Not,
     PropRef,
     SchemaEquivalent,
     SchemaSubClassOf,
@@ -348,6 +352,55 @@ def test_non_executable_rules_are_rejected_by_id():
     assert rule.id in str(exc.value)
 
 
+def _positive(antecedent: list, consequent: list):
+    return make_rule(Pattern.INTERSECTION, antecedent, consequent)
+
+
+def test_an_unbound_consequent_variable_is_rejected_before_the_rule_fires():
+    rule = _positive([IsA(VX, ClassRef(Iri("A")))], [IsA(VZ, ClassRef(Iri("B")))])
+    # No fact matches the antecedent: the rule is rejected all the same.
+    with pytest.raises(ValueError, match=rf"^rule {rule.id}: consequent variable \?z is unbound$"):
+        run_fixpoint([rule], FactBase(), CAP)
+
+
+def test_a_literal_in_a_consequent_is_rejected_with_the_rule_id():
+    rule = _positive(
+        [IsA(VX, ClassRef(Iri("A")))], [Link(VX, PropRef(Iri("age")), LiteralTok("42"))]
+    )
+    with pytest.raises(ValueError, match=rf"^rule {rule.id}: cannot ground LiteralTok"):
+        run_fixpoint([rule], FactBase([Membership(Iri("a"), Iri("A"))]), CAP)
+
+
+def test_a_negated_antecedent_on_a_positive_rule_is_rejected():
+    rule = _positive(
+        [IsA(VX, ClassRef(Iri("A"))), Not(IsA(VX, ClassRef(Iri("B"))))],
+        [IsA(VX, ClassRef(Iri("C")))],
+    )
+    with pytest.raises(ValueError, match=rf"^rule {rule.id}: negated antecedents"):
+        run_fixpoint([rule], FactBase(), CAP)
+
+
+def test_an_unsupported_integrity_check_shape_is_rejected():
+    rule = make_rule(
+        Pattern.ALLVALUESFROM, [IsA(VX, ClassRef(Iri("A")))], [Not(IsA(VX, ClassRef(Iri("B"))))]
+    )
+    with pytest.raises(ValueError, match=rf"^rule {rule.id}: unsupported integrity-check shape$"):
+        run_fixpoint([rule], FactBase(), CAP)
+
+
+def test_a_literal_in_an_antecedent_silences_the_rule():
+    # The literal spells a name the facts use, and still matches nothing.
+    rule = _positive(
+        [Link(VX, PropRef(Iri("age")), LiteralTok("n42")), HasFeature(VX, Iri("Wheel"))],
+        [IsA(VX, ClassRef(Iri("Aged")))],
+    )
+    base = FactBase(
+        [LinkFact(Iri("a"), Iri("age"), Iri("n42")), FeatureExpected(Iri("a"), Iri("Wheel"))]
+    )
+    result = run_fixpoint([rule], base, CAP)
+    assert (result.derived, result.iterations, result.converged) == ([], 1, True)
+
+
 def test_initial_contradiction_is_reported():
     with pytest.raises(ContradictionError, match=r"contradiction on \(a, B\)"):
         FactBase([Membership(Iri("a"), Iri("B")), NegMembership(Iri("a"), Iri("B"))])
@@ -404,6 +457,17 @@ def test_fixpoint_agrees_with_naive_saturation():
         oracle_final, oracle_violations = naive_saturate(rules, facts)
         assert set(result.final) == oracle_final
         assert set(result.violations) == oracle_violations
+        assert result.converged
+
+
+def test_fixpoint_agrees_with_naive_saturation_on_hand_built_rules():
+    rng = random.Random(9)
+    for _ in range(300):
+        rules, facts = random_rule_instance(rng)
+        result = run_fixpoint(rules, FactBase(facts), CAP)
+        oracle_final, oracle_violations = naive_saturate(rules, facts)
+        assert set(result.final) == oracle_final, (rules, facts)
+        assert set(result.violations) == oracle_violations, (rules, facts)
         assert result.converged
 
 

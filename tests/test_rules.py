@@ -306,6 +306,51 @@ def test_structured_round_trip():
         assert rule.provenance == original.provenance
 
 
+def _malformed_documents() -> dict[str, str]:
+    """Broken rule documents by name, each derived from a good one."""
+    good = json.loads(render_structured([_fox_rule()]))
+    (rule,) = good["rules"]
+    docs = {"version-2": {**good, "version": 2}}
+    for key in ("rules", "source"):
+        docs[f"no-{key}"] = {k: v for k, v in good.items() if k != key}
+        docs[f"number-{key}"] = {**good, key: 5}
+    docs["string-source"] = {**good, "source": "a.owl"}
+    bad_rules = {
+        f"rule-without-{key}": {k: v for k, v in rule.items() if k != key}
+        for key in ("id", "pattern", "if", "then", "provenance")
+    }
+    prov = rule["provenance"]
+    isa = {"kind": "isa", "subject": {"var": "?x"}, "class": {"class": "Fox"}}
+    bad_rules |= {
+        "rule-number": 5,
+        "rule-string": "rule",
+        "rule-list": [rule],
+        "provenance-number": {**rule, "provenance": 5},
+        "provenance-partial": {**rule, "provenance": {"source": []}},
+        "provenance-string-source": {**rule, "provenance": {**prov, "source": "a.owl"}},
+        "provenance-number-display": {**rule, "provenance": {**prov, "display_form": 5}},
+        "atom-number": {**rule, "if": [5]},
+        "term-list": {**rule, "if": [{**isa, "subject": []}]},
+        "iri-number": {**rule, "if": [{**isa, "class": {"class": 5}}]},
+        "literal-number": {**rule, "if": [{**isa, "subject": {"literal": 5}}]},
+        "pattern-list": {**rule, "pattern": []},
+        "wrong-id": {**rule, "id": "cooccurrence-0000000000"},
+    }
+    docs |= {name: {**good, "rules": [bad]} for name, bad in bad_rules.items()}
+    return {"array": "[]", "string": '"rules"', "truncated": "{"} | {
+        name: json.dumps(doc) for name, doc in docs.items()
+    }
+
+
+_MALFORMED = _malformed_documents()
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_parse_structured_rejects_malformed_documents_with_value_error(name):
+    with pytest.raises(ValueError):
+        parse_structured(_MALFORMED[name])
+
+
 def test_structured_output_ends_with_newline():
     assert render_structured([]).endswith("\n")
 
