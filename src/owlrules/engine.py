@@ -1,16 +1,24 @@
 """Forward chaining over instance facts, plus schema-level subclass closure.
 
 ``run_fixpoint`` saturates a fact base under executable rules by semi-naive
-rounds.  Each call indexes the facts themselves by kind and predicate, and
-within those by subject and by object (only the lookups its rules make), and
-appends every round's new facts to the index.  Each rule is compiled once: an
-antecedent atom reads only the index bucket that its ground terms and
-already-bound variables select, and a consequent atom becomes a fact kind and
-its fields, which a binding fills into a plain tuple that is looked up before
-any fact is built.  In a round, each atom in turn is the pivot that must match
-a fact derived in the previous round; atoms before the pivot match only older
-facts and atoms after it match any fact, so each binding is produced once, at
-its leftmost new fact.
+rounds, evaluated a set at a time.  Rules that differ only in their names
+share a shape: each shape is compiled once per call, with one plan per
+antecedent atom, and a rule becomes the tuple of its names.  In a round, a
+plan starts from its pivot atom over the facts the previous round derived
+(in the first round, the initial facts) and joins the other atoms against
+every known fact; only plans whose pivot relation -- fact kind and predicate
+-- has new facts run.  A join step maps the whole set of bindings through an
+index keyed by the columns already bound; a last step that adds one needed
+variable unites the value sets of each group of bindings, and drops the
+values already known, in one set operation.  Head rows are plain tuples,
+tested against the fact dict before any fact is built.
+
+The output is canonical.  Derived facts are listed round by round and, within
+a round, sorted by their rendered text; each carries the id of the first
+rule, in the order of the rule list, that derives it in that round.
+Violations are sorted by text, then rule id.  A derived membership that
+contradicts a given negation raises ``ContradictionError`` for the first such
+fact in that order.
 
 Matching binds the variables ?x/?y/?z to fact components, with one restriction:
 the object of a class-flagged link fact never binds a variable (it names a
@@ -26,8 +34,8 @@ are reported as violations after the fixpoint is reached.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
+from operator import itemgetter
 
 from .model import (
     EquivalentClass,
@@ -38,7 +46,6 @@ from .model import (
     fields_repr,
 )
 from .rules import (
-    Atom,
     ClassRef,
     HasFeature,
     IndividualRef,
@@ -52,7 +59,6 @@ from .rules import (
     SchemaEquivalent,
     SchemaSubClassOf,
     SolePart,
-    Term,
     Var,
 )
 
@@ -203,146 +209,65 @@ class InferenceResult:
 
 
 # ---------------------------------------------------------------------------
-# fact index
-
-
-class _FactIndex:
-    """A fact base's facts by position, bucketed by what an atom can look up.
-
-    ``rows[pos]`` is the fact at position ``pos`` itself: the tuple ``(kind,
-    subject, predicate[, object, object-is-class])``, where the predicate is
-    the class, property or feature.  ``pos`` joins the buckets ``(kind, "")``,
-    ``(kind, "p", predicate)``, ``(kind, "s", predicate, subject)`` and, for
-    links, ``(kind, "o", predicate, object)`` -- those whose family, the first
-    two key entries, is in ``families``: the rules read no other bucket.
-    Buckets hold positions in insertion order, so the facts added by the last
-    ``extend`` are a suffix of each.
-    """
-
-    def __init__(self, facts, families: set[tuple[type, str]]) -> None:
-        self.rows: list[Fact] = []
-        self.buckets: dict[tuple, list[int]] = defaultdict(list)
-        self.families = families
-        self.extend(facts)
-
-    def extend(self, facts) -> None:
-        rows, buckets, families = self.rows, self.buckets, self.families
-        for fact in facts:
-            pos = len(rows)
-            rows.append(fact)
-            kind, subject, pred = fact[:3]
-            if (kind, "") in families:
-                buckets[(kind, "")].append(pos)
-            if (kind, "p") in families:
-                buckets[(kind, "p", pred)].append(pos)
-            if (kind, "s") in families:
-                buckets[(kind, "s", pred, subject)].append(pos)
-            if (kind, "o") in families:  # links only
-                buckets[(kind, "o", pred, fact[3])].append(pos)
-
-
-# ---------------------------------------------------------------------------
-# rule compilation
+# rule shapes
 
 # The fact kind an instance atom matches and concludes; its fields line up
-# with the atom's.
+# with the atom's, and so with the fact's columns: 1 subject, 2 predicate (the
+# class, property or feature), 3 object and 4 object-is-class (links only).
 _FACT_OF = {IsA: Membership, Link: LinkFact, HasFeature: FeatureExpected}
-
-# A step matches one antecedent atom: the tuple (key, dynamic, ops).  Its
-# ``key`` names the index bucket to read; Var entries in it are variables bound
-# by earlier atoms, filled in from the bindings when ``dynamic`` is true.  Its
-# ``ops`` test the fact columns the key leaves open: (column, name, _CONST)
-# compares with a ground name, (column, var, _CHECK) with a bound variable, and
-# (column, var, _BIND) binds a variable first met in this atom.
-_CONST, _CHECK, _BIND = range(3)
-
-
-def _part(term: Term | Iri) -> Var | Iri | None:
-    if isinstance(term, (Var, Iri)):
-        return term
-    if isinstance(term, (ClassRef, PropRef, IndividualRef)):
-        return term.iri
-    return None  # literals never match a name
-
-
-def _compile_atom(atom: Atom, bound: set[Var]) -> tuple[tuple, bool, tuple] | None:
-    """Compile ``atom`` after the atoms that bound ``bound`` (which it extends).
-
-    Returns None for an atom that no fact can match.
-    """
-    kind = _FACT_OF[type(atom)]
-    parts = [_part(t) for t in atom[1:]]  # fact columns 1, 2 and, for links, 3
-    if any(p is None for p in parts):
-        return None
-    known = [not isinstance(p, Var) or p in bound for p in parts]
-    if not known[1]:
-        key, keyed = (kind, ""), ()
-    elif known[0]:
-        key, keyed = (kind, "s", parts[1], parts[0]), (1, 2)
-    elif kind is LinkFact and known[2]:
-        key, keyed = (kind, "o", parts[1], parts[2]), (2, 3)
-    else:
-        key, keyed = (kind, "p", parts[1]), (2,)
-    ops = []
-    if kind is LinkFact and isinstance(parts[2], Var):
-        ops.append((4, False, _CONST))  # a class-flagged object binds no variable
-    for col, part in enumerate(parts, start=1):
-        if col in keyed:
-            continue
-        if not isinstance(part, Var):
-            ops.append((col, part, _CONST))
-        elif part in bound:
-            ops.append((col, part, _CHECK))
-        else:
-            ops.append((col, part, _BIND))
-            bound.add(part)
-    return key, any(isinstance(x, Var) for x in key), tuple(ops)
-
-
-def _compile_head(rule: Rule, atom: Atom, bound: set[Var]) -> tuple[type, tuple]:
-    """``(fact kind, fields)`` for a consequent atom: each field a name, a
-    variable from ``bound``, or (last, for a link) the object-is-class flag."""
-    fields: list = []
-    for term in atom[1:]:
-        part = _part(term)
-        if part is None:
-            raise ValueError(f"rule {rule.id}: cannot ground {term!r}")
-        if isinstance(part, Var) and part not in bound:
-            raise ValueError(f"rule {rule.id}: consequent variable {part.name} is unbound")
-        fields.append(part)
-    if type(atom) is Link:
-        fields.append(isinstance(atom.obj, ClassRef))
-    return _FACT_OF[type(atom)], tuple(fields)
-
 
 _SCHEMA_ATOMS = (SchemaSubClassOf, SchemaEquivalent, SolePart, MorePartsExpected)
 
+_REFS = (ClassRef, PropRef, IndividualRef)
 
-def _prepare(rule: Rule) -> tuple[str, list[tuple[tuple, bool, tuple]], list] | None:
-    """Compile ``rule`` into ``(rule id, steps, heads)``: one step per instance
-    atom of its antecedent, in order, and one head per instance atom of its
-    consequent.
+
+def _slots(terms: tuple, names: list[Iri]) -> list[Var | int | None]:
+    """``terms`` as shape parts: a variable as itself, a name (bare or in a
+    reference) as its slot, the position it is appended at in ``names``, and
+    a literal, which never matches a name, as None."""
+    parts: list[Var | int | None] = []
+    for term in terms:
+        kind = type(term)
+        if kind is Var:
+            parts.append(term)
+        elif kind is Iri or kind in _REFS:
+            parts.append(len(names))
+            names.append(term if kind is Iri else term[1])
+        else:
+            parts.append(None)
+    return parts
+
+
+def _split(rule: Rule) -> tuple[tuple, tuple[Iri, ...]] | None:
+    """``rule`` as ``(shape, names)``: rules that differ only in their names
+    share a shape, which is compiled once.
+
+    The shape is ``(body, heads)``: ``body`` lists the instance atoms of the
+    antecedent as ``(fact kind, parts)`` and ``heads`` those of the
+    consequent as ``(fact kind, parts, object-is-class)``.  Each part is a
+    variable or a slot: the position in ``names`` of the name standing there.
 
     Returns None for a rule that can derive nothing: some atom can never match
-    (e.g. a variable-bearing schema atom), or no consequent atom is
+    (a literal, or a variable-bearing schema atom), or no consequent atom is
     instance-level.  Raises ``ValueError`` naming the rule for an atom the
     engine cannot run, even if no fact would ever match the rule.
     """
-    steps = []
-    bound: set[Var] = set()
+    names: list[Iri] = []
+    body = []
     fires = True
     for atom in rule.antecedent:
-        if isinstance(atom, Not):
+        kind = _FACT_OF.get(type(atom))
+        if kind is not None:
+            parts = _slots(atom[1:], names)
+            if None in parts:
+                fires = False
+            else:
+                body.append((kind, tuple(parts)))
+        elif isinstance(atom, Not):
             raise ValueError(
                 f"rule {rule.id}: negated antecedents are only supported on "
                 "integrity-check rules"
             )
-        if type(atom) in _FACT_OF:
-            step = _compile_atom(atom, bound)
-            if step is None:
-                fires = False
-            else:
-                steps.append(step)
         elif isinstance(atom, _SCHEMA_ATOMS):
             # Ground schema atoms held at extraction time; variable-bearing
             # ones have nothing to match and silence the rule.
@@ -352,8 +277,20 @@ def _prepare(rule: Rule) -> tuple[str, list[tuple[tuple, bool, tuple]], list] | 
             raise ValueError(f"rule {rule.id}: unsupported antecedent atom {atom!r}")
     if not fires:
         return None
-    heads = [_compile_head(rule, a, bound) for a in rule.consequent if type(a) in _FACT_OF]
-    return (rule.id, steps, heads) if heads else None
+    bound = {p for _, parts in body for p in parts if isinstance(p, Var)}
+    heads = []
+    for atom in rule.consequent:
+        kind = _FACT_OF.get(type(atom))
+        if kind is None:
+            continue
+        parts = _slots(atom[1:], names)
+        for term, part in zip(atom[1:], parts):
+            if part is None:
+                raise ValueError(f"rule {rule.id}: cannot ground {term!r}")
+            if isinstance(part, Var) and part not in bound:
+                raise ValueError(f"rule {rule.id}: consequent variable {part.name} is unbound")
+        heads.append((kind, tuple(parts), kind is LinkFact and type(atom.obj) is ClassRef))
+    return ((tuple(body), tuple(heads)), tuple(names)) if heads else None
 
 
 def _prepare_constraint(rule: Rule) -> tuple[Rule, Iri, Iri]:
@@ -381,59 +318,307 @@ def _prepare_constraint(rule: Rule) -> tuple[Rule, Iri, Iri]:
 
 
 # ---------------------------------------------------------------------------
+# plans
+#
+# A binding is a tuple of variable values.  A plan evaluates a shape with one
+# antecedent atom, the pivot, matched against the facts derived in the
+# previous round (in the first round, the initial facts) and the other atoms,
+# in rule order, against every known fact; the plans of all pivots together
+# find every binding that uses a new fact.  Each step after the pivot maps the
+# set of bindings to a new set through an index of the facts its atom can
+# match, keyed by the columns its bound variables fix:
+#   _JOIN extends each binding by the values of the columns the atom binds
+#     (none, when it binds no variable needed later: then it keeps the
+#     bindings some fact matches);
+#   _CLOSE, the last step when it binds exactly one needed variable, groups
+#     the bindings by the other needed variables and unites the value sets of
+#     each group in one set operation, less the values whose head fact is
+#     already known (_CLOSE_ONE when one variable forms the group, which is
+#     then a value rather than a tuple).
+# After each step a binding keeps only the variables later steps or the heads
+# use, so bindings that differ in nothing needed are one.
+_JOIN, _CLOSE, _CLOSE_ONE = range(3)
+
+
+def _nothing(_: tuple) -> tuple:
+    return ()
+
+
+def _key_of(positions: list[int] | tuple[int, ...]):
+    """The lookup key at ``positions``: one value, a tuple of several, or ()."""
+    return itemgetter(*positions) if positions else _nothing
+
+
+def _tuple_of(positions: list[int]):
+    """The values at ``positions`` as a tuple."""
+    if len(positions) != 1:
+        return _key_of(positions)
+    (pos,) = positions
+    return lambda b: (b[pos],)
+
+
+def _vars(parts: tuple) -> set[Var]:
+    return {p for p in parts if isinstance(p, Var)}
+
+
+def _access(kind: type, parts: tuple, bound: list[Var]) -> tuple:
+    """How an atom reads a fact once the variables ``bound`` have values.
+
+    Returns ``(pred, select, keys, cols, new)``: the predicate's slot (None
+    for a variable); the filter ``select = (flag, fixed, eqs)`` -- whether
+    the fact must be a link whose object is not a class (a class-flagged
+    object binds no variable), the other ``(column, slot)`` pairs, and the
+    ``(column, column)`` pairs a repeated new variable makes equal; the
+    ``(column, position in bound)`` pairs; and the columns that bind the new
+    variables ``new``, in order.
+    """
+    pred = None
+    fixed, keys, cols, eqs, new = [], [], [], [], []
+    for col, part in enumerate(parts, start=1):
+        if not isinstance(part, Var):
+            if col == 2:
+                pred = part
+            else:
+                fixed.append((col, part))
+        elif part in bound:
+            keys.append((col, bound.index(part)))
+        elif part in new:
+            eqs.append((cols[new.index(part)], col))
+        else:
+            new.append(part)
+            cols.append(col)
+    flag = kind is LinkFact and isinstance(parts[2], Var)
+    return pred, (flag, tuple(fixed), tuple(eqs)), keys, cols, new
+
+
+def _head_index(heads: tuple, group: list[Var]) -> tuple | None:
+    """For a plan that closes on the variable its last step binds: the index
+    of the known head facts keyed by the values of ``group``, whose values
+    the step then drops before it builds any row.  None unless the shape has
+    one head, not class-flagged, that names each variable once.  Only an
+    index that a step reads anyway is used (a recursive rule such as the
+    transitive one), so dropping known values never costs an index."""
+    if len(heads) != 1:
+        return None
+    kind, parts, flag = heads[0]
+    named = [p for p in parts if isinstance(p, Var)]
+    if flag or len(named) != len(set(named)):
+        return None
+    pred, (_, fixed, eqs), keys, cols, _ = _access(kind, parts, group)
+    keys.sort(key=itemgetter(1))  # the group's order
+    # The head row's flag is False: a known class-flagged link is another fact.
+    return kind, pred, (kind is LinkFact, fixed, eqs), tuple(c for c, _ in keys), tuple(cols)
+
+
+def _compile_shape(shape: tuple) -> list[tuple]:
+    """One plan template per pivot; a body without instance atoms gets one
+    template without a pivot, whose single empty binding fires once."""
+    body, heads = shape
+    slots = sum(not isinstance(p, Var) for _, parts, *_ in body + heads for p in parts)
+    head_vars = set().union(*(_vars(parts) for _, parts, _ in heads))
+    tail = tuple(x for kind, _, flag in heads for x in (kind, flag))
+    templates = []
+    for pivot in range(len(body)) if body else (None,):
+        order = [] if pivot is None else [pivot, *(j for j in range(len(body)) if j != pivot)]
+        layout: list[Var] = []
+        scan = None
+        steps = []
+        for k, j in enumerate(order):
+            kind, parts = body[j]
+            pred, select, keys, cols, new = _access(kind, parts, layout)
+            needed = head_vars.union(*(_vars(body[i][1]) for i in order[k + 1 :]))
+            mode = seen = None  # None for the pivot
+            if k and not needed.intersection(new):
+                cols, new = [], []
+            if k:
+                mode = _CLOSE if k == len(order) - 1 and len(new) == 1 else _JOIN
+            keep = [p for p, v in enumerate(layout + new) if v in needed]
+            if mode == _CLOSE:
+                group = [p for p in keep if p < len(layout)]
+                mode = _CLOSE_ONE if len(group) == 1 else _CLOSE
+                out = _key_of(group)
+                seen = _head_index(heads, [layout[p] for p in group])
+            else:
+                out = _tuple_of(keep) if len(keep) < len(layout) + len(new) else None
+            layout = [(layout + new)[p] for p in keep]
+            if mode is None:
+                scan = (kind, pred, select, tuple(map(itemgetter, cols)), out)
+            else:
+                index = (kind, pred, select, tuple(c for c, _ in keys), tuple(cols))
+                steps.append((mode, index, _key_of([pos for _, pos in keys]), out, seen))
+        # A head row picks from ``binding + names + (kind, flag) per head``.
+        width = len(layout)
+        getters = []
+        for h, (kind, parts, _) in enumerate(heads):
+            tag = width + slots + 2 * h
+            picks = [tag] + [layout.index(p) if isinstance(p, Var) else width + p for p in parts]
+            if kind is LinkFact:
+                picks.append(tag + 1)
+            getters.append(itemgetter(*picks))
+        templates.append((scan, steps, tuple(getters), tail))
+    return templates
+
+
+class _Index:
+    """The known facts one atom can match, keyed by the columns its bound
+    variables fix: ``data[key]`` is the set of tuples of the columns it binds."""
+
+    __slots__ = ("data", "select", "key", "cols")
+
+    def __init__(self, select: tuple, key, cols: tuple) -> None:
+        self.data: dict = defaultdict(set)
+        self.select = select
+        self.key = key
+        self.cols = cols
+
+    def add(self, facts: list[Fact]) -> None:
+        facts = _select(facts, *self.select)
+        data = self.data
+        for key, values in zip(map(self.key, facts), _columns(facts, self.cols)):
+            data[key].add(values)
+
+
+def _select(facts: list[Fact], flag: bool, fixed: tuple, eqs: tuple) -> list[Fact]:
+    """The facts of one relation that an atom can match."""
+    if flag:
+        facts = [f for f in facts if not f[4]]
+    for col, name in fixed:
+        facts = [f for f in facts if f[col] == name]
+    for a, b in eqs:
+        facts = [f for f in facts if f[a] == f[b]]
+    return facts
+
+
+def _columns(facts: list[Fact], cols: tuple):
+    """Per fact, the tuple of its values in ``cols`` (itemgetters)."""
+    return zip(*[map(col, facts) for col in cols]) if cols else [()] * len(facts)
+
+
+def _named(select: tuple, names: tuple) -> tuple:
+    """``select`` with the rule's names in place of its slots."""
+    flag, fixed, eqs = select
+    return (flag, tuple((col, names[s]) for col, s in fixed), eqs) if fixed else select
+
+
+def _index(
+    spec: tuple, names: tuple, indexes: dict, watch: dict, made: bool = False
+) -> dict | None:
+    """The data of the index ``spec`` describes for a rule's ``names``, shared
+    by every step that reads the same facts by the same columns.  With
+    ``made``, only an index some step already reads, else None."""
+    kind, pred, select, keys, vals = spec
+    relation = (kind, None if pred is None else names[pred])
+    select = _named(select, names)
+    ident = (relation, select, keys, vals)
+    index = indexes.get(ident)
+    if index is None:
+        if made:
+            return None
+        index = indexes[ident] = _Index(select, _key_of(keys), tuple(map(itemgetter, vals)))
+        watch[relation].append(index)
+    return index.data
+
+
+def _bind_plan(template: tuple, names: tuple, indexes: dict, watch: dict) -> tuple:
+    """A rule's plan: ``(dispatch key, plan)``.  The dispatch key is the
+    relation ``(kind, predicate or None)`` whose new facts the pivot reads,
+    or None for a plan without a pivot."""
+    scan, steps, heads, tail = template
+    bound = []
+    for mode, spec, key, out, seen in steps:
+        data = _index(spec, names, indexes, watch)
+        if seen is not None:
+            seen = _index(seen, names, indexes, watch, made=True)
+        bound.append((mode, data, key, out, seen))
+    if scan is None:
+        return None, (None, None, None, bound, heads, names + tail)
+    kind, pred, select, cols, out = scan
+    key = (kind, None if pred is None else names[pred])
+    return key, (_named(select, names), cols, out, bound, heads, names + tail)
+
+
+def _fire(plan: tuple, delta: list[Fact]) -> set[tuple] | tuple:
+    """The head rows of one plan, its pivot matched against ``delta``."""
+    select, cols, out, steps, heads, names = plan
+    if select is None:
+        binds = {()}
+    else:
+        facts = _select(delta, *select)
+        if not facts:
+            return ()
+        binds = set(_columns(facts, cols))
+        if out is not None:
+            binds = set(map(out, binds))
+    for mode, data, key, out, seen in steps:
+        if mode == _JOIN:
+            binds = {b + v for b in binds for v in data.get(key(b), ())}
+        else:
+            groups: dict = defaultdict(set)
+            for g, values in zip(map(out, binds), map(data.get, map(key, binds))):
+                if values:
+                    groups[g] |= values
+            if seen is not None:
+                for g, values in groups.items():
+                    values.difference_update(seen.get(g, ()))
+            if mode == _CLOSE_ONE:
+                binds = {(g,) + v for g, values in groups.items() for v in values}
+            else:
+                binds = {g + v for g, values in groups.items() for v in values}
+            out = None
+        if out is not None:
+            binds = set(map(out, binds))
+        if not binds:
+            return ()
+    return {head(b + names) for head in heads for b in binds}
+
+
+# ---------------------------------------------------------------------------
 # rounds
 
 
-def _round(
-    prepared: list[tuple[str, list, list]], base: FactBase, index: _FactIndex, delta_start: int
-) -> list[tuple[Fact, str]]:
-    """Fire every rule on the bindings that use a fact at ``delta_start`` or later.
+def _canonical(item: tuple[Fact, str]) -> tuple[str, bool, str]:
+    """Order of derived facts within a round, and of violations: by text,
+    then a class-flagged link after the unflagged one that renders the same,
+    then by rule id."""
+    fact = item[0]
+    return format_fact(fact), len(fact) > 4 and fact[4], item[1]
 
-    New facts go straight into ``base`` (not into ``index``, so matching in
-    this round sees only the facts it started with) and are returned in
-    derivation order with the id of the rule that derived them first.
+
+def _absorb(facts: list[Fact], relations: dict, watch: dict, wide: set) -> dict:
+    """Add ``facts`` to the known facts by relation and to the indexes that
+    watch their relations; returns them by relation: ``(kind, predicate)``,
+    and ``(kind, None)`` for the kinds in ``wide``, which some atom reads
+    under a variable predicate."""
+    delta: dict[tuple, list[Fact]] = defaultdict(list)
+    for fact in facts:
+        delta[fact[0], fact[2]].append(fact)
+    for kind in wide:
+        delta[kind, None] = [f for (k, _), facts in list(delta.items()) if k is kind for f in facts]
+    for key, bucket in delta.items():
+        relations[key] += bucket
+        for index in watch.get(key, ()):
+            index.add(bucket)
+    return delta
+
+
+def _round(dispatch: dict, delta: dict, known: dict) -> dict[tuple, str]:
+    """Fire the plans whose pivot relation has new facts in ``delta``.
+
+    Returns the new head rows, each with the id of the first rule, in rule
+    order, that derives it in this round.
     """
-    staged: list[tuple[Fact, str]] = []
-    rows, buckets = index.rows, index.buckets
-
-    def search(
-        rule_id: str, steps: list, heads: list, i: int, pivot: int, binds: dict[Var, Iri]
-    ) -> None:
-        if i == len(steps):
-            for kind, fields in heads:
-                # Names and flags are never keys of ``binds``.  The plain tuple
-                # hashes and compares as the fact it spells.
-                row = (kind, *[binds.get(f, f) for f in fields])
-                if row not in base:
-                    fact = tuple.__new__(kind, row)
-                    base.add(fact, derived_by=rule_id)
-                    staged.append((fact, rule_id))
-            return
-        key, dynamic, ops = steps[i]
-        if dynamic:
-            key = tuple([binds.get(x, x) for x in key])
-        bucket = buckets.get(key)
-        if not bucket:
-            return
-        if i < pivot:
-            bucket = bucket[: bisect_left(bucket, delta_start)]
-        elif i == pivot:
-            bucket = bucket[bisect_left(bucket, delta_start) :]
-        for pos in bucket:
-            row = rows[pos]
-            for col, arg, op in ops:
-                if op == _BIND:
-                    binds[arg] = row[col]
-                elif row[col] != (binds[arg] if op == _CHECK else arg):
-                    break
-            else:
-                search(rule_id, steps, heads, i + 1, pivot, binds)
-
-    for rule_id, steps, heads in prepared:
-        # A rule without instance atoms has one (empty) binding: pivot -1.
-        for pivot in range(len(steps)) if steps else (-1,):
-            search(rule_id, steps, heads, 0, pivot, {})
-    return staged
+    active = [(*entry, bucket) for key, bucket in delta.items() for entry in dispatch.get(key, ())]
+    active.sort(key=itemgetter(0))
+    new: dict[tuple, str] = {}
+    for _, rule_id, plan, bucket in active:
+        rows = _fire(plan, bucket)
+        if rows:
+            # Plain tuples hash and compare as the facts they spell.
+            rows = rows.difference(known)
+            if new:
+                rows = rows.difference(new)
+            new.update(dict.fromkeys(rows, rule_id))
+    return new
 
 
 def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceResult:
@@ -444,41 +629,59 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
     if bad:
         raise NonExecutableRuleError(f"non-executable rules passed to fixpoint: {', '.join(bad)}")
 
-    positives = []
+    shapes: dict[tuple, list[tuple]] = {}
+    indexes: dict[tuple, _Index] = {}
+    watch: dict[tuple, list[_Index]] = defaultdict(list)
+    dispatch: dict[tuple | None, list[tuple]] = defaultdict(list)
     constraints = []
-    for rule in rules:
+    for position, rule in enumerate(rules):
         if any(isinstance(a, Not) for a in rule.consequent):
             constraints.append(_prepare_constraint(rule))
-        else:
-            prepared = _prepare(rule)
-            if prepared is not None:
-                positives.append(prepared)
+            continue
+        split = _split(rule)
+        if split is None:
+            continue
+        shape, names = split
+        templates = shapes.get(shape)
+        if templates is None:
+            templates = shapes[shape] = _compile_shape(shape)
+        for template in templates:
+            key, plan = _bind_plan(template, names, indexes, watch)
+            dispatch[key].append((position, rule.id, plan))
+    wide = {key[0] for key in [*dispatch, *watch] if key is not None and key[1] is None}
 
     base = initial.copy()  # FactBase.add has kept it free of contradictions
-    families = {key[:2] for _, steps, _ in positives for key, _, _ in steps}
-    if constraints:
-        families.add((LinkFact, "p"))
-    index = _FactIndex(base, families)
+    known = base._sources
+    # Rules derive no negations, so only an initial one can be contradicted.
+    negated = any(type(fact) is NegMembership for fact in known)
+    relations: dict[tuple, list[Fact]] = defaultdict(list)
+    delta = _absorb(list(known), relations, watch, wide)  # every initial fact is new
+    delta[None] = []  # plans without a pivot fire in the first round only
     derived: list[tuple[Fact, str]] = []
-    delta_start = 0  # every initial fact is new in the first round
     iterations = 0
     converged = False
     while iterations < cap:
         iterations += 1
-        staged = _round(positives, base, index, delta_start)
-        if not staged:
+        rows = _round(dispatch, delta, known)
+        if not rows:
             converged = True
             break
-        derived.extend(staged)
-        delta_start = len(index.rows)
-        index.extend(fact for fact, _ in staged)
+        staged = [(tuple.__new__(row[0], row), rule_id) for row, rule_id in rows.items()]
+        staged.sort(key=_canonical)
+        if negated:
+            for fact, rule_id in staged:
+                base._check_contradiction(fact, rule_id)
+        known.update(staged)
+        derived += staged
+        delta = _absorb([fact for fact, _ in staged], relations, watch, wide)
 
-    violations: list[tuple[Fact, str]] = []
-    for rule, prop, filler in constraints:
-        for pos in index.buckets.get((LinkFact, "p", prop), ()):
-            link = index.rows[pos]
-            if not link.obj_is_class and Membership(link.obj, filler) not in base:
-                violations.append((link, rule.id))
+    violations = [
+        (link, rule.id)
+        for rule, prop, filler in constraints
+        for link in relations.get((LinkFact, prop), ())
+        if not link[4] and (Membership, link[3], filler) not in known
+    ]
+    violations.sort(key=_canonical)
 
     return InferenceResult(
         final=base,

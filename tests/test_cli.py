@@ -7,8 +7,10 @@ while still exercising the same code path as the console script.
 
 import contextlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import CANONICAL_FILES, DATA_DIR, corpus_path, nested_subclass_chain
+from conftest import CANONICAL_FILES, DATA_DIR, corpus_path, load_model, nested_subclass_chain
 import owlrules
 from owlrules import (
     CATEGORY_ORDER,
@@ -25,7 +27,9 @@ from owlrules import (
     RuleCategory,
     extract_all,
     merge,
+    parse_fact_base,
     parse_ontology,
+    run_fixpoint,
 )
 from owlrules.cli import (
     DEFAULT_CAP,
@@ -461,7 +465,8 @@ def test_infer_contradiction_exit_code(capsys, monkeypatch):
 # Inputs and expected `infer` output live in tests/data: a 40-link chain
 # under one transitive property, and a fixture that combines the corpus's
 # intersection, subproperty, symmetric, inverse and allValuesFrom shapes.
-# The expected files pin the derivation order byte for byte.
+# The expected files pin the canonical order byte for byte: derived facts
+# round by round, sorted by text within a round; violations sorted by text.
 @pytest.mark.parametrize("name", ["chain40", "combined"])
 def test_infer_output_matches_golden_file(capsys, name):
     code, out, err = run_cli(
@@ -470,6 +475,55 @@ def test_infer_output_matches_golden_file(capsys, name):
     assert code == EXIT_OK
     assert err == ""
     assert out == (DATA_DIR / f"{name}.infer.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["chain40", "combined"])
+def test_infer_output_does_not_depend_on_the_hash_seed(name):
+    src = str(Path(owlrules.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "owlrules.cli", "infer", str(DATA_DIR / f"{name}.owl")]
+    argv += ["--facts", str(DATA_DIR / f"{name}.facts")]
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        assert done.returncode == EXIT_OK, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1] == (DATA_DIR / f"{name}.infer.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["chain40", "combined"])
+def test_infer_output_does_not_depend_on_the_fact_file_order(capsys, tmp_path, name):
+    lines = (DATA_DIR / f"{name}.facts").read_text(encoding="utf-8").splitlines(keepends=True)
+    expected = (DATA_DIR / f"{name}.infer.txt").read_text(encoding="utf-8")
+    rng = random.Random(name)
+    for turn in range(3):
+        rng.shuffle(lines)
+        shuffled = tmp_path / f"{turn}.facts"
+        shuffled.write_text("".join(lines), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "infer", str(DATA_DIR / f"{name}.owl"), "--facts", str(shuffled)
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out == expected
+
+
+def test_a_derived_contradiction_reads_the_same_whatever_the_fact_order():
+    # Both individuals are men, so the intersection rule derives isa(_, Male)
+    # and isa(_, Human) for each in the first round; two of those four facts
+    # contradict a negation.  The first in canonical order is reported.
+    model = load_model("intersection.owl")
+    rules = [r for r in extract_all(model).rules if r.executable]
+    lines = ["isa(john, Man)", "isa(tom, Man)", "not isa(tom, Human)", "not isa(john, Male)"]
+    messages = set()
+    for order in itertools.permutations(lines):
+        base, diags = parse_fact_base("\n".join(order) + "\n")
+        assert diags == []
+        with pytest.raises(ContradictionError) as exc:
+            run_fixpoint(rules, base, DEFAULT_CAP)
+        messages.add(str(exc.value))
+    assert messages == {
+        f"contradiction on (john, Male): asserted and negated (sources: initial, {rules[0].id})"
+    }
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,7 @@ from owlrules import (
 from owlrules.rules import (
     ClassRef,
     HasFeature,
+    IndividualRef,
     IsA,
     Link,
     LiteralTok,
@@ -469,6 +470,131 @@ def test_fixpoint_agrees_with_naive_saturation_on_hand_built_rules():
         assert set(result.final) == oracle_final, (rules, facts)
         assert set(result.violations) == oracle_violations, (rules, facts)
         assert result.converged
+
+
+# A naive round-by-round reference for run_fixpoint's output contract.  Each
+# round fires every rule, in list order, on every binding over the facts known
+# when the round starts; a new fact belongs to the first rule that derives it.
+# It lives here rather than in oracles.py, which the benchmark worker imports.
+
+_KIND_OF = {IsA: Membership, Link: LinkFact, HasFeature: FeatureExpected}
+
+
+def _unify(atom, fact: Fact, binds: dict) -> dict | None:
+    if type(fact) is not _KIND_OF.get(type(atom)):
+        return None
+    if isinstance(atom, Link) and isinstance(atom.obj, Var) and fact.obj_is_class:
+        return None  # a class-flagged object binds no variable
+    for term, value in zip(atom[1:], fact[1:]):
+        if isinstance(term, Var):
+            if binds.setdefault(term, value) != value:
+                return None
+        elif isinstance(term, (ClassRef, PropRef, IndividualRef)):
+            if term.iri != value:
+                return None
+        elif not (isinstance(term, Iri) and term == value):
+            return None  # a literal matches no name
+    return binds
+
+
+def _reference_heads(rule, facts: list[Fact]) -> list[Fact]:
+    atoms = []
+    for atom in rule.antecedent:
+        if isinstance(atom, (SchemaSubClassOf, SchemaEquivalent)):
+            if any(isinstance(t, Var) for t in atom[1:]):
+                return []  # a variable-bearing schema atom silences the rule
+        else:
+            atoms.append(atom)
+    bindings = [{}]
+    for atom in atoms:
+        bindings = [
+            b for old in bindings for f in facts if (b := _unify(atom, f, dict(old))) is not None
+        ]
+    heads = []
+    for b in bindings:
+        for atom in rule.consequent:
+            if type(atom) in _KIND_OF:
+                values = [b[t] if isinstance(t, Var) else getattr(t, "iri", t) for t in atom[1:]]
+                if isinstance(atom, Link):
+                    values.append(isinstance(atom.obj, ClassRef))
+                heads.append(_KIND_OF[type(atom)](*values))
+    return heads
+
+
+def _reference_run(rules, facts: list[Fact], cap: int):
+    """``(rounds, iterations, converged, violations)``: ``rounds`` holds each
+    round's new facts with their rule ids, in canonical order."""
+    known = list(facts)
+    rounds = []
+    iterations, converged = 0, False
+    while iterations < cap:
+        iterations += 1
+        start = list(known)
+        fresh: dict[Fact, str] = {}
+        for rule in rules:
+            if not any(isinstance(a, Not) for a in rule.consequent):
+                for fact in _reference_heads(rule, start):
+                    if fact not in start and fact not in fresh:
+                        fresh[fact] = rule.id
+        if not fresh:
+            converged = True
+            break
+        # By text; a class-flagged link after the unflagged one that reads the same.
+        rounds.append(sorted(fresh.items(), key=lambda fr: (format_fact(fr[0]), fr[0][-1] is True)))
+        known += fresh
+    violations = {
+        (fact, rule.id)
+        for rule in rules
+        if any(isinstance(a, Not) for a in rule.consequent)
+        for fact in known
+        if type(fact) is LinkFact
+        and fact.prop == rule.consequent[0].inner.prop.iri
+        and not fact.obj_is_class
+        and Membership(fact.obj, rule.antecedent[0].inner.cls.iri) not in known
+    }
+    return rounds, iterations, converged, violations
+
+
+def test_fixpoint_matches_the_round_by_round_reference_under_every_cap():
+    rng = random.Random(1010)
+    for case in range(600):  # 300 of each generator
+        make = random_rule_instance if case % 2 else random_instance
+        rules, facts = make(rng)
+        full = run_fixpoint(rules, FactBase(facts), CAP)
+        for cap in range(1, full.iterations + 1):
+            result = run_fixpoint(rules, FactBase(facts), cap)
+            rounds, iterations, converged, violations = _reference_run(rules, facts, cap)
+            got = (result.derived, result.iterations, result.converged, set(result.violations))
+            want = ([pair for r in rounds for pair in r], iterations, converged, violations)
+            assert got == want, (case, cap, rules, facts)
+            assert result.violations == sorted(
+                result.violations, key=lambda v: (format_fact(v[0]), v[1])
+            )
+
+
+def _round_ends(name: str) -> list[int]:
+    """How many facts the golden fixture ``name`` derives by the end of each round."""
+    model, _ = parse_ontology((DATA_DIR / f"{name}.owl").read_text(encoding="utf-8"))
+    base, _ = parse_fact_base((DATA_DIR / f"{name}.facts").read_text(encoding="utf-8"))
+    rules = _executable(model)
+    full = run_fixpoint(rules, base, CAP)
+    return [len(run_fixpoint(rules, base, cap).derived) for cap in range(1, full.iterations)]
+
+
+@pytest.mark.parametrize(
+    "name, golden",
+    [("chain40", "infer"), ("combined", "infer"), ("combined", "derivations")],
+)
+def test_golden_files_list_each_round_sorted_by_text(name, golden):
+    lines = (DATA_DIR / f"{name}.{golden}.txt").read_text(encoding="utf-8").splitlines()
+    if golden == "infer":
+        facts = lines[1 : lines.index("violations:")]
+    else:
+        facts = [line.split(" ", 1)[1] for line in lines]
+    ends = _round_ends(name)
+    assert ends[-1] == len(facts) and len(ends) > 1
+    for start, end in zip([0, *ends], ends):
+        assert facts[start:end] == sorted(facts[start:end])
 
 
 def test_adding_a_fact_never_shrinks_the_outcome():
