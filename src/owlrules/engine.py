@@ -122,17 +122,23 @@ class FeatureExpected(Fact, Value):
         return tuple.__new__(cls, (cls, individual, feature))
 
 
+# The fact-file spelling of each fact kind, read by ``format_fact`` and by
+# ``parser.parse_fact_base``: its name and the number of names it takes.  A
+# class-flagged link is written as the unflagged one.
+FACT_SYNTAX = {
+    Membership: ("isa", 2),
+    NegMembership: ("not isa", 2),
+    LinkFact: ("link", 3),
+    FeatureExpected: ("feature", 2),
+}
+
+
 def format_fact(fact: Fact) -> str:
-    kind = type(fact)
-    if kind is LinkFact:
-        return f"link({fact.subject}, {fact.prop}, {fact.obj})"
-    if kind is Membership:
-        return f"isa({fact.individual}, {fact.cls})"
-    if kind is NegMembership:
-        return f"not isa({fact.individual}, {fact.cls})"
-    if kind is FeatureExpected:
-        return f"feature({fact.individual}, {fact.feature})"
-    raise TypeError(f"unknown fact: {fact!r}")
+    syntax = FACT_SYNTAX.get(type(fact))
+    if syntax is None:
+        raise TypeError(f"unknown fact: {fact!r}")
+    name, arity = syntax
+    return f"{name}({', '.join(fact[1 : arity + 1])})"
 
 
 class FactBase:
@@ -700,9 +706,14 @@ def schema_closure(model: OntologyModel, rules: list[Rule]) -> list[SubClassOf]:
     """Least fixpoint of derived subclass axioms under the two schema shapes.
 
     ``rules`` selects which shapes participate (transitive chaining and/or
-    equivalence lifting); only those two patterns are accepted.  Returns new
-    axioms only — input edges and self-edges are never reported — sorted by
-    (sub, sup).
+    equivalence lifting); only those two patterns are accepted.  A shape
+    runs on the whole model once ``rules`` holds any rule of its pattern, and
+    not at all otherwise.  ``extract_all`` emits a transitivity rule only
+    where two given subclass axioms chain, so with its schema rules chaining
+    depends on the rest of the model: ``X⊑A, A≡B, B⊑C`` closes to ``A⊑C``
+    alone, and ``X⊑C`` follows once an unrelated ``D⊑E⊑F`` is added.
+    Returns new axioms only — input edges and self-edges are never
+    reported — sorted by (sub, sup).
     """
     allowed = {Pattern.EQUIVALENCE_INHERITANCE, Pattern.SUBCLASS_TRANSITIVITY}
     stray = [r.id for r in rules if r.pattern not in allowed]

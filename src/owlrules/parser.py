@@ -23,15 +23,7 @@ import re
 from enum import Enum
 from xml.parsers import expat
 
-from .engine import (
-    ContradictionError,
-    Fact,
-    FactBase,
-    FeatureExpected,
-    LinkFact,
-    Membership,
-    NegMembership,
-)
+from .engine import FACT_SYNTAX, ContradictionError, Fact, FactBase
 from .model import (
     AllValuesFrom,
     Axiom,
@@ -331,14 +323,11 @@ class _Interp:
         self.add_axiom_checked(el, IntersectionOf, subject, tuple(parts))
 
     def parse_class_link(self, subject: Iri, el: _Element) -> None:
-        try:
-            prop = iri(el.name)
-        except ValueError as exc:
-            self.warn(el, f"bad property element name: {exc}")
-            return
+        # An XML name is non-empty, holds no whitespace and never starts with
+        # "#", so ``iri`` accepts every element name expat passes on.
         target = self.reference(el)
         if target is not None:
-            self.add_axiom_checked(el, ClassLink, subject, prop, target)
+            self.add_axiom_checked(el, ClassLink, subject, iri(el.name), target)
 
     # -- properties
 
@@ -444,11 +433,20 @@ def parse_ontology(text: str, name: str = "<input>") -> tuple[OntologyModel, lis
 # fact files
 
 _IDENT = r"[^\s,()]+"
-_FACT_LINE = re.compile(
-    rf"(?:(?P<neg>not\s+)?isa\(\s*(?P<i_ind>{_IDENT})\s*,\s*(?P<i_cls>{_IDENT})\s*\)"
-    rf"|link\(\s*(?P<l_sub>{_IDENT})\s*,\s*(?P<l_prop>{_IDENT})\s*,\s*(?P<l_obj>{_IDENT})\s*\)"
-    rf"|feature\(\s*(?P<f_ind>{_IDENT})\s*,\s*(?P<f_feat>{_IDENT})\s*\))"
-)
+# A fact's name, with any run of whitespace between its words, and its names.
+_FACT_NAME = "|".join(r"\s+".join(name.split()) for name, _ in FACT_SYNTAX.values())
+_FACT_LINE = re.compile(rf"({_FACT_NAME})\(\s*({_IDENT}(?:\s*,\s*{_IDENT})*)\s*\)")
+_FACT_KINDS = {name: (kind, arity) for kind, (name, arity) in FACT_SYNTAX.items()}
+
+
+def _read_fact(line: str) -> Fact | None:
+    """The fact written on ``line``, or None if the line is not one."""
+    m = _FACT_LINE.fullmatch(line)
+    if m is None:
+        return None
+    kind, arity = _FACT_KINDS[" ".join(m[1].split())]
+    names = m[2].split(",")
+    return kind(*[Iri(n.strip()) for n in names]) if len(names) == arity else None
 
 
 def parse_fact_base(text: str) -> tuple[FactBase, list[ParseDiagnostic]]:
@@ -469,22 +467,14 @@ def parse_fact_base(text: str) -> tuple[FactBase, list[ParseDiagnostic]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _FACT_LINE.fullmatch(line)
-        if m is None:
+        fact = _read_fact(line)
+        if fact is None:
             diags.append(
                 ParseDiagnostic(
                     Severity.ERROR, f"malformed fact line: {line!r}", Location(lineno, 1)
                 )
             )
             continue
-        fact: Fact
-        if m.group("i_ind") is not None:
-            member = NegMembership if m.group("neg") else Membership
-            fact = member(Iri(m.group("i_ind")), Iri(m.group("i_cls")))
-        elif m.group("l_sub") is not None:
-            fact = LinkFact(Iri(m.group("l_sub")), Iri(m.group("l_prop")), Iri(m.group("l_obj")))
-        else:
-            fact = FeatureExpected(Iri(m.group("f_ind")), Iri(m.group("f_feat")))
         try:
             base.add(fact)
         except ContradictionError as exc:

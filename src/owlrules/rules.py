@@ -278,43 +278,63 @@ def make_rule(
 
 
 # ---------------------------------------------------------------------------
+# spelling: one table per family, read by the text writer and by the
+# structured writer and reader.  A term kind maps to its JSON key and the type
+# of its value; an atom kind to its JSON "kind" name, the JSON keys of its
+# fields in field order, and its text form.  ``Not`` nests an atom, and
+# ``HasFeature``'s feature is a bare name, written in JSON as a "prop" term.
+
+_TERMS = {
+    Var: ("var", str),
+    ClassRef: ("class", Iri),
+    PropRef: ("prop", Iri),
+    IndividualRef: ("individual", Iri),
+    LiteralTok: ("literal", str),
+}
+
+_ATOMS = {
+    IsA: ("isa", ("subject", "class"),
+          lambda a: f"{render_term(a.cls)}({render_term(a.subject)})"),
+    Link: ("link", ("subject", "prop", "object"),
+           lambda a: f"({render_term(a.subject)} {render_term(a.prop)} {render_term(a.obj)})"),
+    SchemaSubClassOf: ("subclass", ("sub", "sup"),
+                       lambda a: f"subClassOf({render_term(a.sub)},{render_term(a.sup)})"),
+    HasFeature: ("feature", ("subject", "feature"),
+                 lambda a: f"hasFeature({render_term(a.subject)},{a.feature})"),
+    Not: ("not", ("inner",), lambda a: f"not {render_atom(a.inner)}"),
+    SchemaEquivalent: ("equivalent", ("a", "b"),
+                       lambda a: f"equivalent({render_term(a.a)},{render_term(a.b)})"),
+    SolePart: ("sole-part", ("part", "whole"),
+               lambda a: f"solePart({render_term(a.part)},{render_term(a.whole)})"),
+    MorePartsExpected: ("more-parts", ("whole",),
+                        lambda a: f"morePartsExpected({render_term(a.whole)})"),
+}
+
+
+# ---------------------------------------------------------------------------
 # text rendering
 
 
 def render_term(term: Term) -> str:
     kind = type(term)
-    if kind is Var:
-        return term.name
-    if kind is ClassRef or kind is PropRef or kind is IndividualRef:
-        return str(term.iri)
-    if kind is LiteralTok:
-        return f'"{term.text}"'
-    raise TypeError(f"unknown term: {term!r}")
+    if kind not in _TERMS:
+        raise TypeError(f"unknown term: {term!r}")
+    return f'"{term[1]}"' if kind is LiteralTok else str(term[1])
 
 
 def render_atom(atom: Atom) -> str:
-    kind = type(atom)
-    if kind is IsA:
-        return f"{render_term(atom.cls)}({render_term(atom.subject)})"
-    if kind is Link:
-        return f"({render_term(atom.subject)} {render_term(atom.prop)} {render_term(atom.obj)})"
-    if kind is SchemaSubClassOf:
-        return f"subClassOf({render_term(atom.sub)},{render_term(atom.sup)})"
-    if kind is HasFeature:
-        return f"hasFeature({render_term(atom.subject)},{atom.feature})"
-    if kind is Not:
-        return f"not {render_atom(atom.inner)}"
-    if kind is SchemaEquivalent:
-        return f"equivalent({render_term(atom.a)},{render_term(atom.b)})"
-    if kind is SolePart:
-        return f"solePart({render_term(atom.part)},{render_term(atom.whole)})"
-    if kind is MorePartsExpected:
-        return f"morePartsExpected({render_term(atom.whole)})"
-    raise TypeError(f"unknown atom: {atom!r}")
+    if type(atom) not in _ATOMS:
+        raise TypeError(f"unknown atom: {atom!r}")
+    return _ATOMS[type(atom)][2](atom)
 
 
 def _clause(atoms: tuple[Atom, ...]) -> str:
-    return " and ".join(render_atom(a) for a in atoms)
+    # The text forms are called straight from the table; on an unknown atom,
+    # render_atom raises the error.
+    try:
+        return " and ".join([_ATOMS[type(a)][2](a) for a in atoms])
+    except KeyError:
+        return " and ".join(map(render_atom, atoms))
 
 
 def render_text(rule: Rule) -> str:
@@ -326,8 +346,8 @@ def render_text(rule: Rule) -> str:
 # structured (JSON) rendering
 #
 # Any ``indent`` makes ``json.dumps`` leave its C encoder, so each fragment is
-# written at its known indentation.  Key names and their order are spelled
-# here only; the readers below mirror them.
+# written at its known indentation.  Rule and provenance keys are spelled here
+# only, and the readers below mirror them; atom and term keys are the tables'.
 
 STRUCTURED_VERSION = 1
 
@@ -348,49 +368,23 @@ def _strings_json(values: tuple[str, ...], ind: str) -> str:
 
 def _term_json(term: Term, ind: str) -> str:
     """A term object whose closing brace sits at indentation ``ind``."""
-    kind = type(term)
-    if kind is Var:
-        key, value = "var", term.name
-    elif kind is ClassRef:
-        key, value = "class", term.iri
-    elif kind is PropRef:
-        key, value = "prop", term.iri
-    elif kind is IndividualRef:
-        key, value = "individual", term.iri
-    elif kind is LiteralTok:
-        key, value = "literal", term.text
-    else:
+    spelling = _TERMS.get(type(term))
+    if spelling is None:
         raise TypeError(f"unknown term: {term!r}")
-    return f'{{\n{ind}  "{key}": {_json_str(value)}\n{ind}}}'
+    return f'{{\n{ind}  "{spelling[0]}": {_json_str(term[1])}\n{ind}}}'
 
 
 def _atom_json(atom: Atom, ind: str) -> str:
     """An atom object whose closing brace sits at indentation ``ind``."""
     inner = ind + "  "
     kind = type(atom)
-    if kind is IsA:
-        name, fields = "isa", (("subject", atom.subject), ("class", atom.cls))
-    elif kind is Link:
-        name = "link"
-        fields = (("subject", atom.subject), ("prop", atom.prop), ("object", atom.obj))
-    elif kind is SchemaSubClassOf:
-        name, fields = "subclass", (("sub", atom.sub), ("sup", atom.sup))
-    elif kind is HasFeature:
-        name = "feature"
-        fields = (("subject", atom.subject), ("feature", PropRef(atom.feature)))
-    elif kind is Not:
-        negated = _atom_json(atom.inner, inner)
-        return f'{{\n{inner}"kind": "not",\n{inner}"inner": {negated}\n{ind}}}'
-    elif kind is SchemaEquivalent:
-        name, fields = "equivalent", (("a", atom.a), ("b", atom.b))
-    elif kind is SolePart:
-        name, fields = "sole-part", (("part", atom.part), ("whole", atom.whole))
-    elif kind is MorePartsExpected:
-        name, fields = "more-parts", (("whole", atom.whole),)
-    else:
+    spelling = _ATOMS.get(kind)
+    if spelling is None:
         raise TypeError(f"unknown atom: {atom!r}")
-    body = "".join(f',\n{inner}"{key}": {_term_json(t, inner)}' for key, t in fields)
-    return f'{{\n{inner}"kind": "{name}"{body}\n{ind}}}'
+    write = _atom_json if kind is Not else _term_json
+    values = (atom.subject, PropRef(atom.feature)) if kind is HasFeature else atom[1:]
+    body = "".join([f',\n{inner}"{key}": {write(v, inner)}' for key, v in zip(spelling[1], values)])
+    return f'{{\n{inner}"kind": "{spelling[0]}"{body}\n{ind}}}'
 
 
 def _atoms_json(atoms: tuple[Atom, ...], ind: str) -> str:
@@ -434,53 +428,33 @@ def render_structured(rules: list[Rule] | tuple[Rule, ...], source: tuple[str, .
     )
 
 
+_TERM_OF_KEY = {key: (kind, value_type) for kind, (key, value_type) in _TERMS.items()}
+_ATOM_OF_NAME = {name: (kind, keys) for kind, (name, keys, _) in _ATOMS.items()}
+
+
 def _obj_to_term(obj: dict) -> Term:
-    if len(obj) != 1:
-        raise ValueError(f"bad term object: {obj!r}")
-    key, value = next(iter(obj.items()))
-    if not isinstance(value, str):
-        raise ValueError(f"bad term object: {obj!r}")
-    match key:
-        case "var":
-            return Var(value)
-        case "class":
-            return ClassRef(Iri(value))
-        case "prop":
-            return PropRef(Iri(value))
-        case "individual":
-            return IndividualRef(Iri(value))
-        case "literal":
-            return LiteralTok(value)
+    if len(obj) == 1:
+        ((key, value),) = obj.items()
+        spelling = _TERM_OF_KEY.get(key)
+        if spelling is not None and isinstance(value, str):
+            return spelling[0](spelling[1](value))
     raise ValueError(f"bad term object: {obj!r}")
 
 
 def _obj_to_atom(obj: dict) -> Atom:
-    kind = obj.get("kind")
-    match kind:
-        case "isa":
-            return IsA(_obj_to_term(obj["subject"]), _obj_to_term(obj["class"]))
-        case "link":
-            return Link(
-                _obj_to_term(obj["subject"]),
-                _obj_to_term(obj["prop"]),
-                _obj_to_term(obj["object"]),
-            )
-        case "feature":
-            feature = _obj_to_term(obj["feature"])
-            if not isinstance(feature, PropRef):
-                raise ValueError(f"feature must be a prop term: {obj!r}")
-            return HasFeature(_obj_to_term(obj["subject"]), feature.iri)
-        case "not":
-            return Not(_obj_to_atom(obj["inner"]))
-        case "subclass":
-            return SchemaSubClassOf(_obj_to_term(obj["sub"]), _obj_to_term(obj["sup"]))
-        case "equivalent":
-            return SchemaEquivalent(_obj_to_term(obj["a"]), _obj_to_term(obj["b"]))
-        case "sole-part":
-            return SolePart(_obj_to_term(obj["part"]), _obj_to_term(obj["whole"]))
-        case "more-parts":
-            return MorePartsExpected(_obj_to_term(obj["whole"]))
-    raise ValueError(f"bad atom object: {obj!r}")
+    name = obj.get("kind")
+    spelling = _ATOM_OF_NAME.get(name) if isinstance(name, str) else None
+    if spelling is None:
+        raise ValueError(f"bad atom object: {obj!r}")
+    kind, keys = spelling
+    if kind is HasFeature:
+        subject_key, feature_key = keys
+        feature = _obj_to_term(obj[feature_key])
+        if not isinstance(feature, PropRef):
+            raise ValueError(f"feature must be a prop term: {obj!r}")
+        return HasFeature(_obj_to_term(obj[subject_key]), feature.iri)
+    read = _obj_to_atom if kind is Not else _obj_to_term
+    return kind(*[read(obj[key]) for key in keys])
 
 
 def parse_structured(text: str) -> tuple[list[Rule], list[str]]:

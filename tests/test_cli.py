@@ -247,6 +247,15 @@ def test_classify_empty_file_all_zeroes(capsys):
     assert out.splitlines() == [f"{c.value}: 0" for c in CATEGORY_ORDER]
 
 
+def test_classify_unparsable_file_exits_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.owl"
+    bad.write_text("<rdf:RDF>\n<owl:Class rdf:ID='A'>\n</rdf:RDF>\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(bad))
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.startswith(f"ERROR {bad}:3:3 malformed XML: mismatched tag")
+
+
 def test_classify_merged_corpus_matches_library_tally(capsys):
     """Counts over the merged corpus agree with a direct library recount.
 

@@ -389,6 +389,16 @@ def test_an_unsupported_integrity_check_shape_is_rejected():
         run_fixpoint([rule], FactBase(), CAP)
 
 
+def test_a_schema_consequent_beside_an_instance_consequent_is_skipped():
+    a, b = ClassRef(Iri("A")), ClassRef(Iri("B"))
+    rule = make_rule(
+        Pattern.INTERSECTION, [IsA(VX, a)], [IsA(VX, b), SchemaSubClassOf(a, b)]
+    )
+    result = run_fixpoint([rule], FactBase([Membership(Iri("i"), Iri("A"))]), CAP)
+    assert result.derived == [(Membership(Iri("i"), Iri("B")), rule.id)]
+    assert result.violations == [] and result.converged
+
+
 def test_a_literal_in_an_antecedent_silences_the_rule():
     # The literal spells a name the facts use, and still matches nothing.
     rule = _positive(
@@ -659,6 +669,28 @@ def test_schema_closure_joint_fixpoint_interleaves_both_shapes():
     assert {(ax.sub, ax.sup) for ax in derived} == expected
     # the interleaved result must include the lift of the derived (B,D) edge
     assert SubClassOf(Iri("A"), Iri("D")) in derived
+
+
+def test_schema_closure_chains_only_when_a_transitivity_rule_is_given():
+    # Each shape runs only when ``rules`` holds a rule of its pattern, and
+    # extract_all emits a transitivity rule only for a chain of two given
+    # subclass axioms: here, only once the unrelated D < E < F is added.
+    def closure(*extra: tuple[str, str]) -> list[SubClassOf]:
+        b = ModelBuilder()
+        b.add_axiom(SubClassOf(Iri("X"), Iri("A")))
+        b.add_axiom(EquivalentClass(Iri("A"), Iri("B")))
+        for sub, sup in (("B", "C"), *extra):
+            b.add_axiom(SubClassOf(Iri(sub), Iri(sup)))
+        model = b.build()
+        schema = (Pattern.SUBCLASS_TRANSITIVITY, Pattern.EQUIVALENCE_INHERITANCE)
+        return schema_closure(model, [r for r in extract_all(model).rules if r.pattern in schema])
+
+    assert closure() == [SubClassOf(Iri("A"), Iri("C"))]
+    assert closure(("D", "E"), ("E", "F")) == [
+        SubClassOf(Iri("A"), Iri("C")),
+        SubClassOf(Iri("D"), Iri("F")),
+        SubClassOf(Iri("X"), Iri("C")),
+    ]
 
 
 def test_schema_closure_matches_warshall_on_random_dags():

@@ -9,6 +9,7 @@ from conftest import CANONICAL_FILES, DATA_DIR, FRAGMENTS, load_model
 from oracles import expected_pattern_counts, pair_chain_rule_ids, random_model
 
 from owlrules import (
+    ClassLink,
     EquivalentClass,
     IntersectionOf,
     InverseOf,
@@ -177,6 +178,17 @@ def test_transitive_without_class_links_emits_only_the_variable_form():
     rules = extract_transitive(b.build())
     assert [render_text(r) for r in rules] == [
         "IF (?x ancestorOf ?y) and (?y ancestorOf ?z) THEN (?x ancestorOf ?z)"
+    ]
+
+
+def test_transitive_class_links_on_a_two_cycle_chain_no_class_to_itself():
+    b = ModelBuilder()
+    b.declare_property(PropertyDecl(Iri("p"), PropertyKind.TRANSITIVE))
+    for sub, obj in (("A", "B"), ("B", "A"), ("B", "C")):
+        b.add_axiom(ClassLink(Iri(sub), Iri("p"), Iri(obj)))
+    assert [render_text(r) for r in extract_transitive(b.build())] == [
+        "IF (?x p ?y) and (?y p ?z) THEN (?x p ?z)",
+        "IF (A p B) and (B p C) THEN (A p C)",
     ]
 
 

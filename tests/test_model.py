@@ -348,6 +348,18 @@ def test_merge_domain_conflict_takes_lexicographic_min_and_warns():
     assert merge([b1.build()]).notes == ()
 
 
+def test_merge_takes_a_domain_only_the_later_model_declares_without_a_note():
+    b1 = ModelBuilder()
+    b1.declare_property(PropertyDecl(Iri("p"), PropertyKind.OBJECT, range=Iri("R")))
+    b2 = ModelBuilder()
+    b2.declare_property(PropertyDecl(Iri("p"), PropertyKind.OBJECT, domain=Iri("D")))
+    merged = merge([b1.build(), b2.build()])
+    assert merged.property(Iri("p")) == PropertyDecl(
+        Iri("p"), PropertyKind.OBJECT, domain=Iri("D"), range=Iri("R")
+    )
+    assert merged.notes == ()
+
+
 def test_merge_is_commutative_and_associative():
     b1 = ModelBuilder()
     b1.add_axiom(SubClassOf(Iri("A"), Iri("B")))

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 from conftest import FRAGMENTS, load_model, load_with_diagnostics, nested_subclass_chain
+from oracles import random_instance
 
 from owlrules import (
     AllValuesFrom,
     ClassLink,
     ContradictionError,
     EquivalentClass,
+    FactBase,
+    FeatureExpected,
     IntersectionOf,
     InverseOf,
     Iri,
@@ -24,6 +30,7 @@ from owlrules import (
     has_errors,
     parse_fact_base,
     parse_ontology,
+    run_fixpoint,
 )
 from owlrules.parser import Location, Severity
 
@@ -207,6 +214,140 @@ def test_an_ontology_with_a_byte_order_mark_parses_as_without(text):
     assert parse_ontology("\ufeff" + text, "x.owl") == (model, diags)
 
 
+def _diagnostic_lines(body: str) -> list[str]:
+    """The formatted diagnostics of ``body`` read inside an ``rdf:RDF`` root,
+    which starts on line 1, so ``body`` starts on line 2."""
+    _, diags = parse_ontology(f"<rdf:RDF>\n{body}\n</rdf:RDF>\n", "x.owl")
+    return [format_diagnostic(d, "x.owl") for d in diags]
+
+
+_CONSTRUCT_DIAGNOSTICS = {
+    "bad-id": (
+        '<owl:Class rdf:ID="#"/>',
+        ["ERROR x.owl:2:1 bad identifier on owl:Class: IRI must be non-empty"],
+    ),
+    "bad-resource": (
+        '<owl:Class rdf:ID="A">\n  <rdfs:subClassOf rdf:resource="a b"/>\n</owl:Class>',
+        ["ERROR x.owl:3:3 bad reference on rdfs:subClassOf: IRI contains whitespace: 'a b'"],
+    ),
+    "reference-without-target": (
+        '<owl:Class rdf:ID="A">\n  <owl:equivalentClass>\n    <owl:Restriction/>\n'
+        "  </owl:equivalentClass>\n</owl:Class>",
+        [
+            "WARNING x.owl:3:3 owl:equivalentClass has no rdf:resource and no nested "
+            "declaration; skipped"
+        ],
+    ),
+    "self-subclass": (
+        '<owl:Class rdf:ID="A">\n  <rdfs:subClassOf rdf:resource="#A"/>\n</owl:Class>',
+        ["WARNING x.owl:3:3 axiom skipped: SubClassOf may not relate A to itself"],
+    ),
+    "intersection-without-collection": (
+        '<owl:Class rdf:ID="A">\n  <owl:intersectionOf>\n    <owl:Class rdf:about="#B"/>\n'
+        "  </owl:intersectionOf>\n</owl:Class>",
+        ['WARNING x.owl:3:3 owl:intersectionOf without rdf:parseType="Collection"; skipped'],
+    ),
+    "intersection-with-a-restriction": (
+        '<owl:Class rdf:ID="A">\n  <owl:intersectionOf rdf:parseType="Collection">\n'
+        '    <owl:Class rdf:about="#B"/>\n    <owl:Restriction/>\n'
+        '    <owl:Class rdf:about="#C"/>\n  </owl:intersectionOf>\n</owl:Class>',
+        ["WARNING x.owl:5:5 unexpected owl:Restriction in intersection listing; skipped"],
+    ),
+    "intersection-of-one": (
+        '<owl:Class rdf:ID="A">\n  <owl:intersectionOf rdf:parseType="Collection">\n'
+        '    <owl:Class rdf:about="#B"/>\n  </owl:intersectionOf>\n</owl:Class>',
+        ["WARNING x.owl:3:3 intersection listing needs at least two classes; skipped"],
+    ),
+    "property-without-id": (
+        '<owl:ObjectProperty>\n  <rdfs:domain rdf:resource="#A"/>\n</owl:ObjectProperty>',
+        ["ERROR x.owl:2:1 owl:ObjectProperty has neither rdf:ID nor rdf:about"],
+    ),
+    "property-with-two-ranges": (
+        '<owl:ObjectProperty rdf:ID="p">\n  <rdfs:range rdf:resource="#A"/>\n'
+        '  <rdfs:range rdf:resource="#B"/>\n</owl:ObjectProperty>',
+        ["WARNING x.owl:4:3 property p has multiple ranges; keeping the first (A)"],
+    ),
+    "property-children": (
+        '<owl:ObjectProperty rdf:ID="p">\n  <owl:bogus/>\n  <hasPart rdf:resource="#B"/>\n'
+        "</owl:ObjectProperty>",
+        [
+            "WARNING x.owl:3:3 unknown element owl:bogus in property context; skipped",
+            "WARNING x.owl:4:3 unexpected element hasPart in property context; skipped",
+        ],
+    ),
+    "property-redeclared": (
+        '<owl:ObjectProperty rdf:ID="p"/>\n<owl:TransitiveProperty rdf:ID="p"/>',
+        ["WARNING x.owl:3:1 property p re-declared as transitive; keeping object"],
+    ),
+    "datatype-range-without-resource": (
+        '<owl:DatatypeProperty rdf:ID="d">\n  <rdfs:range>\n    <owl:Class rdf:ID="C"/>\n'
+        "  </rdfs:range>\n</owl:DatatypeProperty>",
+        ["WARNING x.owl:3:3 rdfs:range on a datatype property needs rdf:resource; skipped"],
+    ),
+    "datatype-range-bad-token": (
+        '<owl:DatatypeProperty rdf:ID="d">\n  <rdfs:range rdf:resource="#"/>\n'
+        "</owl:DatatypeProperty>",
+        ["ERROR x.owl:3:3 bad range token: IRI must be non-empty"],
+    ),
+    "restriction-unknown-child": (
+        '<owl:Restriction>\n  <owl:onProperty rdf:resource="#p"/>\n'
+        '  <owl:someValuesFrom rdf:resource="#B"/>\n  <owl:allValuesFrom rdf:resource="#C"/>\n'
+        "</owl:Restriction>",
+        ["WARNING x.owl:4:3 unknown element owl:someValuesFrom in restriction; skipped"],
+    ),
+    "restriction-incomplete": (
+        '<owl:Restriction>\n  <owl:onProperty rdf:resource="#p"/>\n</owl:Restriction>',
+        ["WARNING x.owl:2:1 restriction without owl:onProperty and owl:allValuesFrom; skipped"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCT_DIAGNOSTICS))
+def test_each_skipped_construct_has_its_located_diagnostic(name):
+    body, expected = _CONSTRUCT_DIAGNOSTICS[name]
+    assert _diagnostic_lines(body) == expected
+
+
+def test_a_nested_property_declaration_used_as_a_reference_is_declared_and_linked():
+    body = (
+        '<owl:Class rdf:ID="A">\n  <owl:equivalentClass>\n'
+        '    <owl:ObjectProperty rdf:ID="p"/>\n  </owl:equivalentClass>\n</owl:Class>'
+    )
+    model, diags = parse_ontology(body, "x.owl")
+    assert diags == []
+    assert model.property(Iri("p")) == PropertyDecl(Iri("p"), PropertyKind.OBJECT)
+    assert model.axioms == (EquivalentClass(Iri("A"), Iri("p")),)
+
+
+@pytest.mark.parametrize("prolog", ["<!-- a comment -->\n", "<!DOCTYPE rdf:RDF>\n"])
+def test_a_comment_or_doctype_before_the_root_keeps_the_root(prolog):
+    text = f'{prolog}<rdf:RDF>\n<owl:Class rdf:ID="A">\n  <owl:bogus/>\n</owl:Class>\n</rdf:RDF>\n'
+    model, diags = parse_ontology(text, "x.owl")
+    assert [format_diagnostic(d, "x.owl") for d in diags] == [
+        "WARNING x.owl:4:3 unknown element owl:bogus in class context; skipped"
+    ]
+    assert model.classes == (Iri("A"),)
+
+
+def test_whitespace_in_a_custom_element_name_is_malformed_xml():
+    # expat ends every such name before parse_class_link could read it.
+    whitespace = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+    assert len(whitespace) == 29
+    for ch in whitespace:
+        for name in (f"has{ch}Part", f"{ch}hasPart"):
+            text = (
+                f'<rdf:RDF>\n<owl:Class rdf:ID="A">\n  <{name} rdf:resource="#B"/>\n'
+                "</owl:Class>\n</rdf:RDF>\n"
+            )
+            model, diags = parse_ontology(text, "x.owl")
+            # A line break in the name may move the error to the next line.
+            lines = (3, 4) if ch in "\n\r" else (3,)
+            assert [d.severity for d in diags] == [Severity.ERROR], repr(ch)
+            assert diags[0].location.line in lines, repr(ch)
+            assert diags[0].message.startswith("malformed XML: "), repr(ch)
+            assert model.axioms == ()
+
+
 def test_format_diagnostic_layout():
     _, diags = parse_ontology("<owl:Class rdf:ID='A'>", "file.owl")
     line = format_diagnostic(diags[0], "file.owl")
@@ -302,6 +443,32 @@ def test_feature_fact_parses():
     assert diags == []
     only = base.facts[0]
     assert format_fact(only) == "feature(car1, Engine)"
+
+
+@pytest.mark.parametrize(
+    "line", ["link(a, p)", "isa(a, B, c)", "not link(a, p, b)", "not feature(a, F)", "feature(a)"]
+)
+def test_a_fact_of_the_wrong_arity_or_negation_is_malformed(line):
+    base, diags = parse_fact_base(f"isa(a, B)\n  {line}\n")
+    assert base.facts == (Membership(Iri("a"), Iri("B")),)
+    assert [format_diagnostic(d, "f.facts") for d in diags] == [
+        f"ERROR f.facts:2:1 malformed fact line: {line!r}"
+    ]
+
+
+def test_every_unflagged_fact_reads_back_from_its_line():
+    kinds = set()
+    for seed in range(60):
+        rules, facts = random_instance(random.Random(seed))
+        final = run_fixpoint(rules, FactBase(facts), cap=1000).final
+        negations = [NegMembership(f.individual, f.cls) for f in final if type(f) is Membership]
+        for fact in [*final, *negations]:
+            if type(fact) is LinkFact and fact.obj_is_class:
+                continue
+            base, diags = parse_fact_base(format_fact(fact) + "\n")
+            assert (base.facts, diags) == ((fact,), [])
+            kinds.add(type(fact))
+    assert kinds == {Membership, NegMembership, LinkFact, FeatureExpected}
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,12 @@ def _malformed_documents() -> dict[str, str]:
         "literal-number": {**rule, "if": [{**isa, "subject": {"literal": 5}}]},
         "pattern-list": {**rule, "pattern": []},
         "wrong-id": {**rule, "id": "cooccurrence-0000000000"},
+        "term-unknown-key": {**rule, "if": [{**isa, "subject": {"individual-ish": "x"}}]},
+        "atom-unknown-kind": {**rule, "if": [{**isa, "kind": "member"}]},
+        "feature-class-term": {
+            **rule,
+            "if": [{"kind": "feature", "subject": {"var": "?x"}, "feature": {"class": "F"}}],
+        },
     }
     docs |= {name: {**good, "rules": [bad]} for name, bad in bad_rules.items()}
     return {"array": "[]", "string": '"rules"', "truncated": "{"} | {
@@ -344,11 +350,19 @@ def _malformed_documents() -> dict[str, str]:
 
 _MALFORMED = _malformed_documents()
 
+# The start of the message for the documents that name an unknown kind.
+_UNKNOWN_KIND_MESSAGES = {
+    "term-unknown-key": "bad term object: {'individual-ish': 'x'}",
+    "atom-unknown-kind": "bad atom object: {'kind': 'member', ",
+    "feature-class-term": "feature must be a prop term: {'kind': 'feature', ",
+}
+
 
 @pytest.mark.parametrize("name", list(_MALFORMED))
 def test_parse_structured_rejects_malformed_documents_with_value_error(name):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         parse_structured(_MALFORMED[name])
+    assert str(exc.value).startswith(_UNKNOWN_KIND_MESSAGES.get(name, ""))
 
 
 def test_structured_output_ends_with_newline():
@@ -461,6 +475,32 @@ def test_structured_writer_matches_the_stdlib_encoder(seed):
     assert render_structured(rules, source=source) == expected
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_structured_documents_read_back_as_the_rules_written(seed):
+    rng = random.Random(500 + seed)
+    rules = _random_rules(rng, rng.randint(0, 12))
+    source = tuple(_text(rng) for _ in range(rng.randint(0, 3)))
+    # The writer sorts the rules by id, and each list of strings as a set.
+    expected = [
+        Rule(
+            r.id,
+            r.antecedent,
+            r.consequent,
+            r.pattern,
+            Provenance(
+                tuple(sorted(set(r.provenance.sources))),
+                tuple(sorted(set(r.provenance.trigger_axioms))),
+                r.provenance.display_form,
+            ),
+        )
+        for r in sorted(rules, key=lambda r: r.id)
+    ]
+    assert parse_structured(render_structured(rules, source=source)) == (
+        expected,
+        sorted(set(source)),
+    )
+
+
 def test_structured_writer_matches_on_empty_lists():
     empty = '{\n  "version": 1,\n  "source": [],\n  "rules": []\n}\n'
     assert render_structured([]) == json_dumps_structured([]) == empty
@@ -527,6 +567,8 @@ def test_unknown_terms_and_atoms_are_type_errors():
     with pytest.raises(TypeError, match="unknown atom"):
         render_atom(Not(Atom()))
     ok = IsA(VX, ClassRef(Iri("A")))
+    with pytest.raises(TypeError, match="unknown atom"):
+        make_rule(Pattern.SYMMETRIC, [ok, Atom()], [ok])
     for bad in (Atom(), IsA(VX, Term())):
         rule = Rule("x", (bad,), (ok,), Pattern.SYMMETRIC, Provenance())
         with pytest.raises(TypeError, match="unknown"):
