@@ -89,17 +89,10 @@ class Membership(Fact, Value):
     __slots__ = ()
     __match_args__ = ("individual", "cls")
 
-    # ``kind``, not ``cls``: the class field takes that name as a keyword.
-    def __new__(kind, individual: Iri, cls: Iri) -> "Membership":
-        return tuple.__new__(kind, (kind, individual, cls))
-
 
 class NegMembership(Fact, Value):
     __slots__ = ()
     __match_args__ = ("individual", "cls")
-
-    def __new__(kind, individual: Iri, cls: Iri) -> "NegMembership":
-        return tuple.__new__(kind, (kind, individual, cls))
 
 
 class LinkFact(Fact, Value):
@@ -117,9 +110,6 @@ class LinkFact(Fact, Value):
 class FeatureExpected(Fact, Value):
     __slots__ = ()
     __match_args__ = ("individual", "feature")
-
-    def __new__(cls, individual: Iri, feature: Iri) -> "FeatureExpected":
-        return tuple.__new__(cls, (cls, individual, feature))
 
 
 # The fact-file spelling of each fact kind, read by ``format_fact`` and by

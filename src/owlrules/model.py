@@ -30,19 +30,28 @@ class Value(tuple):
     it was built as (or, for an implicit :class:`PropertyDecl`, the class it
     stands for), so hashing and equality are the tuple's, in C, and values of
     different kinds never compare equal.  Each subclass declares
-    ``__slots__ = ()`` (no instance dict), names its fields in order in
-    ``__match_args__`` -- each becomes a read-only attribute, unless the class
-    defines that name itself -- and builds the tuple in ``__new__``, checking
-    its arguments there.  ``repr`` and pickling read the fields by name.
+    ``__slots__ = ()`` (no instance dict) and names its fields in order in
+    ``__match_args__``.  Each field becomes a read-only attribute, unless the
+    class defines that name itself.  A class that defines no ``__new__`` gets
+    one that takes the fields, by position or by name, and packs them; a class
+    writes its own only to check or default its fields.  ``repr`` and pickling
+    read the fields by name.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        for index, name in enumerate(cls.__dict__.get("__match_args__", ()), start=1):
+        fields = cls.__dict__.get("__match_args__", ())
+        for index, name in enumerate(fields, start=1):
             if name not in cls.__dict__:
                 setattr(cls, name, _tuplegetter(index, None))
+        if fields and "__new__" not in cls.__dict__:
+            # eval, as collections.namedtuple does, so that the parameters are the fields.
+            args = ", ".join(fields)
+            new = eval(f"lambda _cls, {args}: _new(_cls, (_cls, {args}))", {"_new": tuple.__new__})
+            new.__qualname__ = f"{cls.__qualname__}.__new__"
+            cls.__new__ = staticmethod(new)
 
     def __repr__(self) -> str:
         return fields_repr(self[0].__name__, self, self.__match_args__)
@@ -154,8 +163,9 @@ class Axiom:
 
     __slots__ = ()
 
-    def describe(self) -> str:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def describe(self) -> str:
+        """``Kind(field,...)``, the text rules cite as their trigger axioms."""
+        return f"{self[0].__name__}({','.join(self[1:])})"
 
 
 def _require_distinct(a: Iri, b: Iri, what: str) -> None:
@@ -171,9 +181,6 @@ class SubClassOf(Axiom, Value):
         _require_distinct(sub, sup, "SubClassOf")
         return tuple.__new__(cls, (cls, sub, sup))
 
-    def describe(self) -> str:
-        return f"SubClassOf({self.sub},{self.sup})"
-
 
 class EquivalentClass(Axiom, Value):
     """Unordered equivalence, stored with the lexicographically smaller Iri first."""
@@ -185,9 +192,6 @@ class EquivalentClass(Axiom, Value):
         _require_distinct(a, b, "EquivalentClass")
         return tuple.__new__(cls, (cls, b, a) if b < a else (cls, a, b))
 
-    def describe(self) -> str:
-        return f"EquivalentClass({self.a},{self.b})"
-
 
 class SubPropertyOf(Axiom, Value):
     __slots__ = ()
@@ -196,9 +200,6 @@ class SubPropertyOf(Axiom, Value):
     def __new__(cls, sub: Iri, sup: Iri) -> "SubPropertyOf":
         _require_distinct(sub, sup, "SubPropertyOf")
         return tuple.__new__(cls, (cls, sub, sup))
-
-    def describe(self) -> str:
-        return f"SubPropertyOf({self.sub},{self.sup})"
 
 
 class InverseOf(Axiom, Value):
@@ -209,21 +210,12 @@ class InverseOf(Axiom, Value):
         _require_distinct(prop, inverse, "InverseOf")
         return tuple.__new__(cls, (cls, prop, inverse))
 
-    def describe(self) -> str:
-        return f"InverseOf({self.prop},{self.inverse})"
-
 
 class AllValuesFrom(Axiom, Value):
     """Value restriction: every value of ``on_property`` falls in ``filler``."""
 
     __slots__ = ()
     __match_args__ = ("on_property", "filler")
-
-    def __new__(cls, on_property: Iri, filler: Iri) -> "AllValuesFrom":
-        return tuple.__new__(cls, (cls, on_property, filler))
-
-    def describe(self) -> str:
-        return f"AllValuesFrom({self.on_property},{self.filler})"
 
 
 class IntersectionOf(Axiom, Value):
@@ -254,12 +246,6 @@ class ClassLink(Axiom, Value):
 
     __slots__ = ()
     __match_args__ = ("subject", "prop", "obj")
-
-    def __new__(cls, subject: Iri, prop: Iri, obj: Iri) -> "ClassLink":
-        return tuple.__new__(cls, (cls, subject, prop, obj))
-
-    def describe(self) -> str:
-        return f"ClassLink({self.subject},{self.prop},{self.obj})"
 
 
 # ---------------------------------------------------------------------------

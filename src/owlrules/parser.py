@@ -43,6 +43,7 @@ from .model import (
 )
 
 ROOT_ELEMENT = "rdf:RDF"
+_OPEN_ROOT = f"<{ROOT_ELEMENT}>"  # the synthetic root put around a fragment
 
 # Deepest element nesting read, counting the root as 1.  The interpreter
 # recurses through nested declarations, about 1.5 frames per element level,
@@ -74,16 +75,10 @@ class Location(Value):
     __slots__ = ()
     __match_args__ = ("line", "col")
 
-    def __new__(cls, line: int, col: int) -> "Location":
-        return tuple.__new__(cls, (cls, line, col))
-
 
 class ParseDiagnostic(Value):
     __slots__ = ()
     __match_args__ = ("severity", "message", "location")
-
-    def __new__(cls, severity: Severity, message: str, location: Location) -> "ParseDiagnostic":
-        return tuple.__new__(cls, (cls, severity, message, location))
 
 
 def has_errors(diagnostics: list[ParseDiagnostic]) -> bool:
@@ -100,13 +95,14 @@ def format_diagnostic(diag: ParseDiagnostic, filename: str) -> str:
 _FIRST_TAG = re.compile(r"<([A-Za-z_][^\s>/]*)")
 
 
-def _sniff_root_name(text: str) -> str | None:
-    """Name of the first element, skipping declarations and comments."""
+def _sniff_root(text: str) -> tuple[int, str | None]:
+    """Where the first element starts, and its name, skipping declarations,
+    comments and a DOCTYPE; ``(len(text), None)`` when there is none."""
     pos = 0
     while True:
         i = text.find("<", pos)
         if i < 0:
-            return None
+            return len(text), None
         if text.startswith("<?", i):
             j = text.find("?>", i)
             pos = j + 2 if j >= 0 else len(text)
@@ -120,7 +116,7 @@ def _sniff_root_name(text: str) -> str | None:
             pos = j + 1 if j >= 0 else len(text)
             continue
         m = _FIRST_TAG.match(text, i)
-        return m.group(1) if m else None
+        return i, m.group(1) if m else None
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +143,21 @@ class _TooDeep(Exception):
     """Raised by the start handler; carries the error diagnostic."""
 
 
-_XML_DECL = re.compile(r"\s*<\?xml[^?]*\?>")
+def _unshift(elements: list[_Element], line: int) -> None:
+    """Move the elements read on ``line`` after a synthetic root back by its
+    width; lines only grow in document order, so one past ``line`` ends a level."""
+    for el in elements:
+        if el.location.line != line:
+            return
+        el.location = Location(line, el.location.col - len(_OPEN_ROOT))
+        _unshift(el.children, line)
 
 
 def _read_tree(text: str) -> tuple[list[_Element], ParseDiagnostic | None]:
     """Children of the document root, built while expat reads ``text``.
 
-    A file whose root is not ``rdf:RDF`` is read inside a synthetic root
-    (after any XML declaration) without disturbing line numbers.  On
+    A file whose root is not ``rdf:RDF`` is read inside a synthetic root,
+    put right before its first element; locations are the file's own.  On
     malformed XML, or on nesting deeper than ``MAX_DEPTH``, reading stops:
     the elements read so far are kept and the error is returned with them.
     """
@@ -181,10 +184,9 @@ def _read_tree(text: str) -> tuple[list[_Element], ParseDiagnostic | None]:
     parser.EndElementHandler = lambda name: stack.pop()
 
     chunks = [text]
-    if _sniff_root_name(text) != ROOT_ELEMENT:
-        m = _XML_DECL.match(text)
-        cut = m.end() if m else 0
-        chunks = [text[:cut], f"<{ROOT_ELEMENT}>", text[cut:], f"</{ROOT_ELEMENT}>"]
+    cut, root = _sniff_root(text)
+    if root != ROOT_ELEMENT:
+        chunks = [text[:cut], _OPEN_ROOT, text[cut:], f"</{ROOT_ELEMENT}>"]
     error = None
     try:
         for i, chunk in enumerate(chunks):
@@ -198,6 +200,13 @@ def _read_tree(text: str) -> tuple[list[_Element], ParseDiagnostic | None]:
     except _TooDeep as deep:
         (error,) = deep.args
     top = doc.children
+    if root != ROOT_ELEMENT and top:
+        # expat counted the synthetic root in the columns after it on its line.
+        line = top[0].location.line
+        _unshift(top[0].children, line)
+        if error is not None and error.location.line == line:
+            at = Location(line, error.location.col - len(_OPEN_ROOT))
+            error = ParseDiagnostic(error.severity, error.message, at)
     if len(top) == 1 and top[0].name == ROOT_ELEMENT:
         return top[0].children, error
     return top, error

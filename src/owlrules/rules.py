@@ -39,32 +39,20 @@ class ClassRef(Term, Value):
     __slots__ = ()
     __match_args__ = ("iri",)
 
-    def __new__(cls, iri: Iri) -> "ClassRef":
-        return tuple.__new__(cls, (cls, iri))
-
 
 class PropRef(Term, Value):
     __slots__ = ()
     __match_args__ = ("iri",)
-
-    def __new__(cls, iri: Iri) -> "PropRef":
-        return tuple.__new__(cls, (cls, iri))
 
 
 class IndividualRef(Term, Value):
     __slots__ = ()
     __match_args__ = ("iri",)
 
-    def __new__(cls, iri: Iri) -> "IndividualRef":
-        return tuple.__new__(cls, (cls, iri))
-
 
 class LiteralTok(Term, Value):
     __slots__ = ()
     __match_args__ = ("text",)
-
-    def __new__(cls, text: str) -> "LiteralTok":
-        return tuple.__new__(cls, (cls, text))
 
 
 # ---------------------------------------------------------------------------
@@ -79,25 +67,15 @@ class IsA(Atom, Value):
     __slots__ = ()
     __match_args__ = ("subject", "cls")
 
-    # ``kind``, not ``cls``: the class field takes that name as a keyword.
-    def __new__(kind, subject: Term, cls: Term) -> "IsA":
-        return tuple.__new__(kind, (kind, subject, cls))
-
 
 class Link(Atom, Value):
     __slots__ = ()
     __match_args__ = ("subject", "prop", "obj")
 
-    def __new__(cls, subject: Term, prop: Term, obj: Term) -> "Link":
-        return tuple.__new__(cls, (cls, subject, prop, obj))
-
 
 class HasFeature(Atom, Value):
     __slots__ = ()
     __match_args__ = ("subject", "feature")
-
-    def __new__(cls, subject: Term, feature: Iri) -> "HasFeature":
-        return tuple.__new__(cls, (cls, subject, feature))
 
 
 class Not(Atom, Value):
@@ -114,32 +92,20 @@ class SchemaSubClassOf(Atom, Value):
     __slots__ = ()
     __match_args__ = ("sub", "sup")
 
-    def __new__(cls, sub: Term, sup: Term) -> "SchemaSubClassOf":
-        return tuple.__new__(cls, (cls, sub, sup))
-
 
 class SchemaEquivalent(Atom, Value):
     __slots__ = ()
     __match_args__ = ("a", "b")
-
-    def __new__(cls, a: Term, b: Term) -> "SchemaEquivalent":
-        return tuple.__new__(cls, (cls, a, b))
 
 
 class SolePart(Atom, Value):
     __slots__ = ()
     __match_args__ = ("part", "whole")
 
-    def __new__(cls, part: Term, whole: Term) -> "SolePart":
-        return tuple.__new__(cls, (cls, part, whole))
-
 
 class MorePartsExpected(Atom, Value):
     __slots__ = ()
     __match_args__ = ("whole",)
-
-    def __new__(cls, whole: Term) -> "MorePartsExpected":
-        return tuple.__new__(cls, (cls, whole))
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +135,7 @@ class RuleCategory(str, Enum):
     MEANING_ENRICHING = "meaning-enriching"
 
 
-CATEGORY_ORDER = (
-    RuleCategory.IDENTIFYING,
-    RuleCategory.SPECIFYING,
-    RuleCategory.UNOBVIOUS,
-    RuleCategory.MEANING_ENRICHING,
-)
+CATEGORY_ORDER = tuple(RuleCategory)
 
 
 class UnknownPatternError(ValueError):

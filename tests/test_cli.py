@@ -168,6 +168,14 @@ def test_extract_malformed_xml_reports_located_error(capsys, tmp_path):
     assert line.split()[1].count(":") >= 2
 
 
+def test_extract_text_before_the_root_is_a_located_error(capsys, tmp_path):
+    bad = tmp_path / "junk.owl"
+    bad.write_text('junk<rdf:RDF><owl:Class rdf:ID="A"/></rdf:RDF>', encoding="utf-8")
+    code, out, err = run_cli(capsys, "extract", str(bad))
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err.splitlines() == [f"ERROR {bad}:1:5 malformed XML: not well-formed (invalid token)"]
+
+
 def test_extract_merge_conflict_across_files_exits_2(capsys, tmp_path):
     first = tmp_path / "first.owl"
     second = tmp_path / "second.owl"

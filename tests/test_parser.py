@@ -53,6 +53,13 @@ def test_empty_root_is_empty_model_with_no_diagnostics():
     assert model.axioms == ()
 
 
+@pytest.mark.parametrize("text", ["", "<!-- nothing -->"], ids=["no-text", "a-comment"])
+def test_a_document_without_an_element_is_an_empty_model_with_no_diagnostics(text):
+    model, diags = parse_ontology(text, "x.owl")
+    assert diags == []
+    assert (model.classes, model.properties, model.axioms) == ((), {}, ())
+
+
 @pytest.mark.parametrize(
     "group",
     [name for name, variants in FRAGMENTS.items() if len(variants) > 1],
@@ -327,6 +334,65 @@ def test_a_comment_or_doctype_before_the_root_keeps_the_root(prolog):
         "WARNING x.owl:4:3 unknown element owl:bogus in class context; skipped"
     ]
     assert model.classes == (Iri("A"),)
+
+
+# Documents whose first line holds what a synthetic root would shift: each
+# diagnostic gives the file's own line and column, and the classes read.
+_DOCUMENT_DIAGNOSTICS = {
+    "fragment": (
+        '<owl:Class rdf:ID="#"/>',
+        (),
+        ["ERROR x.owl:1:1 bad identifier on owl:Class: IRI must be non-empty"],
+    ),
+    "after-a-declaration": (
+        '<?xml version="1.0"?><owl:Class rdf:ID="#"/>',
+        (),
+        ["ERROR x.owl:1:22 bad identifier on owl:Class: IRI must be non-empty"],
+    ),
+    "after-a-comment": (
+        '<!-- c --><owl:Class rdf:ID="#"/>',
+        (),
+        ["ERROR x.owl:1:11 bad identifier on owl:Class: IRI must be non-empty"],
+    ),
+    "second-element": (
+        '<owl:Class rdf:ID="A"/><owl:Class rdf:ID="#"/>',
+        ("A",),
+        ["ERROR x.owl:1:24 bad identifier on owl:Class: IRI must be non-empty"],
+    ),
+    "nested-elements": (
+        '<owl:Class rdf:ID="A"><owl:bogus/></owl:Class>\n'
+        '<owl:Class rdf:ID="B"><owl:bogus/></owl:Class>',
+        ("A", "B"),
+        [
+            "WARNING x.owl:1:23 unknown element owl:bogus in class context; skipped",
+            "WARNING x.owl:2:23 unknown element owl:bogus in class context; skipped",
+        ],
+    ),
+    "malformed-after-an-element": (
+        '<owl:Class rdf:ID="A"/><owl:Class rdf:ID="B" & />',
+        ("A",),
+        ["ERROR x.owl:1:46 malformed XML: not well-formed (invalid token)"],
+    ),
+    "after-a-doctype": ('<!DOCTYPE owl>\n<owl:Class rdf:ID="A"/>', ("A",), []),
+    "text-before-the-root": (
+        'junk<rdf:RDF><owl:Class rdf:ID="A"/></rdf:RDF>',
+        (),
+        ["ERROR x.owl:1:5 malformed XML: not well-formed (invalid token)"],
+    ),
+    "text-before-a-fragment": (
+        'junk<owl:Class rdf:ID="A"/>',
+        (),
+        ["ERROR x.owl:1:5 malformed XML: not well-formed (invalid token)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_DOCUMENT_DIAGNOSTICS))
+def test_a_document_reports_each_diagnostic_at_its_own_line_and_column(name):
+    text, classes, expected = _DOCUMENT_DIAGNOSTICS[name]
+    model, diags = parse_ontology(text, "x.owl")
+    assert [format_diagnostic(d, "x.owl") for d in diags] == expected
+    assert model.classes == tuple(map(Iri, classes))
 
 
 def test_whitespace_in_a_custom_element_name_is_malformed_xml():

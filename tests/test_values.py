@@ -34,6 +34,7 @@ from owlrules import (
     SubClassOf,
     SubPropertyOf,
 )
+from owlrules.model import Value
 from owlrules.parser import Location, ParseDiagnostic, Severity
 from owlrules.rules import (
     ClassRef,
@@ -218,6 +219,43 @@ def test_a_value_takes_no_assignment_and_has_no_instance_dict(value):
     for name in (*value.__match_args__, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
+def test_a_value_rebuilds_equal_from_its_fields_by_position_and_by_name(value):
+    kind, fields = value[0], value[1:]
+    assert kind(*fields) == value
+    assert kind(**dict(zip(kind.__match_args__, fields))) == value
+
+
+# The kinds whose last field has a default, so that one argument short is valid.
+DEFAULTED = (LinkFact, PropertyDecl, Provenance)
+REQUIRED = [value for value in VALUES if value[0] not in DEFAULTED]
+
+
+@pytest.mark.parametrize("value", REQUIRED, ids=[type(v).__name__ for v in REQUIRED])
+def test_a_value_one_argument_short_names_its_constructor_and_the_missing_field(value):
+    kind = value[0]
+    message = (
+        f"{kind.__name__}.__new__() missing 1 required positional argument: "
+        f"'{kind.__match_args__[-1]}'"
+    )
+    with pytest.raises(TypeError) as caught:
+        kind(*value[1:-1])
+    assert str(caught.value) == message
+
+
+def test_every_value_type_declares_its_own_slots_and_has_a_value_above():
+    def walk(cls: type) -> list[type]:
+        return [kind for sub in cls.__subclasses__() for kind in (sub, *walk(sub))]
+
+    kinds = walk(Value)
+    # One value of each kind, each checked for an instance dict above.
+    assert len(kinds) == len(set(kinds)) == len(VALUES)
+    assert set(kinds) == {type(value) for value in VALUES}
+    for kind in kinds:
+        # Without its own empty __slots__, every instance would carry a dict.
+        assert "__slots__" in vars(kind), kind
 
 
 def test_a_model_takes_no_assignment():
