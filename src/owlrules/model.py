@@ -263,16 +263,14 @@ class MergeConflictError(Exception):
 
 
 class _ModelIndex:
-    __slots__ = ("classes", "by_kind", "sups", "subs")
+    __slots__ = ("by_kind", "sups", "subs")
 
     def __init__(
         self,
-        classes: frozenset[Iri],
         by_kind: dict[type, list[Axiom]],
         sups: dict[Iri, list[Iri]],
         subs: dict[Iri, list[Iri]],
     ) -> None:
-        self.classes = classes
         self.by_kind = by_kind  # axioms by concrete class, in model order
         self.sups = sups  # sorted direct superclasses of each subclass
         self.subs = subs  # sorted direct subclasses of each superclass
@@ -325,13 +323,7 @@ class OntologyModel:
             subs.setdefault(ax.sup, []).append(ax.sub)
         for names in (*sups.values(), *subs.values()):
             names.sort()
-        return _ModelIndex(frozenset(self.classes), by_kind, sups, subs)
-
-    def class_iris(self) -> frozenset[Iri]:
-        return self._index.classes
-
-    def has_class(self, name: Iri) -> bool:
-        return name in self._index.classes
+        return _ModelIndex(by_kind, sups, subs)
 
     def property(self, name: Iri) -> PropertyDecl | None:
         return self.properties.get(name)
@@ -349,7 +341,7 @@ class OntologyModel:
     def structure(self) -> tuple:
         # A declaration's equality leaves out whether it was implicit.
         props = frozenset(self.properties.values())
-        return (self.class_iris(), props, frozenset(self.axioms))
+        return (frozenset(self.classes), props, frozenset(self.axioms))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OntologyModel):
@@ -407,8 +399,8 @@ class ModelBuilder:
                 f"keeping {old.kind.value}"
             )
             decl = PropertyDecl(decl.iri, old.kind, decl.domain, decl.range)
-        domain, dn = _resolve_field(decl.iri, "domain", old.domain, decl.domain, merging)
-        rng, rn = _resolve_field(decl.iri, "range", old.range, decl.range, merging)
+        domain, dn = resolve_field(decl.iri, "domain", old.domain, decl.domain, merging)
+        rng, rn = resolve_field(decl.iri, "range", old.range, decl.range, merging)
         notes.extend(dn + rn)
         self._props[decl.iri] = PropertyDecl(decl.iri, old.kind, domain, rng)
         return notes
@@ -437,9 +429,12 @@ class ModelBuilder:
         )
 
 
-def _resolve_field(
+def resolve_field(
     name: Iri, label: str, old: Iri | None, new: Iri | None, merging: bool
 ) -> tuple[Iri | None, list[str]]:
+    """The ``label`` (domain or range) that property ``name`` keeps when
+    ``new`` is stated after ``old``, and the note on a conflict: the first
+    value is kept, or with ``merging`` the lexicographic minimum."""
     if new is None or old == new:
         return old, []
     if old is None:

@@ -5,8 +5,10 @@ interpreter then walks that tree once to fill a :class:`ModelBuilder`.
 Element and attribute names are matched by their literal prefixed spelling
 (``owl:Class``, ``rdf:ID``, ...); ``xmlns`` declarations are accepted and
 ignored; element text is ignored.  A file whose root element is not
-``rdf:RDF`` is read inside a synthetic root, so bare fragments parse as-is.
-Elements nested deeper than ``MAX_DEPTH`` end the read with an error.
+``rdf:RDF`` is read inside a synthetic root: bare fragments parse as-is, and
+an element left open in one is reported at the end of the file, as under an
+explicit root.  Elements nested deeper than ``MAX_DEPTH`` end the read with
+an error.
 
 Recognized constructs: class and property declarations (datatype, object,
 symmetric, transitive), rdfs:subClassOf (attribute or nested class form),
@@ -40,13 +42,14 @@ from .model import (
     SubPropertyOf,
     Value,
     iri,
+    resolve_field,
 )
 
 ROOT_ELEMENT = "rdf:RDF"
 _OPEN_ROOT = f"<{ROOT_ELEMENT}>"  # the synthetic root put around a fragment
 
 # Deepest element nesting read, counting the root as 1.  The interpreter
-# recurses through nested declarations, about 1.5 frames per element level,
+# recurses through nested declarations, at most 1.5 frames per element level,
 # so this keeps it far inside Python's default recursion limit of 1000.
 MAX_DEPTH = 256
 
@@ -93,6 +96,7 @@ def format_diagnostic(diag: ParseDiagnostic, filename: str) -> str:
 
 
 _FIRST_TAG = re.compile(r"<([A-Za-z_][^\s>/]*)")
+_LINE_BREAK = re.compile(r"\r\n?|\n")  # each counts as one, as expat counts lines
 
 
 def _sniff_root(text: str) -> tuple[int, str | None]:
@@ -132,42 +136,36 @@ class _Element:
         self.location = location
         self.children: list[_Element] = []
 
-    def attr(self, *names: str) -> str | None:
-        for n in names:
-            if n in self.attrs:
-                return self.attrs[n]
-        return None
-
 
 class _TooDeep(Exception):
     """Raised by the start handler; carries the error diagnostic."""
-
-
-def _unshift(elements: list[_Element], line: int) -> None:
-    """Move the elements read on ``line`` after a synthetic root back by its
-    width; lines only grow in document order, so one past ``line`` ends a level."""
-    for el in elements:
-        if el.location.line != line:
-            return
-        el.location = Location(line, el.location.col - len(_OPEN_ROOT))
-        _unshift(el.children, line)
 
 
 def _read_tree(text: str) -> tuple[list[_Element], ParseDiagnostic | None]:
     """Children of the document root, built while expat reads ``text``.
 
     A file whose root is not ``rdf:RDF`` is read inside a synthetic root,
-    put right before its first element; locations are the file's own.  On
-    malformed XML, or on nesting deeper than ``MAX_DEPTH``, reading stops:
+    put right before its first element.  expat counts the root's columns on
+    its line after it; they are taken off, so locations are the file's own.
+    On malformed XML, or on nesting deeper than ``MAX_DEPTH``, reading stops:
     the elements read so far are kept and the error is returned with them.
     """
     doc = _Element("", {}, Location(0, 0))
     stack = [doc]
+    cut, root = _sniff_root(text)
+    wrapped = root != ROOT_ELEMENT
+    root_line = root_col = 0  # where the synthetic root starts; no line is 0
+    if wrapped:
+        *above, left = _LINE_BREAK.split(text[:cut])
+        root_line, root_col = len(above) + 1, len(left) + 1
+        text = text[:cut] + _OPEN_ROOT + text[cut:]
     parser = expat.ParserCreate()
-    parser.ordered_attributes = True
 
-    def on_start(name: str, attrs: list[str]) -> None:
-        location = Location(parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+    def on_start(name: str, attrs: dict[str, str]) -> None:
+        line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+        if line == root_line and col > root_col:
+            col -= len(_OPEN_ROOT)
+        location = Location(line, col)
         if len(stack) > MAX_DEPTH:
             raise _TooDeep(
                 ParseDiagnostic(
@@ -176,37 +174,30 @@ def _read_tree(text: str) -> tuple[list[_Element], ParseDiagnostic | None]:
                     location,
                 )
             )
-        el = _Element(name, dict(zip(attrs[0::2], attrs[1::2])), location)
+        el = _Element(name, attrs, location)
         stack[-1].children.append(el)
         stack.append(el)
 
     parser.StartElementHandler = on_start
     parser.EndElementHandler = lambda name: stack.pop()
 
-    chunks = [text]
-    cut, root = _sniff_root(text)
-    if root != ROOT_ELEMENT:
-        chunks = [text[:cut], _OPEN_ROOT, text[cut:], f"</{ROOT_ELEMENT}>"]
     error = None
     try:
-        for i, chunk in enumerate(chunks):
-            parser.Parse(chunk, i == len(chunks) - 1)
+        parser.Parse(text, False)
+        # Close the synthetic root only if the file's own elements are closed,
+        # so expat reports one left open at the file's end; a file that closed
+        # the root itself fails on the second end tag.
+        parser.Parse(f"</{ROOT_ELEMENT}>" if wrapped and len(stack) <= 2 else "", True)
     except expat.ExpatError as err:
+        line, col = err.lineno, err.offset + 1
+        if line == root_line and col > root_col:
+            col -= len(_OPEN_ROOT)
         error = ParseDiagnostic(
-            Severity.ERROR,
-            f"malformed XML: {expat.ErrorString(err.code)}",
-            Location(err.lineno, err.offset + 1),
+            Severity.ERROR, f"malformed XML: {expat.ErrorString(err.code)}", Location(line, col)
         )
     except _TooDeep as deep:
         (error,) = deep.args
     top = doc.children
-    if root != ROOT_ELEMENT and top:
-        # expat counted the synthetic root in the columns after it on its line.
-        line = top[0].location.line
-        _unshift(top[0].children, line)
-        if error is not None and error.location.line == line:
-            at = Location(line, error.location.col - len(_OPEN_ROOT))
-            error = ParseDiagnostic(error.severity, error.message, at)
     if len(top) == 1 and top[0].name == ROOT_ELEMENT:
         return top[0].children, error
     return top, error
@@ -214,6 +205,15 @@ def _read_tree(text: str) -> tuple[list[_Element], ParseDiagnostic | None]:
 
 # ---------------------------------------------------------------------------
 # interpretation
+
+# The axiom that a reference element states between the class, or the
+# property, it is in and the one it names.
+_CLASS_REFERENCES = {
+    "rdfs:subClassOf": SubClassOf,
+    "owl:equivalentClass": EquivalentClass,
+    "owl:sameAs": EquivalentClass,
+}
+_PROPERTY_REFERENCES = {"rdfs:subPropertyOf": SubPropertyOf, "owl:inverseOf": InverseOf}
 
 
 class _Interp:
@@ -227,37 +227,47 @@ class _Interp:
     def error(self, el: _Element, message: str) -> None:
         self.diags.append(ParseDiagnostic(Severity.ERROR, message, el.location))
 
-    # -- helpers
+    # -- names
 
-    def subject_iri(self, el: _Element) -> Iri | None:
-        raw = el.attr("rdf:ID", "rdf:about")
-        if raw is None:
-            self.error(el, f"{el.name} has neither rdf:ID nor rdf:about")
-            return None
+    def iri_of(self, el: _Element, raw: str, what: str) -> Iri | None:
+        """``raw`` as a name, or None after an error that says ``what``
+        (``{}`` standing for the element's name) and why."""
         try:
             return iri(raw)
         except ValueError as exc:
-            self.error(el, f"bad identifier on {el.name}: {exc}")
+            self.error(el, f"{what.format(el.name)}: {exc}")
             return None
 
+    def subject_iri(self, el: _Element) -> Iri | None:
+        attrs = el.attrs
+        raw = attrs.get("rdf:ID", attrs.get("rdf:about"))
+        if raw is None:
+            self.error(el, f"{el.name} has neither rdf:ID nor rdf:about")
+            return None
+        return self.iri_of(el, raw, "bad identifier on {}")
+
     def reference(self, el: _Element) -> Iri | None:
-        """Target of a link-style element: rdf:resource or one nested class."""
-        raw = el.attr("rdf:resource")
+        """Target of a link-style element: rdf:resource or one nested declaration."""
+        raw = el.attrs.get("rdf:resource")
         if raw is not None:
-            try:
-                return iri(raw)
-            except ValueError as exc:
-                self.error(el, f"bad reference on {el.name}: {exc}")
-                return None
+            return self.iri_of(el, raw, "bad reference on {}")
         for child in el.children:
             if child.name == "owl:Class":
                 return self.parse_class(child)
-            if child.name == "owl:Restriction":
-                continue  # handled by the callers that allow it
             if child.name in _PROPERTY_ELEMENTS:
                 return self.parse_property(child, _PROPERTY_ELEMENTS[child.name])
         self.warn(el, f"{el.name} has no rdf:resource and no nested declaration; skipped")
         return None
+
+    def range_reference(self, el: _Element, kind: PropertyKind) -> Iri | None:
+        if kind is not PropertyKind.DATATYPE:
+            return self.reference(el)
+        # Datatype ranges are opaque tokens; never treat them as classes.
+        raw = el.attrs.get("rdf:resource")
+        if raw is None:
+            self.warn(el, "rdfs:range on a datatype property needs rdf:resource; skipped")
+            return None
+        return self.iri_of(el, raw, "bad range token")
 
     def add_axiom_checked(self, el: _Element, ax_type, *names: Iri) -> None:
         try:
@@ -286,36 +296,36 @@ class _Interp:
             return None
         self.builder.declare_class(subject)
         for child in el.children:
-            self.parse_class_child(subject, child)
+            name = child.name
+            ax_type = _CLASS_REFERENCES.get(name)
+            if ax_type is not None:
+                if name == "rdfs:subClassOf":
+                    restriction = next(
+                        (c for c in child.children if c.name == "owl:Restriction"), None
+                    )
+                    if restriction is not None:
+                        self.parse_restriction(restriction)
+                        continue
+                target = self.reference(child)
+                if target is not None:
+                    self.add_axiom_checked(child, ax_type, subject, target)
+            elif name == "owl:intersectionOf":
+                self.parse_intersection(subject, child)
+            elif name == "rdf:type":
+                pass  # redundant typing assertion
+            elif name.startswith(_KNOWN_PREFIXES):
+                self.warn(child, f"unknown element {name} in class context; skipped")
+            else:
+                # A custom property element links the class to its target.  An
+                # XML name is non-empty, holds no whitespace and never starts
+                # with "#", so ``iri`` accepts every element name expat passes on.
+                target = self.reference(child)
+                if target is not None:
+                    self.add_axiom_checked(child, ClassLink, subject, iri(name), target)
         return subject
 
-    def parse_class_child(self, subject: Iri, child: _Element) -> None:
-        name = child.name
-        if name == "rdfs:subClassOf":
-            restriction = next(
-                (c for c in child.children if c.name == "owl:Restriction"), None
-            )
-            if restriction is not None:
-                self.parse_restriction(restriction)
-                return
-            target = self.reference(child)
-            if target is not None:
-                self.add_axiom_checked(child, SubClassOf, subject, target)
-        elif name in ("owl:equivalentClass", "owl:sameAs"):
-            target = self.reference(child)
-            if target is not None:
-                self.add_axiom_checked(child, EquivalentClass, subject, target)
-        elif name == "owl:intersectionOf":
-            self.parse_intersection(subject, child)
-        elif name == "rdf:type":
-            pass  # redundant typing assertion
-        elif name.startswith(_KNOWN_PREFIXES):
-            self.warn(child, f"unknown element {name} in class context; skipped")
-        else:
-            self.parse_class_link(subject, child)
-
     def parse_intersection(self, subject: Iri, el: _Element) -> None:
-        if el.attr("rdf:parseType") != "Collection":
+        if el.attrs.get("rdf:parseType") != "Collection":
             self.warn(el, 'owl:intersectionOf without rdf:parseType="Collection"; skipped')
             return
         parts: list[Iri] = []
@@ -331,80 +341,45 @@ class _Interp:
             return
         self.add_axiom_checked(el, IntersectionOf, subject, tuple(parts))
 
-    def parse_class_link(self, subject: Iri, el: _Element) -> None:
-        # An XML name is non-empty, holds no whitespace and never starts with
-        # "#", so ``iri`` accepts every element name expat passes on.
-        target = self.reference(el)
-        if target is not None:
-            self.add_axiom_checked(el, ClassLink, subject, iri(el.name), target)
-
     # -- properties
 
     def parse_property(self, el: _Element, kind: PropertyKind) -> Iri | None:
         subject = self.subject_iri(el)
         if subject is None:
             return None
-        domain: Iri | None = None
-        rng: Iri | None = None
+        ends: dict[str, Iri] = {}  # "domain" and "range", once read
         deferred: list[tuple[_Element, type[Axiom], Iri]] = []
         for child in el.children:
             name = child.name
-            if name == "rdfs:domain":
-                value = self.reference(child)
-                if value is None:
-                    continue
-                if domain is not None and domain != value:
-                    self.warn(
-                        child,
-                        f"property {subject} has multiple domains; keeping the first ({domain})",
+            if name == "rdfs:domain" or name == "rdfs:range":
+                value = (
+                    self.reference(child)
+                    if name == "rdfs:domain"
+                    else self.range_reference(child, kind)
+                )
+                if value is not None:
+                    label = name.removeprefix("rdfs:")
+                    ends[label], notes = resolve_field(
+                        subject, label, ends.get(label), value, merging=False
                     )
-                    continue
-                domain = value
-            elif name == "rdfs:range":
-                value = self.range_reference(child, kind)
-                if value is None:
-                    continue
-                if rng is not None and rng != value:
-                    self.warn(
-                        child,
-                        f"property {subject} has multiple ranges; keeping the first ({rng})",
-                    )
-                    continue
-                rng = value
-            elif name == "rdfs:subPropertyOf":
+                    for note in notes:
+                        self.warn(child, note)
+            elif name in _PROPERTY_REFERENCES:
                 target = self.reference(child)
                 if target is not None:
-                    deferred.append((child, SubPropertyOf, target))
-            elif name == "owl:inverseOf":
-                target = self.reference(child)
-                if target is not None:
-                    deferred.append((child, InverseOf, target))
+                    deferred.append((child, _PROPERTY_REFERENCES[name], target))
             elif name == "rdf:type":
                 pass  # e.g. a transitive property re-typed as an object property
             elif name.startswith(_KNOWN_PREFIXES):
                 self.warn(child, f"unknown element {name} in property context; skipped")
             else:
                 self.warn(child, f"unexpected element {name} in property context; skipped")
-        notes = self.builder.declare_property(PropertyDecl(subject, kind, domain, rng))
-        for note in notes:
+        decl = PropertyDecl(subject, kind, ends.get("domain"), ends.get("range"))
+        for note in self.builder.declare_property(decl):
             self.warn(el, note)
         for child, ax_type, target in deferred:
             self.add_axiom_checked(child, ax_type, subject, target)
         return subject
-
-    def range_reference(self, el: _Element, kind: PropertyKind) -> Iri | None:
-        # Datatype ranges are opaque tokens; never treat them as classes.
-        if kind is PropertyKind.DATATYPE:
-            raw = el.attr("rdf:resource")
-            if raw is None:
-                self.warn(el, "rdfs:range on a datatype property needs rdf:resource; skipped")
-                return None
-            try:
-                return iri(raw)
-            except ValueError as exc:
-                self.error(el, f"bad range token: {exc}")
-                return None
-        return self.reference(el)
 
     # -- restrictions
 

@@ -176,6 +176,14 @@ def test_extract_text_before_the_root_is_a_located_error(capsys, tmp_path):
     assert err.splitlines() == [f"ERROR {bad}:1:5 malformed XML: not well-formed (invalid token)"]
 
 
+def test_extract_an_element_left_open_is_a_located_error_at_the_end(capsys, tmp_path):
+    bad = tmp_path / "open.owl"
+    bad.write_text('<owl:Class rdf:ID="A">\n  <rdfs:subClassOf rdf:resource="#B"/>\n', encoding="utf-8")
+    code, out, err = run_cli(capsys, "extract", str(bad))
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err.splitlines() == [f"ERROR {bad}:3:1 malformed XML: no element found"]
+
+
 def test_extract_merge_conflict_across_files_exits_2(capsys, tmp_path):
     first = tmp_path / "first.owl"
     second = tmp_path / "second.owl"

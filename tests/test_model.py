@@ -151,8 +151,8 @@ def test_class_link_implicitly_declares_every_name():
     b = ModelBuilder()
     b.add_axiom(ClassLink(Iri("Latgale"), Iri("subAreaOf"), Iri("Latvia")))
     model = b.build()
-    assert model.has_class(Iri("Latgale"))
-    assert model.has_class(Iri("Latvia"))
+    assert Iri("Latgale") in model.classes
+    assert Iri("Latvia") in model.classes
     prop = model.property(Iri("subAreaOf"))
     assert prop is not None and prop.implicit
 
@@ -161,8 +161,8 @@ def test_datatype_range_never_becomes_a_class():
     b = ModelBuilder()
     b.declare_property(PropertyDecl(Iri("Wheel"), PropertyKind.DATATYPE, Iri("Car"), Iri("xs:string")))
     model = b.build()
-    assert model.has_class(Iri("Car"))
-    assert not model.has_class(Iri("xs:string"))
+    assert Iri("Car") in model.classes
+    assert Iri("xs:string") not in model.classes
 
 
 def test_explicit_declaration_wins_over_implicit():
@@ -263,13 +263,13 @@ def test_merge_indexes_the_new_model_only():
     after = merge([before, _model_of(SubClassOf(Iri("House"), Iri("Building")))])
     assert after.superclasses_of(Iri("House")) == [Iri("Building"), Iri("City")]
     assert before.superclasses_of(Iri("House")) == [Iri("City")]
-    assert after.has_class(Iri("Building")) and not before.has_class(Iri("Building"))
+    assert Iri("Building") in after.classes and Iri("Building") not in before.classes
 
 
 def test_building_the_index_leaves_equality_alone():
     indexed, fresh, other = _chain_model(), _chain_model(flip=True), _chain_model()
     indexed.superclasses_of(Iri("House"))
-    indexed.has_class(Iri("City"))
+    assert Iri("City") in indexed.classes
     assert indexed == fresh and fresh == indexed
     other.axioms_of(SubClassOf)
     assert indexed == other
@@ -294,7 +294,7 @@ def test_merge_unions_class_declarations():
     b2 = ModelBuilder()
     b2.declare_class(Iri("Car"))
     merged = merge([b1.build(), b2.build()])
-    assert merged.class_iris() == frozenset({Iri("Car")})
+    assert merged.classes == (Iri("Car"),)
 
 
 def test_merge_of_two_subclass_files_counts_axioms_and_classes():
@@ -304,7 +304,7 @@ def test_merge_of_two_subclass_files_counts_axioms_and_classes():
     b2.add_axiom(SubClassOf(Iri("City"), Iri("Country")))
     merged = merge([b1.build(), b2.build()])
     assert len(merged.axioms) == 2
-    assert len(merged.class_iris()) == 3
+    assert len(merged.classes) == 3
 
 
 def test_merge_concatenates_source_names():

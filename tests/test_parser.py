@@ -37,7 +37,7 @@ from owlrules.parser import Location, Severity
 
 def test_car_listing_yields_class_and_two_datatype_properties():
     model = load_model("class_feature.owl")
-    assert model.has_class(Iri("Car"))
+    assert Iri("Car") in model.classes
     for name in ("Wheel", "Engine"):
         decl = model.property(Iri(name))
         assert decl is not None
@@ -83,7 +83,7 @@ def test_transitive_listing_parses_links_and_property():
     for name in ("transitive_nested.owl", "transitive_resource.owl"):
         model = load_model(name)
         for cls in ("Latgale", "Latvia", "EU"):
-            assert model.has_class(Iri(cls)), f"{name} missing {cls}"
+            assert Iri(cls) in model.classes, f"{name} missing {cls}"
         assert model.property(Iri("subAreaOf")).kind is PropertyKind.TRANSITIVE
         assert set(model.axioms_of(ClassLink)) == {
             ClassLink(Iri("Latgale"), Iri("subAreaOf"), Iri("Latvia")),
@@ -140,7 +140,7 @@ def test_explicit_rdf_root_is_accepted_unwrapped():
     text = '<rdf:RDF xmlns:owl="http://www.w3.org/2002/07/owl#">\n<owl:Class rdf:ID="A"/>\n</rdf:RDF>'
     model, diags = parse_ontology(text, "rooted")
     assert diags == []
-    assert model.has_class(Iri("A"))
+    assert Iri("A") in model.classes
 
 
 def test_a_hundred_nested_subclass_levels_yield_every_axiom():
@@ -269,6 +269,19 @@ _CONSTRUCT_DIAGNOSTICS = {
         '<owl:ObjectProperty>\n  <rdfs:domain rdf:resource="#A"/>\n</owl:ObjectProperty>',
         ["ERROR x.owl:2:1 owl:ObjectProperty has neither rdf:ID nor rdf:about"],
     ),
+    "property-with-two-domains": (
+        '<owl:ObjectProperty rdf:ID="p">\n  <rdfs:domain rdf:resource="#A"/>\n'
+        '  <rdfs:domain rdf:resource="#B"/>\n</owl:ObjectProperty>',
+        ["WARNING x.owl:4:3 property p has multiple domains; keeping the first (A)"],
+    ),
+    "domain-without-target": (
+        '<owl:ObjectProperty rdf:ID="p">\n  <rdfs:domain/>\n</owl:ObjectProperty>',
+        ["WARNING x.owl:3:3 rdfs:domain has no rdf:resource and no nested declaration; skipped"],
+    ),
+    "class-typed-again": (
+        '<owl:Class rdf:ID="A">\n  <rdf:type rdf:resource="owl:Class"/>\n</owl:Class>',
+        [],
+    ),
     "property-with-two-ranges": (
         '<owl:ObjectProperty rdf:ID="p">\n  <rdfs:range rdf:resource="#A"/>\n'
         '  <rdfs:range rdf:resource="#B"/>\n</owl:ObjectProperty>',
@@ -383,6 +396,36 @@ _DOCUMENT_DIAGNOSTICS = {
         'junk<owl:Class rdf:ID="A"/>',
         (),
         ["ERROR x.owl:1:5 malformed XML: not well-formed (invalid token)"],
+    ),
+    "a-literal-before-a-fragment": (
+        '"<owl:Class rdf:ID="A"/>',
+        (),
+        ["ERROR x.owl:1:21 malformed XML: not well-formed (invalid token)"],
+    ),
+    "unclosed-element": (
+        '<owl:Class rdf:ID="A">',
+        ("A",),
+        ["ERROR x.owl:1:23 malformed XML: no element found"],
+    ),
+    "unclosed-element-then-a-line-break": (
+        '<owl:Class rdf:ID="A">\n',
+        ("A",),
+        ["ERROR x.owl:2:1 malformed XML: no element found"],
+    ),
+    "unclosed-second-element": (
+        '<owl:Class rdf:ID="A"/><owl:Class rdf:ID="B">',
+        ("A", "B"),
+        ["ERROR x.owl:1:46 malformed XML: no element found"],
+    ),
+    "unclosed-tag-in-an-element": (
+        '<owl:Class rdf:ID="A">\n<rdfs:su',
+        ("A",),
+        ["ERROR x.owl:2:1 malformed XML: unclosed token"],
+    ),
+    "stray-root-end-tag": (
+        '<owl:Class rdf:ID="A"/></rdf:RDF>',
+        ("A",),
+        ["ERROR x.owl:1:35 malformed XML: not well-formed (invalid token)"],
     ),
 }
 
