@@ -171,12 +171,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if isinstance(got, int):
         return got
     rules, _model = got
-    by_id = sorted(rules, key=lambda r: r.id)
     lines = []
     for category in CATEGORY_ORDER:
         count = sum(1 for r in rules if r.category is category)
         lines.append(f"{category.value}: {count}")
-    grouped = [r for category in CATEGORY_ORDER for r in by_id if r.category is category]
+    grouped = [r for category in CATEGORY_ORDER for r in rules if r.category is category]
     if grouped:
         lines.append("")
         for rule in grouped:

@@ -27,9 +27,8 @@ class Value(tuple):
     """Base of the immutable value types: terms, atoms, facts, axioms, rules.
 
     An instance is the tuple ``(kind, *fields)``, where ``kind`` is the class
-    it was built as (or, for an implicit :class:`PropertyDecl`, the class it
-    stands for), so hashing and equality are the tuple's, in C, and values of
-    different kinds never compare equal.  Each subclass declares
+    it was built as, so hashing and equality are the tuple's, in C, and values
+    of different kinds never compare equal.  Each subclass declares
     ``__slots__ = ()`` (no instance dict) and names its fields in order in
     ``__match_args__``.  Each field becomes a read-only attribute, unless the
     class defines that name itself.  A class that defines no ``__new__`` gets
@@ -122,22 +121,12 @@ class PropertyKind(Enum):
 
 class PropertyDecl(Value):
     __slots__ = ()
-    __match_args__ = ("iri", "kind", "domain", "range", "implicit")
-    # Bookkeeping only: true for declarations synthesized from a reference.
-    # Those are built as the subclass below, with the same kind tag and
-    # fields, so explicit and implicit variants compare (and hash) equal.
-    implicit = False
+    __match_args__ = ("iri", "kind", "domain", "range")
 
     def __new__(
-        cls,
-        iri: Iri,
-        kind: PropertyKind,
-        domain: Iri | None = None,
-        range: Iri | None = None,
-        implicit: bool = False,
+        cls, iri: Iri, kind: PropertyKind, domain: Iri | None = None, range: Iri | None = None
     ) -> "PropertyDecl":
-        built_as = _ImplicitPropertyDecl if implicit else PropertyDecl
-        return tuple.__new__(built_as, (PropertyDecl, iri, kind, domain, range))
+        return tuple.__new__(cls, (cls, iri, kind, domain, range))
 
     def describe(self) -> str:
         bits = []
@@ -147,11 +136,6 @@ class PropertyDecl(Value):
             bits.append(f"range={self.range}")
         suffix = "," + ",".join(bits) if bits else ""
         return f"{self.kind.value.capitalize()}Property({self.iri}{suffix})"
-
-
-class _ImplicitPropertyDecl(PropertyDecl):
-    __slots__ = ()
-    implicit = True
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +323,6 @@ class OntologyModel:
         return {sup: list(subs) for sup, subs in self._index.subs.items()}
 
     def structure(self) -> tuple:
-        # A declaration's equality leaves out whether it was implicit.
         props = frozenset(self.properties.values())
         return (frozenset(self.classes), props, frozenset(self.axioms))
 
@@ -367,13 +350,12 @@ class ModelBuilder:
     def declare_property(self, decl: PropertyDecl, *, merging: bool = False) -> list[str]:
         """Add or merge a property declaration; returns human-readable notes.
 
-        Between two explicit declarations of one property, the parser's policy
-        (the default) keeps the first kind, domain and range and notes each
+        Between two declarations of one property, the parser's policy (the
+        default) keeps the first kind, domain and range and notes each
         conflict.  With ``merging``, a kind conflict raises
         :class:`MergeConflictError` and conflicting domains and ranges resolve
         to the lexicographic minimum, so the result does not depend on the
-        order of declarations.  Explicit declarations always replace implicit
-        ones; implicit ones never demote an existing declaration.
+        order of declarations.
         """
         notes: list[str] = []
         # Domains are always classes; ranges only for object-like kinds
@@ -386,11 +368,6 @@ class ModelBuilder:
         if old is None:
             self._props[decl.iri] = decl
             return notes
-        if decl.implicit:
-            return notes
-        if old.implicit:
-            self._props[decl.iri] = decl
-            return notes
         if old.kind is not decl.kind:
             if merging:
                 raise MergeConflictError(decl.iri, (old.kind, decl.kind))
@@ -398,7 +375,6 @@ class ModelBuilder:
                 f"property {decl.iri} re-declared as {decl.kind.value}; "
                 f"keeping {old.kind.value}"
             )
-            decl = PropertyDecl(decl.iri, old.kind, decl.domain, decl.range)
         domain, dn = resolve_field(decl.iri, "domain", old.domain, decl.domain, merging)
         rng, rn = resolve_field(decl.iri, "range", old.range, decl.range, merging)
         notes.extend(dn + rn)
@@ -406,15 +382,12 @@ class ModelBuilder:
         return notes
 
     def add_axiom(self, ax: Axiom) -> bool:
-        """Insert an axiom once; auto-declare every name it references."""
+        """Insert an axiom once; auto-declare every class it references."""
         if ax in self._axioms:
             return False
         self._axioms[ax] = None
         for c in _class_refs(ax):
             self.declare_class(c)
-        for p in _prop_refs(ax):
-            if p not in self._props:
-                self._props[p] = PropertyDecl(p, PropertyKind.OBJECT, implicit=True)
         return True
 
     def add_source(self, name: str) -> None:
@@ -456,18 +429,6 @@ def _class_refs(ax: Axiom) -> tuple[Iri, ...]:
         return (ax.defined, *ax.parts)
     if isinstance(ax, ClassLink):
         return (ax.subject, ax.obj)
-    return ()
-
-
-def _prop_refs(ax: Axiom) -> tuple[Iri, ...]:
-    if isinstance(ax, SubPropertyOf):
-        return (ax.sub, ax.sup)
-    if isinstance(ax, InverseOf):
-        return (ax.prop, ax.inverse)
-    if isinstance(ax, AllValuesFrom):
-        return (ax.on_property,)
-    if isinstance(ax, ClassLink):
-        return (ax.prop,)
     return ()
 
 

@@ -112,22 +112,6 @@ class MorePartsExpected(Atom, Value):
 # patterns and categories
 
 
-class Pattern(str, Enum):
-    CLASS_FEATURE = "class-feature"
-    EQUIVALENCE_INHERITANCE = "equivalence-inheritance"
-    DOMAIN_RANGE_IDENTIFICATION = "domain-range-identification"
-    SUBCLASS_TRANSITIVITY = "subclass-transitivity"
-    RELATION_PROPAGATION = "relation-propagation"
-    SUBPROPERTY_LIFT = "subproperty-lift"
-    SYMMETRIC = "symmetric"
-    TRANSITIVE_PROPERTY = "transitive-property"
-    SOLE_PARTOF = "sole-partof"
-    COOCCURRENCE = "cooccurrence"
-    ALLVALUESFROM = "allvaluesfrom"
-    INTERSECTION = "intersection"
-    INVERSE = "inverse"
-
-
 class RuleCategory(str, Enum):
     IDENTIFYING = "identifying"
     SPECIFYING = "specifying"
@@ -138,25 +122,32 @@ class RuleCategory(str, Enum):
 CATEGORY_ORDER = tuple(RuleCategory)
 
 
+class Pattern(str, Enum):
+    """A rule pattern: its value is its identifier, ``category`` its category."""
+
+    CLASS_FEATURE = "class-feature", RuleCategory.SPECIFYING
+    EQUIVALENCE_INHERITANCE = "equivalence-inheritance", RuleCategory.UNOBVIOUS
+    DOMAIN_RANGE_IDENTIFICATION = "domain-range-identification", RuleCategory.IDENTIFYING
+    SUBCLASS_TRANSITIVITY = "subclass-transitivity", RuleCategory.UNOBVIOUS
+    RELATION_PROPAGATION = "relation-propagation", RuleCategory.UNOBVIOUS
+    SUBPROPERTY_LIFT = "subproperty-lift", RuleCategory.IDENTIFYING
+    SYMMETRIC = "symmetric", RuleCategory.MEANING_ENRICHING
+    TRANSITIVE_PROPERTY = "transitive-property", RuleCategory.UNOBVIOUS
+    SOLE_PARTOF = "sole-partof", RuleCategory.UNOBVIOUS
+    COOCCURRENCE = "cooccurrence", RuleCategory.SPECIFYING
+    ALLVALUESFROM = "allvaluesfrom", RuleCategory.MEANING_ENRICHING
+    INTERSECTION = "intersection", RuleCategory.SPECIFYING
+    INVERSE = "inverse", RuleCategory.MEANING_ENRICHING
+
+    def __new__(cls, value: str, category: RuleCategory) -> "Pattern":
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.category = category
+        return member
+
+
 class UnknownPatternError(ValueError):
     pass
-
-
-_CLASSIFICATION: dict[Pattern, RuleCategory] = {
-    Pattern.DOMAIN_RANGE_IDENTIFICATION: RuleCategory.IDENTIFYING,
-    Pattern.SUBPROPERTY_LIFT: RuleCategory.IDENTIFYING,
-    Pattern.CLASS_FEATURE: RuleCategory.SPECIFYING,
-    Pattern.COOCCURRENCE: RuleCategory.SPECIFYING,
-    Pattern.INTERSECTION: RuleCategory.SPECIFYING,
-    Pattern.EQUIVALENCE_INHERITANCE: RuleCategory.UNOBVIOUS,
-    Pattern.SUBCLASS_TRANSITIVITY: RuleCategory.UNOBVIOUS,
-    Pattern.RELATION_PROPAGATION: RuleCategory.UNOBVIOUS,
-    Pattern.TRANSITIVE_PROPERTY: RuleCategory.UNOBVIOUS,
-    Pattern.SOLE_PARTOF: RuleCategory.UNOBVIOUS,
-    Pattern.SYMMETRIC: RuleCategory.MEANING_ENRICHING,
-    Pattern.ALLVALUESFROM: RuleCategory.MEANING_ENRICHING,
-    Pattern.INVERSE: RuleCategory.MEANING_ENRICHING,
-}
 
 
 def coerce_pattern(pattern: Pattern | str) -> Pattern:
@@ -170,7 +161,7 @@ def coerce_pattern(pattern: Pattern | str) -> Pattern:
 
 def classify(pattern: Pattern | str) -> RuleCategory:
     """Map a pattern identifier to its rule category (total over the 13 patterns)."""
-    return _CLASSIFICATION[coerce_pattern(pattern)]
+    return coerce_pattern(pattern).category
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +199,7 @@ class Rule(Value):
 
     @property
     def category(self) -> RuleCategory:
-        return classify(self.pattern)
+        return self.pattern.category
 
     @property
     def executable(self) -> bool:

@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +235,25 @@ def test_extract_can_drop_nonexecutable_rules(capsys):
     )
     assert code == EXIT_OK
     assert out == ""
+
+
+def _readme_block(pattern: str) -> str:
+    """The body of the README's fenced block that ``pattern`` leads into."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    found = re.search(pattern + r"\n(.*?)^```", readme, re.M | re.S)
+    assert found, f"README has no block for {pattern!r}"
+    return found.group(1)
+
+
+def test_the_readme_region_example_runs_as_printed(capsys, monkeypatch, tmp_path):
+    # region.owl mentions subAreaOf in class links before it declares it.
+    for name in ("region.owl", "region.facts"):
+        body = _readme_block(rf"`{re.escape(name)}`:\n+```\w*")
+        (tmp_path / name).write_text(body, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for command in ("extract region.owl", "infer region.owl --facts region.facts"):
+        printed = _readme_block(rf"^```console\n\$ owlrules {re.escape(command)}")
+        assert run_cli(capsys, *command.split()) == (EXIT_OK, printed, ""), command
 
 
 # ---------------------------------------------------------------------------

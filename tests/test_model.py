@@ -11,12 +11,14 @@ from owlrules import (
     ClassLink,
     EquivalentClass,
     IntersectionOf,
+    InverseOf,
     Iri,
     MergeConflictError,
     ModelBuilder,
     PropertyDecl,
     PropertyKind,
     SubClassOf,
+    SubPropertyOf,
     merge,
 )
 from owlrules.model import iri
@@ -148,13 +150,17 @@ def test_equivalence_insert_collapses_both_orientations():
 
 
 def test_class_link_implicitly_declares_every_name():
+    # Every class an axiom names is declared; a property it only mentions is not.
     b = ModelBuilder()
     b.add_axiom(ClassLink(Iri("Latgale"), Iri("subAreaOf"), Iri("Latvia")))
+    b.add_axiom(SubPropertyOf(Iri("p"), Iri("q")))
+    b.add_axiom(InverseOf(Iri("r"), Iri("s")))
+    b.add_axiom(AllValuesFrom(Iri("t"), Iri("Filler")))
     model = b.build()
-    assert Iri("Latgale") in model.classes
-    assert Iri("Latvia") in model.classes
-    prop = model.property(Iri("subAreaOf"))
-    assert prop is not None and prop.implicit
+    assert model.classes == (Iri("Latgale"), Iri("Latvia"), Iri("Filler"))
+    assert model.properties == {}
+    for name in ("subAreaOf", "p", "q", "r", "s", "t"):
+        assert model.property(Iri(name)) is None
 
 
 def test_datatype_range_never_becomes_a_class():
@@ -328,11 +334,25 @@ def test_merge_rejects_conflicting_property_kinds():
 
 def test_merge_kind_conflict_ignores_implicit_declarations():
     b1 = ModelBuilder()
-    b1.add_axiom(ClassLink(Iri("A"), Iri("p"), Iri("B")))  # implicit object kind
+    b1.add_axiom(ClassLink(Iri("A"), Iri("p"), Iri("B")))  # mentions p, declares nothing
     b2 = ModelBuilder()
     b2.declare_property(PropertyDecl(Iri("p"), PropertyKind.TRANSITIVE))
     merged = merge([b1.build(), b2.build()])
     assert merged.property(Iri("p")).kind is PropertyKind.TRANSITIVE
+
+
+def test_merge_notes_follow_the_order_in_which_the_later_model_declares():
+    b1 = ModelBuilder()
+    for name in ("p", "q"):
+        b1.declare_property(PropertyDecl(Iri(name), PropertyKind.OBJECT, domain=Iri("Zebra")))
+    b2 = ModelBuilder()
+    b2.add_axiom(ClassLink(Iri("A"), Iri("p"), Iri("B")))  # mentions p before declaring it
+    for name in ("q", "p"):
+        b2.declare_property(PropertyDecl(Iri(name), PropertyKind.OBJECT, domain=Iri("Ant")))
+    assert merge([b1.build(), b2.build()]).notes == (
+        "property q has multiple domains (Zebra, Ant); keeping Ant",
+        "property p has multiple domains (Zebra, Ant); keeping Ant",
+    )
 
 
 def test_merge_domain_conflict_takes_lexicographic_min_and_warns():

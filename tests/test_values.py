@@ -104,14 +104,9 @@ REPRS = [
         "display_form=''))",
     ),
     (
-        PropertyDecl(P, PropertyKind.OBJECT, A, None, implicit=True),
-        "PropertyDecl(iri=Iri(value='p'), kind=<PropertyKind.OBJECT: 'object'>, "
-        "domain=Iri(value='A'), range=None, implicit=True)",
-    ),
-    (
         PropertyDecl(P, PropertyKind.DATATYPE, range=Iri("xs:int")),
         "PropertyDecl(iri=Iri(value='p'), kind=<PropertyKind.DATATYPE: 'datatype'>, "
-        "domain=None, range=Iri(value='xs:int'), implicit=False)",
+        "domain=None, range=Iri(value='xs:int'))",
     ),
     (SubClassOf(A, B), "SubClassOf(sub=Iri(value='A'), sup=Iri(value='B'))"),
     (EquivalentClass(B, A), "EquivalentClass(a=Iri(value='A'), b=Iri(value='B'))"),
@@ -165,7 +160,7 @@ def test_the_records_print_their_kind_and_fields():
     assert repr(model) == (
         "OntologyModel(classes=(Iri(value='A'),), properties={Iri(value='p'): "
         "PropertyDecl(iri=Iri(value='p'), kind=<PropertyKind.OBJECT: 'object'>, "
-        "domain=None, range=None, implicit=False)}, axioms=(SubClassOf(sub=Iri(value='A'), "
+        "domain=None, range=None)}, axioms=(SubClassOf(sub=Iri(value='A'), "
         "sup=Iri(value='B')),), source_names=('a.owl',), notes=('n',))"
     )
     report = ExtractionReport([], {Pattern.SYMMETRIC: 0}, ["w"])
@@ -263,13 +258,3 @@ def test_a_model_takes_no_assignment():
     with pytest.raises(AttributeError):
         model.classes = (A,)
     assert model.classes == () and model.properties == {}
-
-
-def test_property_declarations_differing_only_in_implicit_are_equal():
-    explicit = PropertyDecl(P, PropertyKind.OBJECT, A, B)
-    implicit = PropertyDecl(P, PropertyKind.OBJECT, A, B, implicit=True)
-    assert (explicit.implicit, implicit.implicit) == (False, True)
-    assert explicit == implicit and not explicit != implicit
-    assert hash(explicit) == hash(implicit) and len({explicit, implicit}) == 1
-    assert PropertyDecl(P, PropertyKind.OBJECT, A) != explicit
-    assert pickle.loads(pickle.dumps(implicit)).implicit is True
