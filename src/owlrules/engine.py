@@ -2,8 +2,8 @@
 
 ``run_fixpoint`` saturates a fact base under executable rules by semi-naive
 rounds, evaluated a set at a time.  Rules that differ only in their names
-share a shape: each shape is compiled once per call, with one plan per
-antecedent atom, and a rule becomes the tuple of its names.  In a round, a
+share a shape (``Rule.shape``), compiled once per call on placeholder names
+with one plan per antecedent atom; a rule maps its names in.  In a round, a
 plan starts from its pivot atom over the facts the previous round derived
 (in the first round, the initial facts) and joins the other atoms against
 every known fact; only plans whose pivot relation -- fact kind and predicate
@@ -35,6 +35,7 @@ are reported as violations after the fixpoint is reached.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Callable
 from operator import itemgetter
 
 from .model import (
@@ -51,15 +52,12 @@ from .rules import (
     IndividualRef,
     IsA,
     Link,
-    MorePartsExpected,
     Not,
     Pattern,
     PropRef,
     Rule,
-    SchemaEquivalent,
-    SchemaSubClassOf,
-    SolePart,
     Var,
+    _tuple_of,
 )
 
 
@@ -212,8 +210,6 @@ class InferenceResult:
 # class, property or feature), 3 object and 4 object-is-class (links only).
 _FACT_OF = {IsA: Membership, Link: LinkFact, HasFeature: FeatureExpected}
 
-_SCHEMA_ATOMS = (SchemaSubClassOf, SchemaEquivalent, SolePart, MorePartsExpected)
-
 _REFS = (ClassRef, PropRef, IndividualRef)
 
 
@@ -264,13 +260,10 @@ def _split(rule: Rule) -> tuple[tuple, tuple[Iri, ...]] | None:
                 f"rule {rule.id}: negated antecedents are only supported on "
                 "integrity-check rules"
             )
-        elif isinstance(atom, _SCHEMA_ATOMS):
-            # Ground schema atoms held at extraction time; variable-bearing
+        elif any(isinstance(t, Var) for t in atom[1:]):
+            # A schema atom: ground ones held at extraction time; variable-bearing
             # ones have nothing to match and silence the rule.
-            if any(isinstance(t, Var) for t in atom[1:]):
-                fires = False
-        else:
-            raise ValueError(f"rule {rule.id}: unsupported antecedent atom {atom!r}")
+            fires = False
     if not fires:
         return None
     bound = {p for _, parts in body for p in parts if isinstance(p, Var)}
@@ -289,28 +282,28 @@ def _split(rule: Rule) -> tuple[tuple, tuple[Iri, ...]] | None:
     return ((tuple(body), tuple(heads)), tuple(names)) if heads else None
 
 
-def _prepare_constraint(rule: Rule) -> tuple[Rule, Iri, Iri]:
-    """The integrity check ``(rule, property, filler)`` of a negated-consequent rule."""
-    ok = (
-        len(rule.consequent) == 1
-        and len(rule.antecedent) == 1
-        and isinstance(rule.consequent[0], Not)
-        and isinstance(rule.antecedent[0], Not)
-    )
-    if ok:
-        head = rule.consequent[0].inner
-        guard = rule.antecedent[0].inner
-        ok = (
-            isinstance(head, Link)
-            and isinstance(head.prop, PropRef)
-            and isinstance(head.obj, Var)
-            and isinstance(guard, IsA)
-            and isinstance(guard.cls, ClassRef)
-            and guard.subject == head.obj
-        )
-    if not ok:
+def _prepare(rule: Rule) -> tuple[bool, list[tuple], Callable[[tuple], tuple]]:
+    """How every rule of ``rule``'s shape runs, found once on placeholder names:
+    ``(integrity check?, plan templates, pick)``, where ``pick`` maps a rule's
+    names to the property and filler of its check, or to its engine shape's."""
+    stand_in = rule._stand_in()
+    marks = stand_in.names
+    if any(isinstance(a, Not) for a in stand_in.consequent):
+        match stand_in.antecedent, stand_in.consequent:
+            case (Not(IsA(guard, ClassRef(filler))),), (
+                Not(Link(_, PropRef(prop), Var() as obj)),
+            ) if guard == obj:
+                return True, [], _tuple_of([marks.index(prop), marks.index(filler)])
         raise ValueError(f"rule {rule.id}: unsupported integrity-check shape")
-    return rule, head.prop.iri, guard.cls.iri
+    try:
+        split = _split(stand_in)
+    except ValueError:
+        _split(rule)  # raises the same error, spelled with the rule's own names
+        raise
+    if split is None:
+        return False, [], _tuple_of([])
+    shape, names = split
+    return False, _compile_shape(shape), _tuple_of([marks.index(n) for n in names])
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +336,6 @@ def _nothing(_: tuple) -> tuple:
 def _key_of(positions: list[int] | tuple[int, ...]):
     """The lookup key at ``positions``: one value, a tuple of several, or ()."""
     return itemgetter(*positions) if positions else _nothing
-
-
-def _tuple_of(positions: list[int]):
-    """The values at ``positions`` as a tuple."""
-    if len(positions) != 1:
-        return _key_of(positions)
-    (pos,) = positions
-    return lambda b: (b[pos],)
 
 
 def _vars(parts: tuple) -> set[Var]:
@@ -625,22 +610,18 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
     if bad:
         raise NonExecutableRuleError(f"non-executable rules passed to fixpoint: {', '.join(bad)}")
 
-    shapes: dict[tuple, list[tuple]] = {}
+    prepared: dict[object, tuple] = {}  # per rule shape
     indexes: dict[tuple, _Index] = {}
     watch: dict[tuple, list[_Index]] = defaultdict(list)
     dispatch: dict[tuple | None, list[tuple]] = defaultdict(list)
     constraints = []
     for position, rule in enumerate(rules):
-        if any(isinstance(a, Not) for a in rule.consequent):
-            constraints.append(_prepare_constraint(rule))
-            continue
-        split = _split(rule)
-        if split is None:
-            continue
-        shape, names = split
-        templates = shapes.get(shape)
-        if templates is None:
-            templates = shapes[shape] = _compile_shape(shape)
+        if rule.shape not in prepared:
+            prepared[rule.shape] = _prepare(rule)
+        check, templates, pick = prepared[rule.shape]
+        names = pick(rule.names)
+        if check:
+            constraints.append((rule, *names))
         for template in templates:
             key, plan = _bind_plan(template, names, indexes, watch)
             dispatch[key].append((position, rule.id, plan))

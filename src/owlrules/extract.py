@@ -16,8 +16,9 @@ Thirteen scanners, one per licensed shape:
   intersection                 intersection class decomposed into its parts
   inverse                      both directions of an inverse property pair
 
-Each scanner body is a generator that yields one shape per rule:
-``(antecedent, consequent, trigger axioms, display form)``, where the trigger
+Each scanner body is a generator that yields one rule, without building its
+atoms: ``(shape, names, trigger axioms, display form)``, where the shape is
+its branch's, the names are what the shape's function takes, and the trigger
 axioms are the ``describe()`` texts of the axioms that license the rule.  The
 ``_scanner(pattern)`` decorator turns it into the public entry point
 ``extract_<shape>(model) -> list[Rule]``, which builds each rule and its
@@ -49,7 +50,6 @@ from .model import (
     fields_repr,
 )
 from .rules import (
-    Atom,
     ClassRef,
     HasFeature,
     IsA,
@@ -63,17 +63,18 @@ from .rules import (
     SchemaSubClassOf,
     SolePart,
     MorePartsExpected,
+    Term,
     Var,
-    make_rule,
+    _Shape,
 )
 
 VX = Var("?x")
 VY = Var("?y")
 VZ = Var("?z")
 
-# (antecedent, consequent, trigger axioms, display form) of one rule
-_Shape = tuple[list[Atom], list[Atom], list[str], str]
-_Shapes = Callable[[OntologyModel], Iterator[_Shape]]
+# (shape, names, trigger axioms, display form) of one rule
+_Yield = tuple[_Shape, tuple[Iri, ...], list[str], str]
+_Shapes = Callable[[OntologyModel], Iterator[_Yield]]
 _Scanner = Callable[[OntologyModel], list[Rule]]
 
 
@@ -104,13 +105,10 @@ def _scanner(pattern: Pattern) -> Callable[[_Shapes], _Scanner]:
             # Computed once per call and shared by every rule's provenance.
             sources = tuple(sorted(set(model.source_names)))
             return [
-                make_rule(
-                    pattern,
-                    antecedent,
-                    consequent,
-                    Provenance(sources, tuple(sorted(set(triggers))), display_form),
+                shape.rule(
+                    pattern, names, Provenance(sources, tuple(sorted(set(triggers))), display_form)
                 )
-                for antecedent, consequent, triggers, display_form in shapes(model)
+                for shape, names, triggers, display_form in shapes(model)
             ]
 
         _EXTRACTORS[pattern] = scan
@@ -142,11 +140,56 @@ def _sorted_inverses(model: OntologyModel) -> list[InverseOf]:
 
 
 # ---------------------------------------------------------------------------
+# the shapes of the scanners' branches, each a function of the names at hand
+
+
+def _isa(var: Var, cls: Iri) -> IsA:
+    return IsA(var, ClassRef(cls))
+
+
+def _link(subject: Term, prop: Iri, obj: Term) -> Link:
+    return Link(subject, PropRef(prop), obj)
+
+
+def _sub(sub: Iri, sup: Iri) -> SchemaSubClassOf:
+    return SchemaSubClassOf(ClassRef(sub), ClassRef(sup))
+
+
+_FEATURES = _Shape(lambda cls, *feats: ([_isa(VX, cls)], [HasFeature(VX, f) for f in feats]))
+_LIFT = _Shape(
+    lambda a, b, sup: ([SchemaEquivalent(ClassRef(a), ClassRef(b)), _sub(b, sup)], [_sub(a, sup)])
+)
+_IDENTIFY = _Shape(lambda p, r, d: ([_link(VX, p, VY), _isa(VY, r)], [_isa(VX, d)]))
+_CHAIN = _Shape(lambda a, b, c: ([_sub(a, b), _sub(b, c)], [_sub(a, c)]))
+_PROPAGATE = _Shape(
+    lambda p, r, sup: ([_link(VX, p, VY), _isa(VY, r), _sub(r, sup)], [_link(VX, p, ClassRef(sup))])
+)
+_LIFT_LINK = _Shape(lambda sub, sup: ([_link(VX, sub, VY)], [_link(VX, sup, VY)]))
+_LINK_TO_CLASS = _Shape(lambda cls, p, to: ([_isa(VX, cls)], [_link(VX, p, ClassRef(to))]))
+_TRANSITIVE = _Shape(lambda p: ([_link(VX, p, VY), _link(VY, p, VZ)], [_link(VX, p, VZ)]))
+_LINK_CHAIN = _Shape(
+    lambda a, p, b, c: (
+        [_link(ClassRef(a), p, ClassRef(b)), _link(ClassRef(b), p, ClassRef(c))],
+        [_link(ClassRef(a), p, ClassRef(c))],
+    )
+)
+_SOLE_PART = _Shape(
+    lambda part, whole: (
+        [SolePart(ClassRef(part), ClassRef(whole))],
+        [MorePartsExpected(ClassRef(whole))],
+    )
+)
+_COOCCUR = _Shape(lambda d, r, p: ([_isa(VX, d), _isa(VY, r)], [_link(VX, p, VY)]))
+_ONLY = _Shape(lambda filler, p: ([Not(_isa(VY, filler))], [Not(_link(VX, p, VY))]))
+_PARTS = _Shape(lambda defined, *parts: ([_isa(VX, defined)], [_isa(VX, c) for c in parts]))
+
+
+# ---------------------------------------------------------------------------
 # the thirteen single-pattern entry points
 
 
 @_scanner(Pattern.CLASS_FEATURE)
-def extract_class_feature(model: OntologyModel) -> Iterator[_Shape]:
+def extract_class_feature(model: OntologyModel) -> Iterator[_Yield]:
     by_domain: dict[Iri, list[PropertyDecl]] = {}
     for d in _sorted_props(model):
         if d.kind is PropertyKind.DATATYPE and d.domain is not None:
@@ -154,71 +197,61 @@ def extract_class_feature(model: OntologyModel) -> Iterator[_Shape]:
     for cls in sorted(by_domain):
         feats = by_domain[cls]  # already iri-sorted
         yield (
-            [IsA(VX, ClassRef(cls))],
-            [HasFeature(VX, d.iri) for d in feats],
+            _FEATURES,
+            (cls, *(d.iri for d in feats)),
             [d.describe() for d in feats],
             f"IF {cls} THEN {' and '.join(str(d.iri) for d in feats)}",
         )
 
 
 @_scanner(Pattern.EQUIVALENCE_INHERITANCE)
-def extract_equivalence_inheritance(model: OntologyModel) -> Iterator[_Shape]:
+def extract_equivalence_inheritance(model: OntologyModel) -> Iterator[_Yield]:
     for ax in sorted(model.axioms_of(EquivalentClass), key=lambda a: (a.a, a.b)):
         for lifted, declared in ((ax.a, ax.b), (ax.b, ax.a)):
             for sup in model.superclasses_of(declared):
                 if sup == lifted:
                     continue
                 yield (
-                    [
-                        SchemaEquivalent(ClassRef(lifted), ClassRef(declared)),
-                        SchemaSubClassOf(ClassRef(declared), ClassRef(sup)),
-                    ],
-                    [SchemaSubClassOf(ClassRef(lifted), ClassRef(sup))],
+                    _LIFT,
+                    (lifted, declared, sup),
                     [ax.describe(), SubClassOf(declared, sup).describe()],
                     f'IF {declared} equivalent {lifted} THEN ("part of" {sup}) ∈ {lifted}',
                 )
 
 
 @_scanner(Pattern.DOMAIN_RANGE_IDENTIFICATION)
-def extract_domain_range_identification(model: OntologyModel) -> Iterator[_Shape]:
+def extract_domain_range_identification(model: OntologyModel) -> Iterator[_Yield]:
     for d in _plain_object_props(model):
         yield (
-            [Link(VX, PropRef(d.iri), VY), IsA(VY, ClassRef(d.range))],
-            [IsA(VX, ClassRef(d.domain))],
+            _IDENTIFY,
+            (d.iri, d.range, d.domain),
             [d.describe()],
             f"IF ({d.iri} {d.range}) THEN {d.domain}",
         )
 
 
 @_scanner(Pattern.SUBCLASS_TRANSITIVITY)
-def extract_subclass_transitivity(model: OntologyModel) -> Iterator[_Shape]:
+def extract_subclass_transitivity(model: OntologyModel) -> Iterator[_Yield]:
     for first in sorted(model.axioms_of(SubClassOf), key=lambda a: (a.sub, a.sup)):
         a, b = first.sub, first.sup
         for c in model.superclasses_of(b):  # joined through the middle class
             if c == a:
                 continue
             yield (
-                [
-                    SchemaSubClassOf(ClassRef(a), ClassRef(b)),
-                    SchemaSubClassOf(ClassRef(b), ClassRef(c)),
-                ],
-                [SchemaSubClassOf(ClassRef(a), ClassRef(c))],
+                _CHAIN,
+                (a, b, c),
                 [first.describe(), SubClassOf(b, c).describe()],
                 f'IF ({a} "part of" {b}) and ({b} "part of" {c}) THEN ({a} "part of" {c})',
             )
 
 
 @_scanner(Pattern.RELATION_PROPAGATION)
-def extract_relation_propagation(model: OntologyModel) -> Iterator[_Shape]:
+def extract_relation_propagation(model: OntologyModel) -> Iterator[_Yield]:
     for d in _plain_object_props(model):
         for sup in model.superclasses_of(d.range):
             yield (
-                [
-                    Link(VX, PropRef(d.iri), VY),
-                    IsA(VY, ClassRef(d.range)),
-                    SchemaSubClassOf(ClassRef(d.range), ClassRef(sup)),
-                ],
-                [Link(VX, PropRef(d.iri), ClassRef(sup))],
+                _PROPAGATE,
+                (d.iri, d.range, sup),
                 [d.describe(), SubClassOf(d.range, sup).describe()],
                 f'IF ({d.domain} "{d.iri}" {d.range}) and '
                 f'({d.range} "part of" {sup}) THEN ({d.domain} "{d.iri}" {sup})',
@@ -226,32 +259,32 @@ def extract_relation_propagation(model: OntologyModel) -> Iterator[_Shape]:
 
 
 @_scanner(Pattern.SUBPROPERTY_LIFT)
-def extract_subproperty_lift(model: OntologyModel) -> Iterator[_Shape]:
+def extract_subproperty_lift(model: OntologyModel) -> Iterator[_Yield]:
     for ax in sorted(model.axioms_of(SubPropertyOf), key=lambda a: (a.sub, a.sup)):
         yield (
-            [Link(VX, PropRef(ax.sub), VY)],
-            [Link(VX, PropRef(ax.sup), VY)],
+            _LIFT_LINK,
+            (ax.sub, ax.sup),
             [ax.describe()],
             f'IF {ax.sub} and "subproperty of" THEN {ax.sup}',
         )
 
 
 @_scanner(Pattern.SYMMETRIC)
-def extract_symmetric(model: OntologyModel) -> Iterator[_Shape]:
+def extract_symmetric(model: OntologyModel) -> Iterator[_Yield]:
     for d in _sorted_props(model):
         if d.kind is not PropertyKind.SYMMETRIC or not _has_domain_and_range(d):
             continue
         for here, there in ((d.domain, d.range), (d.range, d.domain)):
             yield (
-                [IsA(VX, ClassRef(here))],
-                [Link(VX, PropRef(d.iri), ClassRef(there))],
+                _LINK_TO_CLASS,
+                (here, d.iri, there),
                 [d.describe()],
                 f"IF {here} THEN ({d.iri} {there})",
             )
 
 
 @_scanner(Pattern.TRANSITIVE_PROPERTY)
-def extract_transitive(model: OntologyModel) -> Iterator[_Shape]:
+def extract_transitive(model: OntologyModel) -> Iterator[_Yield]:
     # property -> subject -> that subject's links, sorted by object
     links: dict[Iri, dict[Iri, list[ClassLink]]] = {}
     for ax in sorted(model.axioms_of(ClassLink), key=lambda a: (a.prop, a.subject, a.obj)):
@@ -260,10 +293,9 @@ def extract_transitive(model: OntologyModel) -> Iterator[_Shape]:
     for d in _sorted_props(model):
         if d.kind is not PropertyKind.TRANSITIVE:
             continue
-        p = PropRef(d.iri)
         yield (
-            [Link(VX, p, VY), Link(VY, p, VZ)],
-            [Link(VX, p, VZ)],
+            _TRANSITIVE,
+            (d.iri,),
             [d.describe()],
             f'IF (?x "{d.iri}" ?y) and (?y "{d.iri}" ?z) THEN (?x "{d.iri}" ?z)',
         )
@@ -274,15 +306,15 @@ def extract_transitive(model: OntologyModel) -> Iterator[_Shape]:
                     continue
                 a, b, c = first.subject, first.obj, second.obj
                 yield (
-                    [Link(ClassRef(a), p, ClassRef(b)), Link(ClassRef(b), p, ClassRef(c))],
-                    [Link(ClassRef(a), p, ClassRef(c))],
+                    _LINK_CHAIN,
+                    (a, d.iri, b, c),
                     [d.describe(), first.describe(), second.describe()],
                     f'IF ({a} "{d.iri}" {b}) and ({b} "{d.iri}" {c}) THEN ({a} "{d.iri}" {c})',
                 )
 
 
 @_scanner(Pattern.SOLE_PARTOF)
-def extract_sole_partof(model: OntologyModel) -> Iterator[_Shape]:
+def extract_sole_partof(model: OntologyModel) -> Iterator[_Yield]:
     subs = model.subs_by_super()
     for whole in sorted(subs):
         parts = subs[whole]
@@ -290,63 +322,58 @@ def extract_sole_partof(model: OntologyModel) -> Iterator[_Shape]:
             continue
         part = parts[0]
         yield (
-            [SolePart(ClassRef(part), ClassRef(whole))],
-            [MorePartsExpected(ClassRef(whole))],
+            _SOLE_PART,
+            (part, whole),
             [SubClassOf(part, whole).describe()],
             f'IF {whole} and only one "part of" THEN (more "part of" ∈ {whole})',
         )
 
 
 @_scanner(Pattern.COOCCURRENCE)
-def extract_cooccurrence(model: OntologyModel) -> Iterator[_Shape]:
+def extract_cooccurrence(model: OntologyModel) -> Iterator[_Yield]:
     for d in _plain_object_props(model):
         yield (
-            [IsA(VX, ClassRef(d.domain)), IsA(VY, ClassRef(d.range))],
-            [Link(VX, PropRef(d.iri), VY)],
+            _COOCCUR,
+            (d.domain, d.range, d.iri),
             [d.describe()],
             f"IF {d.domain} and {d.range} THEN {d.iri}",
         )
 
 
 @_scanner(Pattern.ALLVALUESFROM)
-def extract_allvaluesfrom(model: OntologyModel) -> Iterator[_Shape]:
+def extract_allvaluesfrom(model: OntologyModel) -> Iterator[_Yield]:
     for ax in sorted(model.axioms_of(AllValuesFrom), key=lambda a: (a.on_property, a.filler)):
         yield (
-            [Not(IsA(VY, ClassRef(ax.filler)))],
-            [Not(Link(VX, PropRef(ax.on_property), VY))],
+            _ONLY,
+            (ax.filler, ax.on_property),
             [ax.describe()],
             f"IF not {ax.filler} THEN not {ax.on_property}",
         )
 
 
 @_scanner(Pattern.INTERSECTION)
-def extract_intersection(model: OntologyModel) -> Iterator[_Shape]:
+def extract_intersection(model: OntologyModel) -> Iterator[_Yield]:
     for ax in sorted(model.axioms_of(IntersectionOf), key=lambda a: (a.defined, a.parts)):
         yield (
-            [IsA(VX, ClassRef(ax.defined))],
-            [IsA(VX, ClassRef(p)) for p in ax.parts],  # listing order kept
+            _PARTS,
+            (ax.defined, *ax.parts),  # listing order kept
             [ax.describe()],
             f"IF {ax.defined} THEN {' and '.join(str(p) for p in ax.parts)}",
         )
 
 
 @_scanner(Pattern.INVERSE)
-def extract_inverse(model: OntologyModel) -> Iterator[_Shape]:
+def extract_inverse(model: OntologyModel) -> Iterator[_Yield]:
     for ax in _sorted_inverses(model):
         decl = model.property(ax.prop)
         if not _has_domain_and_range(decl):
             continue
         d, r = decl.domain, decl.range
         triggers = [ax.describe(), decl.describe()]
+        yield _LINK_TO_CLASS, (d, ax.prop, r), triggers, f"IF {d} THEN ({ax.prop} {r})"
         yield (
-            [IsA(VX, ClassRef(d))],
-            [Link(VX, PropRef(ax.prop), ClassRef(r))],
-            triggers,
-            f"IF {d} THEN ({ax.prop} {r})",
-        )
-        yield (
-            [IsA(VX, ClassRef(r))],
-            [Link(VX, PropRef(ax.inverse), ClassRef(d))],
+            _LINK_TO_CLASS,
+            (r, ax.inverse, d),
             triggers,
             f"IF {r} THEN ({ax.inverse} {d})",
         )
@@ -378,9 +405,7 @@ def extract_all(model: OntologyModel) -> ExtractionReport:
                 old = seen.provenance
                 triggers = tuple(sorted({*old.trigger_axioms, *rule.provenance.trigger_axioms}))
                 provenance = Provenance(old.sources, triggers, old.display_form)
-                merged[rule.id] = Rule(
-                    seen.id, seen.antecedent, seen.consequent, seen.pattern, provenance
-                )
+                merged[rule.id] = seen._with_provenance(provenance)
     ordered = [merged[rid] for rid in sorted(merged)]
     counts = dict.fromkeys(_EXTRACTORS, 0)
     for rule in ordered:

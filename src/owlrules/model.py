@@ -34,7 +34,8 @@ class Value(tuple):
     class defines that name itself.  A class that defines no ``__new__`` gets
     one that takes the fields, by position or by name, and packs them; a class
     writes its own only to check or default its fields.  ``repr`` and pickling
-    read the fields by name.
+    read the fields by name.  ``rules.Rule`` is the one kind whose tuple holds
+    a shape and names where its atom fields were; it builds those on demand.
     """
 
     __slots__ = ()

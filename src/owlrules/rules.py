@@ -1,5 +1,9 @@
 """IF-THEN rule language: terms, atoms, classification, text and JSON forms.
 
+A rule is its shape plus its names.  Each shape is compiled once, by the
+writers below run on placeholder names, into ``str.format`` templates of the
+id text, the rule text and the atoms' JSON, which rules fill with their names.
+
 The structured (JSON) document is written directly as text, its strings
 escaped by the C function ``json.dumps`` uses.  Its bytes are exactly those of
 ``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"`` over the same document
@@ -10,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable, Iterator
 from enum import Enum
+from operator import itemgetter
 
 from .model import Iri, Value
 
@@ -145,6 +151,11 @@ class Pattern(str, Enum):
         member.category = category
         return member
 
+    @property
+    def executable(self) -> bool:
+        """Every pattern but the advisory sole-partof heuristic can be chained."""
+        return self is not Pattern.SOLE_PARTOF
+
 
 class UnknownPatternError(ValueError):
     pass
@@ -182,6 +193,13 @@ class Provenance(Value):
 
 
 class Rule(Value):
+    """An IF-THEN rule, the tuple ``(Rule, id, shape, names, pattern, provenance)``.
+
+    Its atoms are kept as their interned shape and the names in its slots, and
+    built on demand.  Built from atoms, a rule walks them to the shape and names
+    a scanner gives the same atoms, and coerces its pattern.
+    """
+
     __slots__ = ()
     __match_args__ = ("id", "antecedent", "consequent", "pattern", "provenance")
 
@@ -190,12 +208,16 @@ class Rule(Value):
         id: str,
         antecedent: tuple[Atom, ...],
         consequent: tuple[Atom, ...],
-        pattern: Pattern,
+        pattern: Pattern | str,
         provenance: Provenance,
     ) -> "Rule":
-        if not antecedent or not consequent:
-            raise ValueError("rule sides must be non-empty")
-        return tuple.__new__(cls, (cls, id, antecedent, consequent, pattern, provenance))
+        shape, names = _walk(tuple(antecedent), tuple(consequent))
+        return tuple.__new__(cls, (cls, id, shape, names, coerce_pattern(pattern), provenance))
+
+    shape = property(itemgetter(2))
+    names = property(itemgetter(3))
+    antecedent = property(lambda self: self[2].build(*self[3])[0])
+    consequent = property(lambda self: self[2].build(*self[3])[1])
 
     @property
     def category(self) -> RuleCategory:
@@ -203,8 +225,21 @@ class Rule(Value):
 
     @property
     def executable(self) -> bool:
-        """Every pattern but the advisory sole-partof heuristic can be chained."""
-        return self.pattern != Pattern.SOLE_PARTOF
+        return self.pattern.executable
+
+    def _with_provenance(self, provenance: Provenance) -> "Rule":
+        return tuple.__new__(Rule, self[:5] + (provenance,))
+
+    def _stand_in(self) -> "Rule":
+        """This rule with the name in each slot replaced by the slot's placeholder."""
+        return tuple.__new__(Rule, (*self[:3], tuple(map(_mark, range(len(self[3])))), *self[4:]))
+
+
+def _rule(pattern: Pattern, shape: "_Shape", names: tuple, provenance: Provenance) -> Rule:
+    """The rule of ``shape`` filled with ``names``, with its deterministic id."""
+    prefix = pattern._value_
+    digest = hashlib.sha256(f"{prefix}|{shape.key.format(*names)}".encode()).hexdigest()[:10]
+    return tuple.__new__(Rule, (Rule, f"{prefix}-{digest}", shape, names, pattern, provenance))
 
 
 def make_rule(
@@ -215,18 +250,113 @@ def make_rule(
 ) -> Rule:
     """Build a rule with its deterministic id."""
     pattern = coerce_pattern(pattern)
-    ant = tuple(antecedent)
-    cons = tuple(consequent)
-    digest = hashlib.sha256(
-        f"{pattern.value}|{_clause(ant)}|{_clause(cons)}".encode()
-    ).hexdigest()[:10]
-    return Rule(
-        id=f"{pattern.value}-{digest}",
-        antecedent=ant,
-        consequent=cons,
-        pattern=pattern,
-        provenance=provenance or Provenance(),
-    )
+    shape, names = _walk(tuple(antecedent), tuple(consequent))
+    return _rule(pattern, shape, names, provenance or Provenance())
+
+
+# ---------------------------------------------------------------------------
+# shapes
+#
+# A rule's skeleton is its atoms with the name in each slot replaced by the
+# slot's placeholder.  Slots run in walk order, antecedent first, over the
+# terms and HasFeature's bare feature; a name that repeats fills each slot.
+
+
+def _tuple_of(positions: list[int]) -> Callable[[tuple], tuple]:
+    """The values at ``positions`` as a tuple."""
+    if len(positions) == 1:
+        (pos,) = positions
+        return lambda values: (values[pos],)
+    return itemgetter(*positions) if positions else lambda values: ()
+
+
+def _mark(slot: int) -> Iri:
+    """A slot's placeholder: no fixed part of a template holds a NUL character."""
+    return Iri(f"\x00{slot}\x00")
+
+
+def _rename(atoms: tuple, rename: Callable) -> tuple:
+    """``atoms`` with each name replaced by ``rename(name)``, in walk order."""
+    renamed = []
+    for atom in atoms:
+        kind = type(atom)
+        if kind not in _ATOMS:
+            raise TypeError(f"unknown atom: {atom!r}")
+        if kind is Not:
+            renamed.append(Not(*_rename(atom[1:], rename)))
+        elif kind is HasFeature:
+            renamed.append(HasFeature(_rename_term(atom[1], rename), rename(atom[2])))
+        else:
+            renamed.append(kind(*[_rename_term(term, rename) for term in atom[1:]]))
+    return tuple(renamed)
+
+
+def _rename_term(term: Term, rename: Callable) -> Term:
+    kind = type(term)
+    if kind not in _TERMS:
+        raise TypeError(f"unknown term: {term!r}")
+    return term if kind is Var else kind(rename(term[1]))
+
+
+def _template(text: str, marks: list[Iri], spell: Callable[[str], str]) -> str:
+    """``text`` with its braces doubled and each placeholder, as ``spell``
+    writes it, replaced by its slot's ``str.format`` field."""
+    text = text.replace("{", "{{").replace("}", "}}")
+    for slot, mark in enumerate(marks):
+        text = text.replace(spell(mark), f"{{{slot}}}")
+    return text
+
+
+class _Shape:
+    """A function ``build`` from names to ``(antecedent, consequent)`` atoms.
+
+    A scanner makes one per branch.  Once per number of names, ``rule`` walks
+    the atoms built on placeholders to their interned shape (one per skeleton,
+    one name per slot), whose templates are ``key``, the text hashed into the
+    id, ``text``, the rule text, and ``json``, the "if" and "then" arrays.
+    """
+
+    __slots__ = ("build", "forms", "key", "text", "json")
+
+    def __init__(self, build: Callable[..., tuple]) -> None:
+        self.build = build
+        self.forms: dict[int, tuple] = {}  # number of names -> (shape, slot order)
+
+    def rule(self, pattern: Pattern, names: tuple, provenance: Provenance) -> Rule:
+        form = self.forms.get(len(names))
+        if form is None:
+            marks = list(map(_mark, range(len(names))))
+            shape, slots = _walk(*map(tuple, self.build(*marks)))
+            form = self.forms[len(names)] = shape, _tuple_of(list(map(marks.index, slots)))
+        return _rule(pattern, form[0], form[1](names), provenance)
+
+
+_SHAPES: dict[tuple, _Shape] = {}
+
+
+def _walk(antecedent: tuple, consequent: tuple) -> tuple[_Shape, tuple]:
+    """The interned shape of a rule's atoms, and the names in its slots."""
+    names: list = []
+    take = lambda name: names.append(name) or _mark(len(names) - 1)
+    skeleton = (_rename(antecedent, take), _rename(consequent, take))
+    if not antecedent or not consequent:
+        raise ValueError("rule sides must be non-empty")
+    shape = _SHAPES.get(skeleton)
+    if shape is None:
+        shape = _Shape(lambda *names: _fill(skeleton, iter(names)))
+        marks = list(map(_mark, range(len(names))))
+        ant, cons = (" and ".join(map(render_atom, side)) for side in skeleton)
+        shape.key = _template(f"{ant}|{cons}", marks, str)
+        shape.text = _template(f"IF {ant} THEN {cons}", marks, str)
+        k = _KEY_INDENT
+        json = f'{_atoms_json(skeleton[0], k)},\n{k}"then": {_atoms_json(skeleton[1], k)}'
+        shape.json = _template(json, marks, _json_str)
+        shape = _SHAPES.setdefault(skeleton, shape)  # one shape per skeleton, even if raced
+    return shape, tuple(names)
+
+
+def _fill(skeleton: tuple, names: Iterator) -> tuple:
+    return tuple(_rename(side, lambda _: next(names)) for side in skeleton)
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +410,9 @@ def render_atom(atom: Atom) -> str:
     return _ATOMS[type(atom)][2](atom)
 
 
-def _clause(atoms: tuple[Atom, ...]) -> str:
-    # The text forms are called straight from the table; on an unknown atom,
-    # render_atom raises the error.
-    try:
-        return " and ".join([_ATOMS[type(a)][2](a) for a in atoms])
-    except KeyError:
-        return " and ".join(map(render_atom, atoms))
-
-
 def render_text(rule: Rule) -> str:
     """Single-line canonical form: ``IF <atoms> THEN <atoms>``."""
-    return f"IF {_clause(rule.antecedent)} THEN {_clause(rule.consequent)}"
+    return rule[2].text.format(*rule[3])
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +441,14 @@ def _strings_json(values: tuple[str, ...], ind: str) -> str:
 
 def _term_json(term: Term, ind: str) -> str:
     """A term object whose closing brace sits at indentation ``ind``."""
-    spelling = _TERMS.get(type(term))
-    if spelling is None:
-        raise TypeError(f"unknown term: {term!r}")
-    return f'{{\n{ind}  "{spelling[0]}": {_json_str(term[1])}\n{ind}}}'
+    return f'{{\n{ind}  "{_TERMS[type(term)][0]}": {_json_str(term[1])}\n{ind}}}'
 
 
 def _atom_json(atom: Atom, ind: str) -> str:
     """An atom object whose closing brace sits at indentation ``ind``."""
     inner = ind + "  "
     kind = type(atom)
-    spelling = _ATOMS.get(kind)
-    if spelling is None:
-        raise TypeError(f"unknown atom: {atom!r}")
+    spelling = _ATOMS[kind]
     write = _atom_json if kind is Not else _term_json
     values = (atom.subject, PropRef(atom.feature)) if kind is HasFeature else atom[1:]
     body = "".join([f',\n{inner}"{key}": {write(v, inner)}' for key, v in zip(spelling[1], values)])
@@ -344,23 +460,30 @@ def _atoms_json(atoms: tuple[Atom, ...], ind: str) -> str:
     return _list_json([_atom_json(a, inner) for a in atoms], ind)
 
 
-def _rule_json(rule: Rule, ind: str) -> str:
-    """A rule object whose closing brace sits at indentation ``ind``."""
-    k = ind + "  "
+# The keys of a rule object sit at this indentation, and its "pattern",
+# "category" and "executable" lines are written once per pattern.
+_KEY_INDENT = " " * 6
+_PATTERN_JSON = {
+    pattern: f'{_KEY_INDENT}"pattern": {_json_str(pattern.value)},\n'
+    f'{_KEY_INDENT}"category": {_json_str(pattern.category.value)},\n'
+    f'{_KEY_INDENT}"executable": {"true" if pattern.executable else "false"},\n'
+    for pattern in Pattern
+}
+
+
+def _rule_json(rule: Rule) -> str:
+    """A rule object, an item of the document's "rules" array."""
+    k = _KEY_INDENT
     p = k + "  "
-    prov = rule.provenance
+    _, rule_id, shape, names, pattern, prov = rule
     return (
-        f'{{\n{k}"id": {_json_str(rule.id)},\n'
-        f'{k}"pattern": {_json_str(rule.pattern.value)},\n'
-        f'{k}"category": {_json_str(rule.category.value)},\n'
-        f'{k}"executable": {"true" if rule.executable else "false"},\n'
-        f'{k}"if": {_atoms_json(rule.antecedent, k)},\n'
-        f'{k}"then": {_atoms_json(rule.consequent, k)},\n'
+        f'{{\n{k}"id": {_json_str(rule_id)},\n{_PATTERN_JSON[pattern]}'
+        f'{k}"if": {shape.json.format(*map(_json_str, names))},\n'
         f'{k}"provenance": {{\n'
         f'{p}"source": {_strings_json(prov.sources, p)},\n'
         f'{p}"trigger_axioms": {_strings_json(prov.trigger_axioms, p)},\n'
         f'{p}"display_form": {_json_str(prov.display_form)}\n'
-        f"{k}}}\n{ind}}}"
+        f"{k}}}\n    }}"
     )
 
 
@@ -371,11 +494,11 @@ def render_structured(rules: list[Rule] | tuple[Rule, ...], source: tuple[str, .
     "rules": [...]}, indent=2) + "\\n"``, each rule an object with the keys
     written by ``_rule_json``.
     """
-    ordered = sorted(rules, key=lambda r: r.id)
+    ordered = sorted(rules, key=itemgetter(1))
     return (
         f'{{\n  "version": {STRUCTURED_VERSION},\n'
         f'  "source": {_strings_json(source, "  ")},\n'
-        f'  "rules": {_list_json([_rule_json(r, "    ") for r in ordered], "  ")}\n'
+        f'  "rules": {_list_json([_rule_json(r) for r in ordered], "  ")}\n'
         "}\n"
     )
 

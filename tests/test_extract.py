@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import ast
+import pickle
 import random
 from pathlib import Path
 
 import pytest
 from conftest import CANONICAL_FILES, DATA_DIR, FRAGMENTS, load_model
-from oracles import expected_pattern_counts, pair_chain_rule_ids, random_model
+from oracles import (
+    expected_pattern_counts,
+    json_dumps_structured,
+    pair_chain_rule_ids,
+    random_model,
+    render_text_by_match,
+    rule_id_by_match,
+)
 
 from owlrules import (
     ClassLink,
@@ -37,10 +45,12 @@ from owlrules import (
     extract_transitive,
     merge,
     parse_ontology,
+    render_structured,
     render_text,
 )
 import owlrules
 from owlrules import extract
+from owlrules.rules import ClassRef, Var, make_rule
 
 PER_PATTERN = {
     "class-feature": extract_class_feature,
@@ -400,3 +410,35 @@ def test_each_scanner_emits_only_its_pattern_with_the_models_sorted_sources():
         for rule in rules:
             assert rule.pattern is pattern
             assert rule.provenance.sources == ("a/patterns.owl", "z/patterns.owl")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_extracted_rules_match_the_references_and_rebuild_from_their_atoms(seed):
+    # Each scanner rule must read as the pattern-matching and stdlib-encoder
+    # references say, and equal (with an equal hash) the rule rebuilt from its
+    # atoms by make_rule and the rule read back from a pickle.
+    rules = extract_all(random_model(random.Random(7000 + seed), max_axioms=30)).rules
+    assert json_dumps_structured(rules, ("r.owl",)) == render_structured(rules, ("r.owl",))
+    for rule in rules:
+        assert render_text(rule) == render_text_by_match(rule)
+        assert rule.id == rule_id_by_match(rule)
+        for twin in (
+            make_rule(rule.pattern, rule.antecedent, rule.consequent, rule.provenance),
+            pickle.loads(pickle.dumps(rule)),
+        ):
+            assert twin == rule and hash(twin) == hash(rule)
+
+
+def test_the_random_models_fire_every_scanner_branch():
+    # The test above meets every branch of every scanner, and both arities of
+    # the variable-length class-feature shape.
+    seen = set()
+    for seed in range(40):
+        for rule in extract_all(random_model(random.Random(7000 + seed), max_axioms=30)).rules:
+            seen.add((rule.pattern, type(rule.antecedent[0][1]), len(rule.consequent)))
+    assert {pattern for pattern, _, _ in seen} == set(Pattern)
+    assert {(kind, n) for p, kind, n in seen if p is Pattern.TRANSITIVE_PROPERTY} == {
+        (Var, 1),
+        (ClassRef, 1),
+    }
+    assert {n for p, _, n in seen if p is Pattern.CLASS_FEATURE} == {1, 2}

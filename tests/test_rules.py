@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 
 import pytest
@@ -14,11 +15,22 @@ from oracles import (
 
 from owlrules import (
     CATEGORY_ORDER,
+    AllValuesFrom,
+    ClassLink,
+    EquivalentClass,
+    IntersectionOf,
+    InverseOf,
     Iri,
+    ModelBuilder,
     Pattern,
+    PropertyDecl,
+    PropertyKind,
     Rule,
     RuleCategory,
+    SubClassOf,
+    SubPropertyOf,
     UnknownPatternError,
+    extract_all,
     parse_structured,
     render_structured,
     render_text,
@@ -569,7 +581,87 @@ def test_unknown_terms_and_atoms_are_type_errors():
     ok = IsA(VX, ClassRef(Iri("A")))
     with pytest.raises(TypeError, match="unknown atom"):
         make_rule(Pattern.SYMMETRIC, [ok, Atom()], [ok])
+    # A rule walks its atoms when it is built, so a rule built directly
+    # refuses them at once.
     for bad in (Atom(), IsA(VX, Term())):
-        rule = Rule("x", (bad,), (ok,), Pattern.SYMMETRIC, Provenance())
         with pytest.raises(TypeError, match="unknown"):
-            render_structured([rule])
+            Rule("x", (bad,), (ok,), Pattern.SYMMETRIC, Provenance())
+
+
+def test_a_rule_built_directly_coerces_its_pattern():
+    a, b = IsA(VX, ClassRef(Iri("A"))), IsA(VX, ClassRef(Iri("B")))
+    rule = Rule("x", (a,), (b,), "symmetric", Provenance())
+    assert rule.pattern is Pattern.SYMMETRIC
+    assert rule.category is RuleCategory.MEANING_ENRICHING
+    assert render_structured([rule], ["a.owl"]) == json_dumps_structured([rule], ("a.owl",))
+    with pytest.raises(UnknownPatternError):
+        Rule("x", (a,), (b,), "no-such-pattern", Provenance())
+
+
+# ---------------------------------------------------------------------------
+# names that look like template syntax
+
+# Format fields, lone and doubled braces, a printf directive, a control
+# character, an escaped quote, and digits between NUL characters.
+_TEMPLATE_LIKE = ("{0}", "{", "}}", "%s", "\x01", '\\"', "\x000\x00")
+
+
+def _model_named(n: str):
+    """A model whose every name is built from ``n``, on which all 13 scanners fire."""
+    a, b, c, d, e = (Iri(f"{n}{suffix}") for suffix in ("", "1", "2", n, "3"))
+    p, t = Iri(n), Iri(f"{n}t")
+    builder = ModelBuilder()
+    builder.declare_property(PropertyDecl(Iri(f"{n}f"), PropertyKind.DATATYPE, a))
+    builder.declare_property(PropertyDecl(Iri(f"{n}g"), PropertyKind.DATATYPE, a))
+    builder.declare_property(PropertyDecl(p, PropertyKind.OBJECT, a, b))
+    builder.declare_property(PropertyDecl(Iri(f"{n}s"), PropertyKind.SYMMETRIC, a, c))
+    builder.declare_property(PropertyDecl(t, PropertyKind.TRANSITIVE))
+    for axiom in (
+        SubClassOf(b, c),
+        SubClassOf(c, d),
+        EquivalentClass(a, e),
+        SubClassOf(e, d),
+        SubPropertyOf(p, t),
+        InverseOf(p, Iri(f"{n}i")),
+        AllValuesFrom(p, d),
+        IntersectionOf(e, (b, c)),
+        ClassLink(a, t, b),
+        ClassLink(b, t, c),
+    ):
+        builder.add_axiom(axiom)
+    return builder.build()
+
+
+def _rule_named(n: str) -> Rule:
+    """A rule that holds ``n`` in every term kind and as a bare feature."""
+    name = Iri(n)
+    return make_rule(
+        Pattern.INTERSECTION,
+        [
+            IsA(IndividualRef(name), ClassRef(name)),
+            Link(LiteralTok(n), PropRef(name), VX),
+            Not(Link(VX, PropRef(name), IndividualRef(name))),
+            SchemaEquivalent(ClassRef(name), LiteralTok(n)),
+        ],
+        [HasFeature(VX, name), SolePart(LiteralTok(n), ClassRef(name))],
+        Provenance((n,), (n,), n),
+    )
+
+
+@pytest.mark.parametrize("n", _TEMPLATE_LIKE)
+def test_names_that_look_like_template_syntax_go_in_verbatim(n):
+    extracted = extract_all(_model_named(n)).rules
+    assert {r.pattern for r in extracted} == set(Pattern)
+    built = [
+        make_rule(r.pattern, r.antecedent, r.consequent, r.provenance) for r in extracted
+    ] + [_rule_named(n)]
+    assert built[:-1] == extracted
+    for rules in (extracted, built):
+        for rule in rules:
+            assert render_text(rule) == render_text_by_match(rule)
+            assert rule.id == rule_id_by_match(rule)
+            assert pickle.loads(pickle.dumps(rule)) == rule
+        text = render_structured(rules, (n,))
+        assert text == json_dumps_structured(rules, (n,))
+        assert parse_structured(text)[0] == sorted(rules, key=lambda r: r.id)
+    assert f"hasFeature(?x,{n})" in render_text(built[-1])

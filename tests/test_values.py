@@ -218,7 +218,10 @@ def test_a_value_takes_no_assignment_and_has_no_instance_dict(value):
 
 @pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
 def test_a_value_rebuilds_equal_from_its_fields_by_position_and_by_name(value):
-    kind, fields = value[0], value[1:]
+    kind = value[0]
+    fields = tuple(getattr(value, name) for name in kind.__match_args__)
+    # A rule's tuple holds its shape and names where its atom fields were.
+    assert (value[1:] == fields) is (kind is not Rule)
     assert kind(*fields) == value
     assert kind(**dict(zip(kind.__match_args__, fields))) == value
 
@@ -235,8 +238,9 @@ def test_a_value_one_argument_short_names_its_constructor_and_the_missing_field(
         f"{kind.__name__}.__new__() missing 1 required positional argument: "
         f"'{kind.__match_args__[-1]}'"
     )
+    fields = [getattr(value, name) for name in kind.__match_args__]
     with pytest.raises(TypeError) as caught:
-        kind(*value[1:-1])
+        kind(*fields[:-1])
     assert str(caught.value) == message
 
 
