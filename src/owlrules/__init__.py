@@ -10,20 +10,7 @@ exceptions they raise; everything else is imported from its own module
 (``owlrules.rules``, ``owlrules.model``, ...).
 """
 
-from .engine import (
-    ContradictionError,
-    Fact,
-    FactBase,
-    FeatureExpected,
-    InferenceResult,
-    LinkFact,
-    Membership,
-    NegMembership,
-    NonExecutableRuleError,
-    format_fact,
-    run_fixpoint,
-    schema_closure,
-)
+from .engine import InferenceResult, NonExecutableRuleError, run_fixpoint, schema_closure
 from .extract import (
     ExtractionReport,
     extract_all,
@@ -40,6 +27,16 @@ from .extract import (
     extract_subproperty_lift,
     extract_symmetric,
     extract_transitive,
+)
+from .facts import (
+    ContradictionError,
+    Fact,
+    FactBase,
+    FeatureExpected,
+    LinkFact,
+    Membership,
+    NegMembership,
+    format_fact,
 )
 from .model import (
     AllValuesFrom,

@@ -16,8 +16,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import ContradictionError, format_fact, run_fixpoint
+from .engine import run_fixpoint
 from .extract import extract_all
+from .facts import ContradictionError, format_fact
 from .model import MergeConflictError, OntologyModel, merge
 from .parser import (
     format_diagnostic,

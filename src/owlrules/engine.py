@@ -1,9 +1,11 @@
 """Forward chaining over instance facts, plus schema-level subclass closure.
 
 ``run_fixpoint`` saturates a fact base under executable rules by semi-naive
-rounds, evaluated a set at a time.  Rules that differ only in their names
-share a shape (``Rule.shape``), compiled once per call on placeholder names
-with one plan per antecedent atom; a rule maps its names in.  In a round, a
+rounds, evaluated a set at a time; the facts and their store are defined in
+``owlrules.facts``.  Rules that differ only in their names share a shape
+(``Rule.shape``).  Once per call, each shape is built on its slot numbers (0,
+1, ... where a rule has its names) and compiled into one plan per antecedent
+atom; a rule's plans read its names (``Rule.names``) by slot.  In a round, a
 plan starts from its pivot atom over the facts the previous round derived
 (in the first round, the initial facts) and joins the other atoms against
 every known fact; only plans whose pivot relation -- fact kind and predicate
@@ -35,151 +37,28 @@ are reported as violations after the fixpoint is reached.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable
 from operator import itemgetter
 
-from .model import (
-    EquivalentClass,
-    Iri,
-    OntologyModel,
-    SubClassOf,
-    Value,
-    fields_repr,
-)
+from .facts import Fact, FactBase, FeatureExpected, LinkFact, Membership, NegMembership, format_fact
+from .model import EquivalentClass, Iri, OntologyModel, SubClassOf, fields_repr
 from .rules import (
     ClassRef,
     HasFeature,
-    IndividualRef,
     IsA,
     Link,
+    LiteralTok,
     Not,
     Pattern,
     PropRef,
     Rule,
+    Term,
     Var,
     _tuple_of,
 )
 
 
-class ContradictionError(Exception):
-    """A membership and its negation name the same (individual, class) pair."""
-
-    # The parser.Location of the second statement when a fact file makes both,
-    # and the diagnostics of the file's malformed lines; None and () for a
-    # contradiction derived by rules.
-    location = None
-    diagnostics = ()
-
-
 class NonExecutableRuleError(ValueError):
     """A rule flagged non-executable was handed to the fixpoint engine."""
-
-
-# ---------------------------------------------------------------------------
-# facts
-
-
-class Fact:
-    __slots__ = ()
-
-
-class Membership(Fact, Value):
-    __slots__ = ()
-    __match_args__ = ("individual", "cls")
-
-
-class NegMembership(Fact, Value):
-    __slots__ = ()
-    __match_args__ = ("individual", "cls")
-
-
-class LinkFact(Fact, Value):
-    """``obj_is_class`` is true when the object names a class rather than an
-    individual (the symmetric/inverse shapes conclude links that point at a
-    class)."""
-
-    __slots__ = ()
-    __match_args__ = ("subject", "prop", "obj", "obj_is_class")
-
-    def __new__(cls, subject: Iri, prop: Iri, obj: Iri, obj_is_class: bool = False) -> "LinkFact":
-        return tuple.__new__(cls, (cls, subject, prop, obj, obj_is_class))
-
-
-class FeatureExpected(Fact, Value):
-    __slots__ = ()
-    __match_args__ = ("individual", "feature")
-
-
-# The fact-file spelling of each fact kind, read by ``format_fact`` and by
-# ``parser.parse_fact_base``: its name and the number of names it takes.  A
-# class-flagged link is written as the unflagged one.
-FACT_SYNTAX = {
-    Membership: ("isa", 2),
-    NegMembership: ("not isa", 2),
-    LinkFact: ("link", 3),
-    FeatureExpected: ("feature", 2),
-}
-
-
-def format_fact(fact: Fact) -> str:
-    syntax = FACT_SYNTAX.get(type(fact))
-    if syntax is None:
-        raise TypeError(f"unknown fact: {fact!r}")
-    name, arity = syntax
-    return f"{name}({', '.join(fact[1 : arity + 1])})"
-
-
-class FactBase:
-    """Duplicate-free fact store that remembers which rule derived what.
-
-    One insertion-ordered dict maps each fact to the id of the rule that
-    derived it, or to None for a fact given initially.
-    """
-
-    def __init__(self, facts: tuple[Fact, ...] | list[Fact] = ()):
-        self._sources: dict[Fact, str | None] = {}
-        for f in facts:
-            self.add(f)
-
-    @property
-    def facts(self) -> tuple[Fact, ...]:
-        return tuple(self._sources)
-
-    def add(self, fact: Fact, derived_by: str | None = None) -> bool:
-        if fact in self._sources:
-            return False
-        self._check_contradiction(fact, derived_by)
-        self._sources[fact] = derived_by
-        return True
-
-    def _check_contradiction(self, fact: Fact, derived_by: str | None) -> None:
-        twin: Fact | None = None
-        if isinstance(fact, Membership):
-            twin = NegMembership(fact.individual, fact.cls)
-        elif isinstance(fact, NegMembership):
-            twin = Membership(fact.individual, fact.cls)
-        if twin is not None and twin in self._sources:
-            raise ContradictionError(
-                f"contradiction on ({fact.individual}, {fact.cls}): asserted and negated "
-                f"(sources: {self.source_of(twin)}, {derived_by or 'initial'})"
-            )
-
-    def source_of(self, fact: Fact) -> str:
-        return self._sources.get(fact) or "initial"
-
-    def copy(self) -> "FactBase":
-        clone = FactBase()
-        clone._sources = dict(self._sources)
-        return clone
-
-    def __contains__(self, fact: Fact) -> bool:
-        return fact in self._sources
-
-    def __iter__(self):
-        return iter(self._sources)
-
-    def __len__(self) -> int:
-        return len(self._sources)
 
 
 class InferenceResult:
@@ -210,54 +89,44 @@ class InferenceResult:
 # class, property or feature), 3 object and 4 object-is-class (links only).
 _FACT_OF = {IsA: Membership, Link: LinkFact, HasFeature: FeatureExpected}
 
-_REFS = (ClassRef, PropRef, IndividualRef)
 
-
-def _slots(terms: tuple, names: list[Iri]) -> list[Var | int | None]:
+def _parts(terms: tuple) -> tuple:
     """``terms`` as shape parts: a variable as itself, a name (bare or in a
-    reference) as its slot, the position it is appended at in ``names``, and
-    a literal, which never matches a name, as None."""
-    parts: list[Var | int | None] = []
-    for term in terms:
-        kind = type(term)
-        if kind is Var:
-            parts.append(term)
-        elif kind is Iri or kind in _REFS:
-            parts.append(len(names))
-            names.append(term if kind is Iri else term[1])
-        else:
-            parts.append(None)
-    return parts
+    reference) as what stands there, its slot in atoms built on slot numbers,
+    and a literal, which never matches a name, as None."""
+    return tuple(
+        term if type(term) is Var
+        else None if type(term) is LiteralTok
+        else term[1] if isinstance(term, Term)
+        else term
+        for term in terms
+    )
 
 
-def _split(rule: Rule) -> tuple[tuple, tuple[Iri, ...]] | None:
-    """``rule`` as ``(shape, names)``: rules that differ only in their names
-    share a shape, which is compiled once.
-
-    The shape is ``(body, heads)``: ``body`` lists the instance atoms of the
-    antecedent as ``(fact kind, parts)`` and ``heads`` those of the
-    consequent as ``(fact kind, parts, object-is-class)``.  Each part is a
-    variable or a slot: the position in ``names`` of the name standing there.
+def _split(rule_id: str, antecedent: tuple, consequent: tuple) -> tuple | None:
+    """A rule's atoms as its engine shape ``(body, heads)``: ``body`` lists
+    the instance atoms of the antecedent as ``(fact kind, parts)`` and
+    ``heads`` those of the consequent as ``(fact kind, parts,
+    object-is-class)``.
 
     Returns None for a rule that can derive nothing: some atom can never match
     (a literal, or a variable-bearing schema atom), or no consequent atom is
     instance-level.  Raises ``ValueError`` naming the rule for an atom the
     engine cannot run, even if no fact would ever match the rule.
     """
-    names: list[Iri] = []
     body = []
     fires = True
-    for atom in rule.antecedent:
+    for atom in antecedent:
         kind = _FACT_OF.get(type(atom))
         if kind is not None:
-            parts = _slots(atom[1:], names)
+            parts = _parts(atom[1:])
             if None in parts:
                 fires = False
             else:
-                body.append((kind, tuple(parts)))
+                body.append((kind, parts))
         elif isinstance(atom, Not):
             raise ValueError(
-                f"rule {rule.id}: negated antecedents are only supported on "
+                f"rule {rule_id}: negated antecedents are only supported on "
                 "integrity-check rules"
             )
         elif any(isinstance(t, Var) for t in atom[1:]):
@@ -268,42 +137,39 @@ def _split(rule: Rule) -> tuple[tuple, tuple[Iri, ...]] | None:
         return None
     bound = {p for _, parts in body for p in parts if isinstance(p, Var)}
     heads = []
-    for atom in rule.consequent:
+    for atom in consequent:
         kind = _FACT_OF.get(type(atom))
         if kind is None:
             continue
-        parts = _slots(atom[1:], names)
+        parts = _parts(atom[1:])
         for term, part in zip(atom[1:], parts):
             if part is None:
-                raise ValueError(f"rule {rule.id}: cannot ground {term!r}")
+                raise ValueError(f"rule {rule_id}: cannot ground {term!r}")
             if isinstance(part, Var) and part not in bound:
-                raise ValueError(f"rule {rule.id}: consequent variable {part.name} is unbound")
-        heads.append((kind, tuple(parts), kind is LinkFact and type(atom.obj) is ClassRef))
-    return ((tuple(body), tuple(heads)), tuple(names)) if heads else None
+                raise ValueError(f"rule {rule_id}: consequent variable {part.name} is unbound")
+        heads.append((kind, parts, kind is LinkFact and type(atom.obj) is ClassRef))
+    return (tuple(body), tuple(heads)) if heads else None
 
 
-def _prepare(rule: Rule) -> tuple[bool, list[tuple], Callable[[tuple], tuple]]:
-    """How every rule of ``rule``'s shape runs, found once on placeholder names:
-    ``(integrity check?, plan templates, pick)``, where ``pick`` maps a rule's
-    names to the property and filler of its check, or to its engine shape's."""
-    stand_in = rule._stand_in()
-    marks = stand_in.names
-    if any(isinstance(a, Not) for a in stand_in.consequent):
-        match stand_in.antecedent, stand_in.consequent:
+def _prepare(rule: Rule) -> tuple[tuple[int, int] | None, list[tuple]]:
+    """How every rule of ``rule``'s shape runs, found once on the shape built
+    on its slot numbers: ``(check, plan templates)``.  ``check`` holds the
+    slots of the property and the filler of an integrity check, else None;
+    a plan reads the names of each rule by slot."""
+    antecedent, consequent = rule.shape.build(*range(len(rule.names)))
+    if any(isinstance(a, Not) for a in consequent):
+        match antecedent, consequent:
             case (Not(IsA(guard, ClassRef(filler))),), (
                 Not(Link(_, PropRef(prop), Var() as obj)),
             ) if guard == obj:
-                return True, [], _tuple_of([marks.index(prop), marks.index(filler)])
+                return (prop, filler), []
         raise ValueError(f"rule {rule.id}: unsupported integrity-check shape")
     try:
-        split = _split(stand_in)
+        shape = _split(rule.id, antecedent, consequent)
     except ValueError:
-        _split(rule)  # raises the same error, spelled with the rule's own names
+        _split(rule.id, rule.antecedent, rule.consequent)  # the same error, in the rule's names
         raise
-    if split is None:
-        return False, [], _tuple_of([])
-    shape, names = split
-    return False, _compile_shape(shape), _tuple_of([marks.index(n) for n in names])
+    return None, ([] if shape is None else _compile_shape(shape, len(rule.names)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +257,11 @@ def _head_index(heads: tuple, group: list[Var]) -> tuple | None:
     return kind, pred, (kind is LinkFact, fixed, eqs), tuple(c for c, _ in keys), tuple(cols)
 
 
-def _compile_shape(shape: tuple) -> list[tuple]:
-    """One plan template per pivot; a body without instance atoms gets one
-    template without a pivot, whose single empty binding fires once."""
+def _compile_shape(shape: tuple, slots: int) -> list[tuple]:
+    """One plan template per pivot of a shape whose rules have ``slots``
+    names; a body without instance atoms gets one template without a pivot,
+    whose single empty binding fires once."""
     body, heads = shape
-    slots = sum(not isinstance(p, Var) for _, parts, *_ in body + heads for p in parts)
     head_vars = set().union(*(_vars(parts) for _, parts, _ in heads))
     tail = tuple(x for kind, _, flag in heads for x in (kind, flag))
     templates = []
@@ -618,17 +484,18 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
     for position, rule in enumerate(rules):
         if rule.shape not in prepared:
             prepared[rule.shape] = _prepare(rule)
-        check, templates, pick = prepared[rule.shape]
-        names = pick(rule.names)
-        if check:
-            constraints.append((rule, *names))
+        check, templates = prepared[rule.shape]
+        names = rule.names
+        if check is not None:
+            prop, filler = check
+            constraints.append((rule, names[prop], names[filler]))
         for template in templates:
             key, plan = _bind_plan(template, names, indexes, watch)
             dispatch[key].append((position, rule.id, plan))
     wide = {key[0] for key in [*dispatch, *watch] if key is not None and key[1] is None}
 
     base = initial.copy()  # FactBase.add has kept it free of contradictions
-    known = base._sources
+    known = base.sources
     # Rules derive no negations, so only an initial one can be contradicted.
     negated = any(type(fact) is NegMembership for fact in known)
     relations: dict[tuple, list[Fact]] = defaultdict(list)
@@ -647,7 +514,7 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
         staged.sort(key=_canonical)
         if negated:
             for fact, rule_id in staged:
-                base._check_contradiction(fact, rule_id)
+                base.check_contradiction(fact, rule_id)
         known.update(staged)
         derived += staged
         delta = _absorb([fact for fact, _ in staged], relations, watch, wide)

@@ -25,7 +25,7 @@ import re
 from enum import Enum
 from xml.parsers import expat
 
-from .engine import FACT_SYNTAX, ContradictionError, Fact, FactBase
+from .facts import FACT_SYNTAX, ContradictionError, Fact, FactBase
 from .model import (
     AllValuesFrom,
     Axiom,

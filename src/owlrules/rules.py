@@ -230,10 +230,6 @@ class Rule(Value):
     def _with_provenance(self, provenance: Provenance) -> "Rule":
         return tuple.__new__(Rule, self[:5] + (provenance,))
 
-    def _stand_in(self) -> "Rule":
-        """This rule with the name in each slot replaced by the slot's placeholder."""
-        return tuple.__new__(Rule, (*self[:3], tuple(map(_mark, range(len(self[3])))), *self[4:]))
-
 
 def _rule(pattern: Pattern, shape: "_Shape", names: tuple, provenance: Provenance) -> Rule:
     """The rule of ``shape`` filled with ``names``, with its deterministic id."""
@@ -533,7 +529,8 @@ def _obj_to_atom(obj: dict) -> Atom:
 
 
 def parse_structured(text: str) -> tuple[list[Rule], list[str]]:
-    """Inverse of :func:`render_structured`; validates ids against content.
+    """Inverse of :func:`render_structured`; checks each rule's id, category
+    and executable flag against its content and pattern.
 
     Any malformed document raises ``ValueError``.
     """
@@ -569,4 +566,6 @@ def _obj_to_rule(obj: dict) -> Rule:
     )
     if rule.id != obj["id"]:
         raise ValueError(f"rule id {obj['id']!r} does not match content ({rule.id})")
+    if obj["category"] != rule.category.value or obj["executable"] is not rule.executable:
+        raise ValueError(f"rule {rule.id}: category or executable is not its pattern's")
     return rule

@@ -368,7 +368,9 @@ def test_a_literal_in_a_consequent_is_rejected_with_the_rule_id():
     rule = _positive(
         [IsA(VX, ClassRef(Iri("A")))], [Link(VX, PropRef(Iri("age")), LiteralTok("42"))]
     )
-    with pytest.raises(ValueError, match=rf"^rule {rule.id}: cannot ground LiteralTok"):
+    # The rule's own term, not the slot or placeholder its shape was compiled on.
+    message = rf"^rule {rule.id}: cannot ground LiteralTok\(text='42'\)$"
+    with pytest.raises(ValueError, match=message):
         run_fixpoint([rule], FactBase([Membership(Iri("a"), Iri("A"))]), CAP)
 
 

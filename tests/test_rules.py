@@ -329,7 +329,7 @@ def _malformed_documents() -> dict[str, str]:
     docs["string-source"] = {**good, "source": "a.owl"}
     bad_rules = {
         f"rule-without-{key}": {k: v for k, v in rule.items() if k != key}
-        for key in ("id", "pattern", "if", "then", "provenance")
+        for key in ("id", "pattern", "category", "executable", "if", "then", "provenance")
     }
     prov = rule["provenance"]
     isa = {"kind": "isa", "subject": {"var": "?x"}, "class": {"class": "Fox"}}
@@ -346,6 +346,11 @@ def _malformed_documents() -> dict[str, str]:
         "iri-number": {**rule, "if": [{**isa, "class": {"class": 5}}]},
         "literal-number": {**rule, "if": [{**isa, "subject": {"literal": 5}}]},
         "pattern-list": {**rule, "pattern": []},
+        # The category and the executable flag are the pattern's; JSON's 1 is not true.
+        "category-mismatch": {**rule, "category": "identifying"},
+        "category-number": {**rule, "category": 5},
+        "executable-flipped": {**rule, "executable": False},
+        "executable-number": {**rule, "executable": 1},
         "wrong-id": {**rule, "id": "cooccurrence-0000000000"},
         "term-unknown-key": {**rule, "if": [{**isa, "subject": {"individual-ish": "x"}}]},
         "atom-unknown-kind": {**rule, "if": [{**isa, "kind": "member"}]},

@@ -4,6 +4,10 @@ The callers are the benchmark scripts under ``bench/`` and the README's
 "Library" example.  Every name they import from ``owlrules``, read as
 ``owlrules.<name>`` or look up by name must be exported; the tests import
 everything else from the module that defines it.
+
+Inside the package, the fact layer (``owlrules.facts``) builds on the model
+alone, and only the command line and the package itself import the engine,
+so that reading a fact file does not load the join compiler.
 """
 
 import ast
@@ -63,3 +67,29 @@ def test_star_import_binds_exactly_all():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(owlrules.__all__)
     assert len(set(owlrules.__all__)) == len(owlrules.__all__)
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The modules of the package that the module at ``path`` imports."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("owlrules."):
+            found.add(node.module.removeprefix("owlrules."))
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.startswith("owlrules.")]
+            found.update(name.removeprefix("owlrules.") for name in names)
+    return {name.split(".")[0] for name in found}
+
+
+IMPORTS = {p.name: _package_imports(p) for p in Path(owlrules.__file__).parent.glob("*.py")}
+
+
+def test_only_the_cli_and_the_package_import_the_engine():
+    importers = sorted(name for name, found in IMPORTS.items() if "engine" in found)
+    assert importers == ["__init__.py", "cli.py"]
+
+
+def test_the_fact_layer_imports_only_the_model():
+    assert IMPORTS["facts.py"] == {"model"}
