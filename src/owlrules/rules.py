@@ -512,20 +512,23 @@ def _obj_to_term(obj: dict) -> Term:
     raise ValueError(f"bad term object: {obj!r}")
 
 
-def _obj_to_atom(obj: dict) -> Atom:
+def _obj_to_atom(obj: dict, negated: bool = False) -> Atom:
     name = obj.get("kind")
     spelling = _ATOM_OF_NAME.get(name) if isinstance(name, str) else None
     if spelling is None:
         raise ValueError(f"bad atom object: {obj!r}")
     kind, keys = spelling
+    if kind is Not:
+        if negated:  # checked before the inner atom is read, so nesting cannot recurse
+            raise ValueError("negation does not nest")
+        return Not(*[_obj_to_atom(obj[key], True) for key in keys])
     if kind is HasFeature:
         subject_key, feature_key = keys
         feature = _obj_to_term(obj[feature_key])
         if not isinstance(feature, PropRef):
             raise ValueError(f"feature must be a prop term: {obj!r}")
         return HasFeature(_obj_to_term(obj[subject_key]), feature.iri)
-    read = _obj_to_atom if kind is Not else _obj_to_term
-    return kind(*[read(obj[key]) for key in keys])
+    return kind(*[_obj_to_term(obj[key]) for key in keys])
 
 
 def parse_structured(text: str) -> tuple[list[Rule], list[str]]:
@@ -534,11 +537,15 @@ def parse_structured(text: str) -> tuple[list[Rule], list[str]]:
 
     Any malformed document raises ``ValueError``.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("rule document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"rule document must be a JSON object, not {type(doc).__name__}")
-    if doc.get("version") != STRUCTURED_VERSION:
-        raise ValueError(f"unsupported document version: {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != STRUCTURED_VERSION:  # JSON true and 1.0 are not 1
+        raise ValueError(f"unsupported document version: {version!r}")
     try:
         rules = [_obj_to_rule(obj) for obj in doc["rules"]]
         return rules, list(_strings(doc["source"]))

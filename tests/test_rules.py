@@ -322,7 +322,9 @@ def _malformed_documents() -> dict[str, str]:
     """Broken rule documents by name, each derived from a good one."""
     good = json.loads(render_structured([_fox_rule()]))
     (rule,) = good["rules"]
-    docs = {"version-2": {**good, "version": 2}}
+    # JSON's true and 1.0 compare equal to 1 but are not the integer version.
+    docs = {"version-2": {**good, "version": 2}, "version-true": {**good, "version": True}}
+    docs["version-float"] = {**good, "version": 1.0}
     for key in ("rules", "source"):
         docs[f"no-{key}"] = {k: v for k, v in good.items() if k != key}
         docs[f"number-{key}"] = {**good, key: 5}
@@ -360,9 +362,17 @@ def _malformed_documents() -> dict[str, str]:
         },
     }
     docs |= {name: {**good, "rules": [bad]} for name, bad in bad_rules.items()}
-    return {"array": "[]", "string": '"rules"', "truncated": "{"} | {
-        name: json.dumps(doc) for name, doc in docs.items()
-    }
+    # Deep nesting, written as text: 700 negations in a rule's "if", and
+    # arrays nested deeper than the JSON decoder recurses.
+    nested = json.dumps(isa)
+    for _ in range(700):
+        nested = f'{{"kind": "not", "inner": {nested}}}'
+    deep_not = json.dumps({**good, "rules": [{**rule, "if": []}]}).replace(
+        '"if": []', f'"if": [{nested}]'
+    )
+    raw = {"array": "[]", "string": '"rules"', "truncated": "{", "deep-not": deep_not}
+    raw["deep-arrays"] = "[" * 100000 + "]" * 100000
+    return raw | {name: json.dumps(doc) for name, doc in docs.items()}
 
 
 _MALFORMED = _malformed_documents()

@@ -6,13 +6,17 @@ The callers are the benchmark scripts under ``bench/`` and the README's
 everything else from the module that defines it.
 
 Inside the package, the fact layer (``owlrules.facts``) builds on the model
-alone, and only the command line and the package itself import the engine,
-so that reading a fact file does not load the join compiler.
+alone, and only the command line imports the engine; the package imports each
+export on first use.  So a fresh interpreter that reads a fact file or
+extracts rules does not load the join compiler.
 """
 
 import ast
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import owlrules
@@ -86,10 +90,46 @@ def _package_imports(path: Path) -> set[str]:
 IMPORTS = {p.name: _package_imports(p) for p in Path(owlrules.__file__).parent.glob("*.py")}
 
 
-def test_only_the_cli_and_the_package_import_the_engine():
+def test_only_the_cli_imports_the_engine():
     importers = sorted(name for name, found in IMPORTS.items() if "engine" in found)
-    assert importers == ["__init__.py", "cli.py"]
+    assert importers == ["cli.py"]
 
 
 def test_the_fact_layer_imports_only_the_model():
     assert IMPORTS["facts.py"] == {"model"}
+
+
+def _layers_loaded_after(code: str) -> set[str]:
+    """The package's modules that a fresh interpreter holds after ``code``."""
+    src = str(Path(owlrules.__file__).resolve().parent.parent)
+    probe = (
+        f"import sys, owlrules\n{code}\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('owlrules.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return {name.removeprefix("owlrules.") for name in done.stdout.split()}
+
+
+def test_importing_the_package_loads_no_layer():
+    assert _layers_loaded_after("") == set()
+
+
+def test_the_extract_path_leaves_the_engine_unloaded():
+    text = (ROOT / "tests" / "data" / "patterns.owl").read_text(encoding="utf-8")
+    loaded = _layers_loaded_after(
+        f"model, _ = owlrules.parse_ontology({text!r})\n"
+        "owlrules.render_structured(owlrules.extract_all(model).rules)"
+    )
+    assert "extract" in loaded and "engine" not in loaded
+
+
+def test_reading_a_fact_file_loads_only_the_fact_layer_and_the_parser():
+    loaded = _layers_loaded_after("owlrules.parse_fact_base('isa(ann, Person)')")
+    assert loaded == {"facts", "model", "parser"}
