@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .engine import run_fixpoint
@@ -214,8 +215,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         print(f"ERROR {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
 
-    lines = ["derived:"]
-    lines.extend(format_fact(fact) for fact, _rule in result.derived)
+    lines = ["derived:", *result.derived_text]
     lines.append("violations:")
     lines.extend(f"{format_fact(fact)} [{rule_id}]" for fact, rule_id in result.violations)
     lines.append(
@@ -236,8 +236,11 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_arg_parser = cache(build_arg_parser)  # one parser per process, built by the first main
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     return args.run(args)
 
 

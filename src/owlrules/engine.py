@@ -3,24 +3,24 @@
 ``run_fixpoint`` saturates a fact base under executable rules by semi-naive
 rounds, evaluated a set at a time; the facts and their store are defined in
 ``owlrules.facts``.  Rules that differ only in their names share a shape
-(``Rule.shape``).  Once per call, each shape is built on its slot numbers (0,
-1, ... where a rule has its names) and compiled into one plan per antecedent
-atom; a rule's plans read its names (``Rule.names``) by slot.  In a round, a
-plan starts from its pivot atom over the facts the previous round derived
-(in the first round, the initial facts) and joins the other atoms against
-every known fact; only plans whose pivot relation -- fact kind and predicate
--- has new facts run.  A join step maps the whole set of bindings through an
-index keyed by the columns already bound; a last step that adds one needed
-variable unites the value sets of each group of bindings, and drops the
+(``Rule.shape``).  Once per process, each shape is built on its slot numbers
+(0, 1, ... where a rule has its names) and compiled into one plan per
+antecedent atom; a rule's plans read its names (``Rule.names``) by slot.  In
+a round, a plan starts from its pivot atom over the facts the previous round
+derived (in the first round, the initial facts) and joins the other atoms
+against every known fact; only plans whose pivot relation -- fact kind and
+predicate -- has new facts run.  A join step maps the whole set of bindings
+through an index keyed by the columns already bound; a last step that adds one
+needed variable unites the value sets of each group of bindings, and drops the
 values already known, in one set operation.  Head rows are plain tuples,
 tested against the fact dict before any fact is built.
 
 The output is canonical.  Derived facts are listed round by round and, within
-a round, sorted by their rendered text; each carries the id of the first
-rule, in the order of the rule list, that derives it in that round.
-Violations are sorted by text, then rule id.  A derived membership that
-contradicts a given negation raises ``ContradictionError`` for the first such
-fact in that order.
+a round, sorted by their rendered text, which the result keeps beside them;
+each carries the id of the first rule, in the order of the rule list, that
+derives it in that round.  Violations are sorted by text, then rule id.  A
+derived membership that contradicts a given negation raises
+``ContradictionError`` for the first such fact in that order.
 
 Matching binds the variables ?x/?y/?z to fact components, with one restriction:
 the object of a class-flagged link fact never binds a variable (it names a
@@ -36,6 +36,7 @@ are reported as violations after the fixpoint is reached.
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
 from operator import itemgetter
 
@@ -69,15 +70,17 @@ class InferenceResult:
         derived: list[tuple[Fact, str]],
         violations: list[tuple[Fact, str]],
         converged: bool,
+        derived_text: list[str],
     ) -> None:
         self.final = final
         self.iterations = iterations
         self.derived = derived
         self.violations = violations
         self.converged = converged
+        self.derived_text = derived_text  # format_fact of each derived fact, in order
 
     def __repr__(self) -> str:
-        fields = ("final", "iterations", "derived", "violations", "converged")
+        fields = ("final", "iterations", "derived", "violations", "converged", "derived_text")
         return fields_repr("InferenceResult", self, fields)
 
 
@@ -149,6 +152,9 @@ def _split(rule_id: str, antecedent: tuple, consequent: tuple) -> tuple | None:
                 raise ValueError(f"rule {rule_id}: consequent variable {part.name} is unbound")
         heads.append((kind, parts, kind is LinkFact and type(atom.obj) is ClassRef))
     return (tuple(body), tuple(heads)) if heads else None
+
+
+_PREPARED: dict[object, tuple] = {}  # rule shape -> _prepare's result, unless it raised
 
 
 def _prepare(rule: Rule) -> tuple[tuple[int, int] | None, list[tuple]]:
@@ -475,16 +481,27 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
     bad = [r.id for r in rules if not r.executable]
     if bad:
         raise NonExecutableRuleError(f"non-executable rules passed to fixpoint: {', '.join(bad)}")
+    # The rounds make many tuples and free them by reference count; the cyclic
+    # collector would only rescan them, more often the more facts are kept.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _saturate(rules, initial, cap)
+    finally:
+        if collecting:
+            gc.enable()
 
-    prepared: dict[object, tuple] = {}  # per rule shape
+
+def _saturate(rules: list[Rule], initial: FactBase, cap: int) -> InferenceResult:
     indexes: dict[tuple, _Index] = {}
     watch: dict[tuple, list[_Index]] = defaultdict(list)
     dispatch: dict[tuple | None, list[tuple]] = defaultdict(list)
     constraints = []
     for position, rule in enumerate(rules):
-        if rule.shape not in prepared:
-            prepared[rule.shape] = _prepare(rule)
-        check, templates = prepared[rule.shape]
+        prepared = _PREPARED.get(rule.shape)
+        if prepared is None:
+            prepared = _PREPARED[rule.shape] = _prepare(rule)
+        check, templates = prepared
         names = rule.names
         if check is not None:
             prop, filler = check
@@ -502,6 +519,7 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
     delta = _absorb(list(known), relations, watch, wide)  # every initial fact is new
     delta[None] = []  # plans without a pivot fire in the first round only
     derived: list[tuple[Fact, str]] = []
+    texts: list[str] = []
     iterations = 0
     converged = False
     while iterations < cap:
@@ -511,7 +529,9 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
             converged = True
             break
         staged = [(tuple.__new__(row[0], row), rule_id) for row, rule_id in rows.items()]
-        staged.sort(key=_canonical)
+        ranked = sorted(zip(map(_canonical, staged), staged), key=itemgetter(0))
+        staged = [item for _, item in ranked]
+        texts += [key[0] for key, _ in ranked]
         if negated:
             for fact, rule_id in staged:
                 base.check_contradiction(fact, rule_id)
@@ -533,6 +553,7 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
         derived=derived,
         violations=violations,
         converged=converged,
+        derived_text=texts,
     )
 
 

@@ -467,8 +467,9 @@ _PATTERN_JSON = {
 }
 
 
-def _rule_json(rule: Rule) -> str:
-    """A rule object, an item of the document's "rules" array."""
+def _rule_json(rule: Rule, sources: dict[tuple, str]) -> str:
+    """A rule object, an item of the document's "rules" array; ``sources``
+    holds the JSON of each provenance sources list."""
     k = _KEY_INDENT
     p = k + "  "
     _, rule_id, shape, names, pattern, prov = rule
@@ -476,7 +477,7 @@ def _rule_json(rule: Rule) -> str:
         f'{{\n{k}"id": {_json_str(rule_id)},\n{_PATTERN_JSON[pattern]}'
         f'{k}"if": {shape.json.format(*map(_json_str, names))},\n'
         f'{k}"provenance": {{\n'
-        f'{p}"source": {_strings_json(prov.sources, p)},\n'
+        f'{p}"source": {sources[prov.sources]},\n'
         f'{p}"trigger_axioms": {_strings_json(prov.trigger_axioms, p)},\n'
         f'{p}"display_form": {_json_str(prov.display_form)}\n'
         f"{k}}}\n    }}"
@@ -491,10 +492,15 @@ def render_structured(rules: list[Rule] | tuple[Rule, ...], source: tuple[str, .
     written by ``_rule_json``.
     """
     ordered = sorted(rules, key=itemgetter(1))
+    # The rules of one extraction share its sources tuple, so each distinct
+    # one is written once.  (Trigger lists are mostly distinct: kept alive
+    # together, they would only raise the memory peak.)
+    distinct = {rule.provenance.sources for rule in ordered}
+    sources = {values: _strings_json(values, _KEY_INDENT + "  ") for values in distinct}
     return (
         f'{{\n  "version": {STRUCTURED_VERSION},\n'
         f'  "source": {_strings_json(source, "  ")},\n'
-        f'  "rules": {_list_json([_rule_json(r) for r in ordered], "  ")}\n'
+        f'  "rules": {_list_json([_rule_json(r, sources) for r in ordered], "  ")}\n'
         "}\n"
     )
 

@@ -40,6 +40,7 @@ from owlrules.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_VIOLATIONS,
+    build_arg_parser,
     main,
 )
 
@@ -622,6 +623,37 @@ def test_repeated_invocation_is_byte_identical(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_every_golden_input_reads_the_same_on_a_second_call_in_one_process(capsys, monkeypatch):
+    # ``main`` keeps its parser, and the engine its compiled rule shapes, from
+    # one call to the next; a usage error between the calls leaves them sound.
+    monkeypatch.chdir(DATA_DIR)
+    calls = [
+        (["extract", "patterns.owl"], "patterns.extract.txt"),
+        (["infer", "combined.owl", "--facts", "combined.facts"], "combined.infer.txt"),
+        (["classify", "patterns.owl"], None),
+        (["extract", "patterns.owl", "--format", "structured"], "patterns.extract.json"),
+        (["infer", "chain40.owl", "--facts", "chain40.facts"], "chain40.infer.txt"),
+        (["classify", "patterns.owl", "--format", "structured"], "patterns.extract.json"),
+    ]
+    answers = []
+    for _ in range(2):
+        for argv, golden in calls:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_OK
+            if golden is not None:
+                assert out == Path(golden).read_text(encoding="utf-8")
+            answers.append((code, out, err))
+            with pytest.raises(SystemExit) as exc_info:
+                main(["infer", "combined.owl", "--format", "text"])
+            assert exc_info.value.code == 2
+            assert "required: --facts" in capsys.readouterr().err
+    assert answers[: len(calls)] == answers[len(calls) :]
+
+
+def test_build_arg_parser_returns_a_fresh_parser():
+    assert build_arg_parser() is not build_arg_parser()
 
 
 @pytest.mark.parametrize("command", ["extract", "infer"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -43,6 +44,7 @@ from owlrules import (
     run_fixpoint,
     schema_closure,
 )
+from owlrules import engine
 from owlrules.rules import (
     ClassRef,
     HasFeature,
@@ -391,6 +393,77 @@ def test_an_unsupported_integrity_check_shape_is_rejected():
         run_fixpoint([rule], FactBase(), CAP)
 
 
+@pytest.mark.parametrize(
+    "consequent, error",
+    [
+        (lambda name: IsA(VZ, ClassRef(Iri(name))), "consequent variable ?z is unbound"),
+        (lambda name: Link(VX, PropRef(Iri("p")), LiteralTok(name)), "cannot ground LiteralTok"),
+    ],
+)
+def test_each_rule_of_a_bad_shape_is_named_on_every_call(consequent, error):
+    # The failed shape is not kept: a later rule of it is named by its own id.
+    rules = [_positive([IsA(VX, ClassRef(Iri(name)))], [consequent(name)]) for name in "AB"]
+    assert rules[0].shape is rules[1].shape and rules[0].id != rules[1].id
+    for _ in range(2):
+        for rule in rules:
+            with pytest.raises(ValueError) as exc:
+                run_fixpoint([rule], FactBase(), CAP)
+            assert str(exc.value).startswith(f"rule {rule.id}: {error}")
+
+
+def test_a_second_call_compiles_no_rule_shape(monkeypatch):
+    model, _ = parse_ontology((DATA_DIR / "combined.owl").read_text(encoding="utf-8"))
+    base, _ = parse_fact_base((DATA_DIR / "combined.facts").read_text(encoding="utf-8"))
+    rules = _executable(model)
+    compiled = []
+
+    def counting(shape, slots):
+        compiled.append(shape)
+        return compile_shape(shape, slots)
+
+    compile_shape = engine._compile_shape
+    monkeypatch.setattr(engine, "_PREPARED", {})
+    monkeypatch.setattr(engine, "_compile_shape", counting)
+    first = run_fixpoint(rules, base, CAP)
+    assert 0 < len(compiled) <= len({rule.shape for rule in rules})
+    compiled.clear()
+    second = run_fixpoint(rules, base, CAP)
+    assert compiled == []
+    assert (second.derived, second.derived_text, second.violations) == (
+        first.derived,
+        first.derived_text,
+        first.violations,
+    )
+
+
+@pytest.mark.parametrize("contradicted", [False, True])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_run_fixpoint_pauses_the_collector_and_restores_its_state(
+    monkeypatch, collecting, contradicted
+):
+    rule = _positive([IsA(VX, ClassRef(Iri("A")))], [IsA(VX, ClassRef(Iri("B")))])
+    facts = [Membership(Iri("a"), Iri("A"))]
+    if contradicted:
+        facts.append(NegMembership(Iri("a"), Iri("B")))
+    during = []
+    rounds = engine._round
+    monkeypatch.setattr(
+        engine, "_round", lambda *args: during.append(gc.isenabled()) or rounds(*args)
+    )
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if contradicted:
+            with pytest.raises(ContradictionError):
+                run_fixpoint([rule], FactBase(facts), CAP)
+        else:
+            run_fixpoint([rule], FactBase(facts), CAP)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during and not any(during)
+
+
 def test_a_schema_consequent_beside_an_instance_consequent_is_skipped():
     a, b = ClassRef(Iri("A")), ClassRef(Iri("B"))
     rule = make_rule(
@@ -579,6 +652,7 @@ def test_fixpoint_matches_the_round_by_round_reference_under_every_cap():
             got = (result.derived, result.iterations, result.converged, set(result.violations))
             want = ([pair for r in rounds for pair in r], iterations, converged, violations)
             assert got == want, (case, cap, rules, facts)
+            assert result.derived_text == [format_fact(fact) for fact, _ in result.derived]
             assert result.violations == sorted(
                 result.violations, key=lambda v: (format_fact(v[0]), v[1])
             )
