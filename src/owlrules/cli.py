@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 from .engine import run_fixpoint
 from .extract import extract_all
-from .facts import ContradictionError, format_fact
+from .facts import ContradictionError
 from .model import MergeConflictError, OntologyModel, merge
 from .parser import (
     format_diagnostic,
@@ -27,7 +29,7 @@ from .parser import (
     parse_fact_base,
     parse_ontology,
 )
-from .rules import CATEGORY_ORDER, Rule, render_structured, render_text
+from .rules import CATEGORY_ORDER, Rule, render_text, structured_parts
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 1  # also for a file that cannot be read or written
@@ -115,13 +117,15 @@ def _load_models(paths: list[str]) -> tuple[list[OntologyModel], bool]:
     return models, failed
 
 
-def _emit(args: argparse.Namespace, payload: str) -> int:
-    """Write ``payload`` to --output or stdout; the exit code of the write."""
+def _emit(args: argparse.Namespace, parts: Iterable[str]) -> int:
+    """Write ``parts`` to --output or stdout, each as it is made; the exit
+    code of the write."""
     if not args.output:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(parts)
         return EXIT_OK
     try:
-        Path(args.output).write_text(payload, encoding="utf-8")
+        with Path(args.output).open("w", encoding="utf-8") as out:
+            out.writelines(parts)
     except OSError as exc:
         print(f"ERROR {args.output}: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -160,10 +164,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         return got
     rules, model = got
     if args.format == "structured":
-        payload = render_structured(rules, source=model.source_names)
-    else:
-        payload = "".join(render_text(r) + "\n" for r in rules)
-    return _emit(args, payload)
+        return _emit(args, structured_parts(rules, source=model.source_names))
+    return _emit(args, (render_text(r) + "\n" for r in rules))
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -173,16 +175,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if isinstance(got, int):
         return got
     rules, _model = got
-    lines = []
-    for category in CATEGORY_ORDER:
-        count = sum(1 for r in rules if r.category is category)
-        lines.append(f"{category.value}: {count}")
+    lines = [f"{c.value}: {sum(1 for r in rules if r.category is c)}\n" for c in CATEGORY_ORDER]
     grouped = [r for category in CATEGORY_ORDER for r in rules if r.category is category]
     if grouped:
-        lines.append("")
-        for rule in grouped:
-            lines.append(f"{rule.category.value} {rule.pattern.value} {render_text(rule)}")
-    return _emit(args, "".join(line + "\n" for line in lines))
+        lines.append("\n")
+    listing = (f"{r.category.value} {r.pattern.value} {render_text(r)}\n" for r in grouped)
+    return _emit(args, chain(lines, listing))
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -215,18 +213,15 @@ def cmd_infer(args: argparse.Namespace) -> int:
         print(f"ERROR {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
 
-    lines = ["derived:", *result.derived_text]
-    lines.append("violations:")
-    lines.extend(f"{format_fact(fact)} [{rule_id}]" for fact, rule_id in result.violations)
-    lines.append(
-        "summary: iterations={} derived={} violations={} converged={}".format(
-            result.iterations,
-            len(result.derived),
-            len(result.violations),
-            "yes" if result.converged else "no",
-        )
+    violations = map("{} [{}]".format, result.violation_text, (r for _, r in result.violations))
+    summary = "summary: iterations={} derived={} violations={} converged={}".format(
+        result.iterations,
+        len(result.derived),
+        len(result.violations),
+        "yes" if result.converged else "no",
     )
-    written = _emit(args, "".join(line + "\n" for line in lines))
+    lines = chain(["derived:"], result.derived_text, ["violations:"], violations, [summary])
+    written = _emit(args, (line + "\n" for line in lines))
     if written != EXIT_OK:
         return written
     if not result.converged:

@@ -71,6 +71,7 @@ class InferenceResult:
         violations: list[tuple[Fact, str]],
         converged: bool,
         derived_text: list[str],
+        violation_text: list[str],
     ) -> None:
         self.final = final
         self.iterations = iterations
@@ -78,9 +79,11 @@ class InferenceResult:
         self.violations = violations
         self.converged = converged
         self.derived_text = derived_text  # format_fact of each derived fact, in order
+        self.violation_text = violation_text  # and of each violation
 
     def __repr__(self) -> str:
-        fields = ("final", "iterations", "derived", "violations", "converged", "derived_text")
+        fields = ("final", "iterations", "derived", "violations", "converged")
+        fields += ("derived_text", "violation_text")
         return fields_repr("InferenceResult", self, fields)
 
 
@@ -437,6 +440,12 @@ def _canonical(item: tuple[Fact, str]) -> tuple[str, bool, str]:
     return format_fact(fact), len(fact) > 4 and fact[4], item[1]
 
 
+def _ranked(items: list[tuple[Fact, str]]) -> tuple[list[tuple[Fact, str]], list[str]]:
+    """``items`` in canonical order, and the text of each one's fact."""
+    ranked = sorted(zip(map(_canonical, items), items), key=itemgetter(0))
+    return [item for _, item in ranked], [key[0] for key, _ in ranked]
+
+
 def _absorb(facts: list[Fact], relations: dict, watch: dict, wide: set) -> dict:
     """Add ``facts`` to the known facts by relation and to the indexes that
     watch their relations; returns them by relation: ``(kind, predicate)``,
@@ -528,10 +537,9 @@ def _saturate(rules: list[Rule], initial: FactBase, cap: int) -> InferenceResult
         if not rows:
             converged = True
             break
-        staged = [(tuple.__new__(row[0], row), rule_id) for row, rule_id in rows.items()]
-        ranked = sorted(zip(map(_canonical, staged), staged), key=itemgetter(0))
-        staged = [item for _, item in ranked]
-        texts += [key[0] for key, _ in ranked]
+        new = [(tuple.__new__(row[0], row), rule_id) for row, rule_id in rows.items()]
+        staged, text = _ranked(new)
+        texts += text
         if negated:
             for fact, rule_id in staged:
                 base.check_contradiction(fact, rule_id)
@@ -545,7 +553,7 @@ def _saturate(rules: list[Rule], initial: FactBase, cap: int) -> InferenceResult
         for link in relations.get((LinkFact, prop), ())
         if not link[4] and (Membership, link[3], filler) not in known
     ]
-    violations.sort(key=_canonical)
+    violations, violation_text = _ranked(violations)
 
     return InferenceResult(
         final=base,
@@ -554,6 +562,7 @@ def _saturate(rules: list[Rule], initial: FactBase, cap: int) -> InferenceResult
         violations=violations,
         converged=converged,
         derived_text=texts,
+        violation_text=violation_text,
     )
 
 

@@ -467,14 +467,14 @@ _PATTERN_JSON = {
 }
 
 
-def _rule_json(rule: Rule, sources: dict[tuple, str]) -> str:
-    """A rule object, an item of the document's "rules" array; ``sources``
-    holds the JSON of each provenance sources list."""
+def _rule_json(rule: Rule, sources: dict[tuple, str], lead: str) -> str:
+    """A rule object, an item of the document's "rules" array, after ``lead``;
+    ``sources`` holds the JSON of each provenance sources list."""
     k = _KEY_INDENT
     p = k + "  "
     _, rule_id, shape, names, pattern, prov = rule
     return (
-        f'{{\n{k}"id": {_json_str(rule_id)},\n{_PATTERN_JSON[pattern]}'
+        f'{lead}{{\n{k}"id": {_json_str(rule_id)},\n{_PATTERN_JSON[pattern]}'
         f'{k}"if": {shape.json.format(*map(_json_str, names))},\n'
         f'{k}"provenance": {{\n'
         f'{p}"source": {sources[prov.sources]},\n'
@@ -484,6 +484,28 @@ def _rule_json(rule: Rule, sources: dict[tuple, str]) -> str:
     )
 
 
+def structured_parts(
+    rules: list[Rule] | tuple[Rule, ...], source: tuple[str, ...] = ()
+) -> Iterator[str]:
+    """The document of :func:`render_structured` in pieces, each made when
+    asked for: the header, each rule after its separator, the closing lines."""
+    ordered = sorted(rules, key=itemgetter(1))
+    # The rules of one extraction share its sources tuple, so each distinct
+    # one is written once.  (Trigger lists are mostly distinct: kept alive
+    # together, they would only raise the memory peak.)
+    distinct = {rule.provenance.sources for rule in ordered}
+    sources = {values: _strings_json(values, _KEY_INDENT + "  ") for values in distinct}
+    yield (
+        f'{{\n  "version": {STRUCTURED_VERSION},\n'
+        f'  "source": {_strings_json(source, "  ")},\n  "rules": '
+    )
+    lead = "[\n    "
+    for rule in ordered:
+        yield _rule_json(rule, sources, lead)
+        lead = ",\n    "
+    yield "\n  ]\n}\n" if ordered else "[]\n}\n"
+
+
 def render_structured(rules: list[Rule] | tuple[Rule, ...], source: tuple[str, ...] = ()) -> str:
     """Canonical JSON document: rules sorted by id, sources sorted, stable bytes.
 
@@ -491,18 +513,7 @@ def render_structured(rules: list[Rule] | tuple[Rule, ...], source: tuple[str, .
     "rules": [...]}, indent=2) + "\\n"``, each rule an object with the keys
     written by ``_rule_json``.
     """
-    ordered = sorted(rules, key=itemgetter(1))
-    # The rules of one extraction share its sources tuple, so each distinct
-    # one is written once.  (Trigger lists are mostly distinct: kept alive
-    # together, they would only raise the memory peak.)
-    distinct = {rule.provenance.sources for rule in ordered}
-    sources = {values: _strings_json(values, _KEY_INDENT + "  ") for values in distinct}
-    return (
-        f'{{\n  "version": {STRUCTURED_VERSION},\n'
-        f'  "source": {_strings_json(source, "  ")},\n'
-        f'  "rules": {_list_json([_rule_json(r, sources) for r in ordered], "  ")}\n'
-        "}\n"
-    )
+    return "".join(structured_parts(rules, source))
 
 
 _TERM_OF_KEY = {key: (kind, value_type) for kind, (key, value_type) in _TERMS.items()}

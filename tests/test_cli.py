@@ -14,6 +14,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -110,6 +111,17 @@ def test_extract_empty_ontology_prints_nothing(capsys):
     assert code == EXIT_OK
     assert out == ""
     assert err == ""
+
+
+def test_an_ontology_without_rules_streams_an_empty_rules_array(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(corpus_path("empty.owl").parent)
+    target = tmp_path / "rules.json"
+    argv = ("extract", "empty.owl", "--format", "structured")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == '{\n  "version": 1,\n  "source": [\n    "empty.owl"\n  ],\n  "rules": []\n}\n'
+    assert run_cli(capsys, *argv, "--output", str(target)) == (EXIT_OK, "", "")
+    assert target.read_text(encoding="utf-8") == out
 
 
 def test_extract_text_merges_rule_sets_across_files(capsys):
@@ -652,6 +664,58 @@ def test_every_golden_input_reads_the_same_on_a_second_call_in_one_process(capsy
     assert answers[: len(calls)] == answers[len(calls) :]
 
 
+GOLDEN_CALLS = [
+    ["extract", "patterns.owl"],
+    ["extract", "patterns.owl", "--format", "structured"],
+    ["classify", "patterns.owl"],
+    ["classify", "patterns.owl", "--format", "structured"],
+    ["infer", "combined.owl", "--facts", "combined.facts"],
+    ["infer", "chain40.owl", "--facts", "chain40.facts"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    GOLDEN_CALLS,
+    ids=["extract", "extract-structured", "classify", "classify-structured", "combined", "chain40"],
+)
+def test_output_file_holds_the_bytes_of_stdout_on_every_golden_input(
+    capsys, monkeypatch, tmp_path, argv
+):
+    monkeypatch.chdir(DATA_DIR)  # the structured document names its sources as given
+    target = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK and out
+    assert run_cli(capsys, *argv, "--output", str(target)) == (code, "", err)
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_a_streamed_document_peaks_below_its_own_size(capsys, tmp_path):
+    # One hub class between 40 subclasses and 40 superclasses: 1,600
+    # subclass-transitivity rules, a 1.7 MB document, from 82 axioms.  Held
+    # whole (and joined, and encoded), the document alone would reach the bound.
+    subs = "".join(
+        f'<owl:Class rdf:ID="Sub{i}">\n<rdfs:subClassOf rdf:resource="#Hub"/>\n</owl:Class>\n'
+        for i in range(40)
+    )
+    sups = "".join(f'<rdfs:subClassOf rdf:resource="#Sup{j}"/>\n' for j in range(40))
+    star = tmp_path / "star.owl"
+    star.write_text(f'{subs}<owl:Class rdf:ID="Hub">\n{sups}</owl:Class>\n', encoding="utf-8")
+    target = tmp_path / "rules.json"
+    argv = ["extract", str(star), "--format", "structured", "--output", str(target)]
+    assert main(argv) == EXIT_OK  # the parser and the rule shapes are built outside the trace
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and capsys.readouterr() == ("", "")
+    size = target.stat().st_size
+    assert size >= 1_000_000
+    assert peak < size, (peak, size)
+
+
 def test_build_arg_parser_returns_a_fresh_parser():
     assert build_arg_parser() is not build_arg_parser()
 
@@ -703,13 +767,18 @@ def test_a_fact_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
     assert run_cli(capsys, "infer", ontology, "--facts", str(marked)) == expected
 
 
-@pytest.mark.parametrize("command", ["extract", "infer"])
+@pytest.mark.parametrize(
+    "command", ["extract", "infer", "extract-structured", "classify", "classify-structured"]
+)
 @pytest.mark.parametrize("target", ["missing/dir/out.txt", "."], ids=["missing-dir", "a-directory"])
 def test_an_unwritable_output_exits_1_with_nothing_on_stdout(capsys, tmp_path, command, target):
     output = tmp_path / target
-    argv = [command, owl("transitive_resource.owl"), "--output", str(output)]
-    if command == "infer":
+    name, _, fmt = command.partition("-")
+    argv = [name, owl("transitive_resource.owl"), "--output", str(output)]
+    if name == "infer":
         argv += ["--facts", facts("facts_subarea.txt")]
+    if fmt:
+        argv += ["--format", fmt]
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_PARSE_ERROR
     assert out == ""

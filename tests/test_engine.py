@@ -429,10 +429,11 @@ def test_a_second_call_compiles_no_rule_shape(monkeypatch):
     compiled.clear()
     second = run_fixpoint(rules, base, CAP)
     assert compiled == []
-    assert (second.derived, second.derived_text, second.violations) == (
+    assert (second.derived, second.derived_text, second.violations, second.violation_text) == (
         first.derived,
         first.derived_text,
         first.violations,
+        first.violation_text,
     )
 
 
@@ -653,6 +654,7 @@ def test_fixpoint_matches_the_round_by_round_reference_under_every_cap():
             want = ([pair for r in rounds for pair in r], iterations, converged, violations)
             assert got == want, (case, cap, rules, facts)
             assert result.derived_text == [format_fact(fact) for fact, _ in result.derived]
+            assert result.violation_text == [format_fact(fact) for fact, _ in result.violations]
             assert result.violations == sorted(
                 result.violations, key=lambda v: (format_fact(v[0]), v[1])
             )

@@ -168,10 +168,10 @@ def test_the_records_print_their_kind_and_fields():
         "ExtractionReport(rules=[], counts={<Pattern.SYMMETRIC: 'symmetric'>: 0}, warnings=['w'])"
     )
     base = FactBase()
-    result = InferenceResult(base, 1, [], [], True, [])
+    result = InferenceResult(base, 1, [], [], True, [], [])
     assert repr(result) == (
         f"InferenceResult(final={base!r}, iterations=1, derived=[], violations=[], "
-        "converged=True, derived_text=[])"
+        "converged=True, derived_text=[], violation_text=[])"
     )
 
 
