@@ -1,18 +1,19 @@
 """Command line front end: ``owlrules <extract|classify|infer> ...``.
 
-Exit codes: 0 success, 1 parse error or an unreadable, undecodable (not
-UTF-8) or unwritable file, 2 merge conflict (or bad usage), 3 contradiction in
-the fact base (1 when the fact file also has a malformed line), 4 iteration
-cap exceeded, 5 integrity violations under --strict.  Diagnostics go to
-stderr as ``LEVEL file:line:col message``, or ``ERROR file: reason`` for a
-file that cannot be read or written; the notes of the merge and the
-extraction warnings go there as ``WARNING message``.  Results go to stdout
-or --output.  Input files are UTF-8; a leading byte-order mark is ignored.
+Exit codes: 0 success, 1 parse error or an unreadable, undecodable (not UTF-8)
+or unwritable file or stdout, 2 merge conflict (or bad usage), 3 contradiction
+in the fact base (1 when the fact file also has a malformed line), 4 iteration
+cap exceeded, 5 integrity violations under --strict.  Diagnostics go to stderr
+as ``LEVEL file:line:col message``, or ``ERROR file: reason`` for a file (or
+``<stdout>``) that cannot be read or written; the notes of the merge and the
+extraction warnings go there as ``WARNING message``.  Results go to stdout or
+--output.  Input files are UTF-8; a leading byte-order mark is ignored.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterable
 from functools import cache
@@ -120,14 +121,21 @@ def _load_models(paths: list[str]) -> tuple[list[OntologyModel], bool]:
 def _emit(args: argparse.Namespace, parts: Iterable[str]) -> int:
     """Write ``parts`` to --output or stdout, each as it is made; the exit
     code of the write."""
-    if not args.output:
-        sys.stdout.writelines(parts)
-        return EXIT_OK
     try:
-        with Path(args.output).open("w", encoding="utf-8") as out:
-            out.writelines(parts)
+        if args.output:
+            with Path(args.output).open("w", encoding="utf-8") as out:
+                out.writelines(parts)
+        else:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
     except OSError as exc:
-        print(f"ERROR {args.output}: {exc}", file=sys.stderr)
+        if not args.output:
+            # stdout failed, for one because its reader closed it: fd 1 goes to
+            # devnull, so that the flush at exit of what is left does not fail.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"ERROR {args.output or '<stdout>'}: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     return EXIT_OK
 

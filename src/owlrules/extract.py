@@ -22,8 +22,8 @@ its branch's, the names are what the shape's function takes, and the trigger
 axioms are the ``describe()`` texts of the axioms that license the rule.  The
 ``_scanner(pattern)`` decorator turns it into the public entry point
 ``extract_<shape>(model) -> list[Rule]``, which builds each rule and its
-provenance (the model's sorted source names, the sorted distinct triggers and
-the display form), and registers it in ``_EXTRACTORS`` in definition order,
+provenance (the model's source names, the trigger axioms and the display
+form), and registers it in ``_EXTRACTORS`` in definition order,
 which is ``Pattern`` order.  ``extract_all`` runs them all, deduplicates by
 rule id (merging trigger axioms), returns the rules in canonical id order,
 and warns of symmetric properties and inverse pairs skipped for a missing
@@ -102,12 +102,9 @@ def _scanner(pattern: Pattern) -> Callable[[_Shapes], _Scanner]:
     def register(shapes: _Shapes) -> _Scanner:
         @wraps(shapes)
         def scan(model: OntologyModel) -> list[Rule]:
-            # Computed once per call and shared by every rule's provenance.
-            sources = tuple(sorted(set(model.source_names)))
+            sources = model.source_names
             return [
-                shape.rule(
-                    pattern, names, Provenance(sources, tuple(sorted(set(triggers))), display_form)
-                )
+                shape.rule(pattern, names, Provenance(sources, triggers, display_form))
                 for shape, names, triggers, display_form in shapes(model)
             ]
 
@@ -403,7 +400,7 @@ def extract_all(model: OntologyModel) -> ExtractionReport:
             if seen is not rule:
                 # Every rule of one model carries the same sources.
                 old = seen.provenance
-                triggers = tuple(sorted({*old.trigger_axioms, *rule.provenance.trigger_axioms}))
+                triggers = old.trigger_axioms + rule.provenance.trigger_axioms
                 provenance = Provenance(old.sources, triggers, old.display_form)
                 merged[rule.id] = seen._with_provenance(provenance)
     ordered = [merged[rid] for rid in sorted(merged)]

@@ -197,6 +197,9 @@ def _read_tree(text: str) -> tuple[list[_Element], ParseDiagnostic | None]:
         )
     except _TooDeep as deep:
         (error,) = deep.args
+    # on_start refers to the parser, which refers back to on_start: left in
+    # place, the cycle keeps the whole element tree alive until a collection.
+    del parser
     top = doc.children
     if len(top) == 1 and top[0].name == ROOT_ELEMENT:
         return top[0].children, error

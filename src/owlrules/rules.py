@@ -1,8 +1,8 @@
 """IF-THEN rule language: terms, atoms, classification, text and JSON forms.
 
-A rule is its shape plus its names.  Each shape is compiled once, by the
-writers below run on placeholder names, into ``str.format`` templates of the
-id text, the rule text and the atoms' JSON, which rules fill with their names.
+A rule is its shape plus its names.  Each shape is compiled once, on
+placeholder names, into ``str.format`` templates of the id text, the rule
+text and the atoms' JSON, which rules fill with their names.
 
 The structured (JSON) document is written directly as text, its strings
 escaped by the C function ``json.dumps`` uses.  Its bytes are exactly those of
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from operator import itemgetter
 
@@ -180,16 +180,20 @@ def classify(pattern: Pattern | str) -> RuleCategory:
 
 
 class Provenance(Value):
+    """Where a rule comes from; both lists are kept sorted and distinct."""
+
     __slots__ = ()
     __match_args__ = ("sources", "trigger_axioms", "display_form")
 
     def __new__(
         cls,
-        sources: tuple[str, ...] = (),
-        trigger_axioms: tuple[str, ...] = (),
+        sources: Iterable[str] = (),
+        trigger_axioms: Iterable[str] = (),
         display_form: str = "",
     ) -> "Provenance":
-        return tuple.__new__(cls, (cls, sources, trigger_axioms, display_form))
+        return tuple.__new__(
+            cls, (cls, tuple(sorted(set(sources))), tuple(sorted(set(trigger_axioms))), display_form)
+        )
 
 
 class Rule(Value):
@@ -344,9 +348,9 @@ def _walk(antecedent: tuple, consequent: tuple) -> tuple[_Shape, tuple]:
         ant, cons = (" and ".join(map(render_atom, side)) for side in skeleton)
         shape.key = _template(f"{ant}|{cons}", marks, str)
         shape.text = _template(f"IF {ant} THEN {cons}", marks, str)
-        k = _KEY_INDENT
-        json = f'{_atoms_json(skeleton[0], k)},\n{k}"then": {_atoms_json(skeleton[1], k)}'
-        shape.json = _template(json, marks, _json_str)
+        ifs, thens = (json.dumps([*map(_atom_obj, side)], indent=2) for side in skeleton)
+        json_text = f'{ifs},\n"then": {thens}'.replace("\n", "\n" + _KEY_INDENT)
+        shape.json = _template(json_text, marks, _json_str)
         shape = _SHAPES.setdefault(skeleton, shape)  # one shape per skeleton, even if raced
     return shape, tuple(names)
 
@@ -414,46 +418,22 @@ def render_text(rule: Rule) -> str:
 # ---------------------------------------------------------------------------
 # structured (JSON) rendering
 #
-# Any ``indent`` makes ``json.dumps`` leave its C encoder, so each fragment is
-# written at its known indentation.  Rule and provenance keys are spelled here
-# only, and the readers below mirror them; atom and term keys are the tables'.
+# Any ``indent`` makes ``json.dumps`` leave its C encoder, so what is written
+# per rule is written here at its known indentation.  Rule and provenance keys
+# are spelled here only, and the readers below mirror them; atom and term keys
+# are the tables'.
 
 STRUCTURED_VERSION = 1
 
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _list_json(items: list[str], ind: str) -> str:
-    """An array of items already written one level deeper than ``ind``."""
-    if not items:
+def _strings_json(values: tuple[str, ...] | list[str], ind: str) -> str:
+    """An array of strings whose closing bracket sits at indentation ``ind``."""
+    if not values:
         return "[]"
     inner = ind + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{ind}]"
-
-
-def _strings_json(values: tuple[str, ...], ind: str) -> str:
-    return _list_json([_json_str(v) for v in sorted(set(values))], ind)
-
-
-def _term_json(term: Term, ind: str) -> str:
-    """A term object whose closing brace sits at indentation ``ind``."""
-    return f'{{\n{ind}  "{_TERMS[type(term)][0]}": {_json_str(term[1])}\n{ind}}}'
-
-
-def _atom_json(atom: Atom, ind: str) -> str:
-    """An atom object whose closing brace sits at indentation ``ind``."""
-    inner = ind + "  "
-    kind = type(atom)
-    spelling = _ATOMS[kind]
-    write = _atom_json if kind is Not else _term_json
-    values = (atom.subject, PropRef(atom.feature)) if kind is HasFeature else atom[1:]
-    body = "".join([f',\n{inner}"{key}": {write(v, inner)}' for key, v in zip(spelling[1], values)])
-    return f'{{\n{inner}"kind": "{spelling[0]}"{body}\n{ind}}}'
-
-
-def _atoms_json(atoms: tuple[Atom, ...], ind: str) -> str:
-    inner = ind + "  "
-    return _list_json([_atom_json(a, inner) for a in atoms], ind)
+    return f"[\n{inner}" + f",\n{inner}".join(map(_json_str, values)) + f"\n{ind}]"
 
 
 # The keys of a rule object sit at this indentation, and its "pattern",
@@ -490,14 +470,14 @@ def structured_parts(
     """The document of :func:`render_structured` in pieces, each made when
     asked for: the header, each rule after its separator, the closing lines."""
     ordered = sorted(rules, key=itemgetter(1))
-    # The rules of one extraction share its sources tuple, so each distinct
-    # one is written once.  (Trigger lists are mostly distinct: kept alive
+    # The rules of one extraction share its sources, so each distinct list is
+    # written once.  (Trigger lists are mostly distinct: kept alive
     # together, they would only raise the memory peak.)
     distinct = {rule.provenance.sources for rule in ordered}
     sources = {values: _strings_json(values, _KEY_INDENT + "  ") for values in distinct}
     yield (
         f'{{\n  "version": {STRUCTURED_VERSION},\n'
-        f'  "source": {_strings_json(source, "  ")},\n  "rules": '
+        f'  "source": {_strings_json(sorted(set(source)), "  ")},\n  "rules": '
     )
     lead = "[\n    "
     for rule in ordered:
@@ -518,6 +498,15 @@ def render_structured(rules: list[Rule] | tuple[Rule, ...], source: tuple[str, .
 
 _TERM_OF_KEY = {key: (kind, value_type) for kind, (key, value_type) in _TERMS.items()}
 _ATOM_OF_NAME = {name: (kind, keys) for kind, (name, keys, _) in _ATOMS.items()}
+
+
+def _atom_obj(atom: Atom) -> dict:
+    """The JSON object of ``atom``, which :func:`_obj_to_atom` reads back."""
+    kind = type(atom)
+    name, keys, _ = _ATOMS[kind]
+    values = (atom.subject, PropRef(atom.feature)) if kind is HasFeature else atom[1:]
+    objs = [_atom_obj(v) if kind is Not else {_TERMS[type(v)][0]: v[1]} for v in values]
+    return {"kind": name, **dict(zip(keys, objs))}
 
 
 def _obj_to_term(obj: dict) -> Term:

@@ -690,17 +690,22 @@ def test_output_file_holds_the_bytes_of_stdout_on_every_golden_input(
     assert target.read_bytes() == out.encode("utf-8")
 
 
-def test_a_streamed_document_peaks_below_its_own_size(capsys, tmp_path):
-    # One hub class between 40 subclasses and 40 superclasses: 1,600
-    # subclass-transitivity rules, a 1.7 MB document, from 82 axioms.  Held
-    # whole (and joined, and encoded), the document alone would reach the bound.
+def write_star(path: Path, n: int) -> Path:
+    """One hub class between ``n`` subclasses and ``n`` superclasses: n * n
+    subclass-transitivity rules, about 1 kB of structured document each."""
     subs = "".join(
         f'<owl:Class rdf:ID="Sub{i}">\n<rdfs:subClassOf rdf:resource="#Hub"/>\n</owl:Class>\n'
-        for i in range(40)
+        for i in range(n)
     )
-    sups = "".join(f'<rdfs:subClassOf rdf:resource="#Sup{j}"/>\n' for j in range(40))
-    star = tmp_path / "star.owl"
-    star.write_text(f'{subs}<owl:Class rdf:ID="Hub">\n{sups}</owl:Class>\n', encoding="utf-8")
+    sups = "".join(f'<rdfs:subClassOf rdf:resource="#Sup{j}"/>\n' for j in range(n))
+    path.write_text(f'{subs}<owl:Class rdf:ID="Hub">\n{sups}</owl:Class>\n', encoding="utf-8")
+    return path
+
+
+def test_a_streamed_document_peaks_below_its_own_size(capsys, tmp_path):
+    # 1,600 rules, a 1.7 MB document, from 82 axioms.  Held whole (and
+    # joined, and encoded), the document alone would reach the bound.
+    star = write_star(tmp_path / "star.owl", 40)
     target = tmp_path / "rules.json"
     argv = ["extract", str(star), "--format", "structured", "--output", str(target)]
     assert main(argv) == EXIT_OK  # the parser and the rule shapes are built outside the trace
@@ -783,6 +788,23 @@ def test_an_unwritable_output_exits_1_with_nothing_on_stdout(capsys, tmp_path, c
     assert code == EXIT_PARSE_ERROR
     assert out == ""
     assert err.startswith(f"ERROR {output}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_stdout_closed_by_its_reader_exits_1_without_a_traceback(tmp_path):
+    # 400 rules: a document far larger than a pipe's buffer, so the writer
+    # still has most of it to write when the reader goes.
+    star = write_star(tmp_path / "star.owl", 20)
+    src = str(Path(owlrules.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "owlrules.cli", "extract", str(star), "--format", "structured"]
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_PARSE_ERROR
+    err = err.decode()
+    assert err.startswith("ERROR <stdout>: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

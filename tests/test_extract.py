@@ -306,11 +306,16 @@ def test_mutual_inverse_pairs_dedupe_with_merged_provenance():
     b.add_axiom(InverseOf(Iri("ownedBy"), Iri("owns")))
     b.declare_property(PropertyDecl(Iri("owns"), PropertyKind.OBJECT, Iri("A"), Iri("B")))
     b.declare_property(PropertyDecl(Iri("ownedBy"), PropertyKind.OBJECT, Iri("B"), Iri("A")))
-    report = extract_all(b.build())
-    inverse_rules = [r for r in report.rules if r.pattern is Pattern.INVERSE]
+    model = b.build()
+    emitted: dict[str, set[str]] = {}
+    for rule in extract_inverse(model):
+        emitted.setdefault(rule.id, set()).update(rule.provenance.trigger_axioms)
+    inverse_rules = [r for r in extract_all(model).rules if r.pattern is Pattern.INVERSE]
     assert len(inverse_rules) == 2  # four emissions collapse pairwise
     for rule in inverse_rules:
-        assert len(rule.provenance.trigger_axioms) >= 2
+        # Each of the two emissions names its own axiom and declaration.
+        assert len(emitted[rule.id]) == 4
+        assert rule.provenance.trigger_axioms == tuple(sorted(emitted[rule.id]))
 
 
 def test_render_text_is_injective_over_corpus_extraction():

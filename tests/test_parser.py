@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import gc
 import random
 import sys
 
 import pytest
-from conftest import FRAGMENTS, load_model, load_with_diagnostics, nested_subclass_chain
+from conftest import DATA_DIR, FRAGMENTS, load_model, load_with_diagnostics, nested_subclass_chain
 from oracles import random_instance
 
 from owlrules import (
@@ -149,6 +150,26 @@ def test_a_hundred_nested_subclass_levels_yield_every_axiom():
     assert set(model.axioms_of(SubClassOf)) == {
         SubClassOf(Iri(f"C{i}"), Iri(f"C{i + 1}")) for i in range(100)
     }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        (DATA_DIR / "patterns.owl").read_text(encoding="utf-8"),
+        "<owl:Class rdf:ID='A'>",
+        nested_subclass_chain(300),
+    ],
+    ids=["well-formed", "malformed", "too-deep"],
+)
+def test_a_parse_leaves_nothing_for_the_cycle_collector(text):
+    # The element tree is freed when the parse returns, not at a collection.
+    gc.collect()
+    gc.disable()
+    try:
+        parse_ontology(text, "x")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,23 @@ def test_rule_rejects_executable_drift():
     assert Rule(**_rule_fields(template)).executable is True
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_provenance_keeps_its_lists_sorted_and_distinct(seed):
+    rng = random.Random(seed)
+    sources = ["b.owl", "a.owl", "c.owl"]
+    triggers = ["SubClassOf(B,C)", "InverseOf(p,q)", "SubClassOf(A,B)"]
+    expected = Provenance(("a.owl", "b.owl", "c.owl"), sorted(triggers), "IF A THEN C")
+    assert expected.sources == ("a.owl", "b.owl", "c.owl")
+    assert expected.trigger_axioms == ("InverseOf(p,q)", "SubClassOf(A,B)", "SubClassOf(B,C)")
+    # The same sets, permuted and with repeats, as tuples and as lists.
+    permuted = [sources + rng.choices(sources, k=3), triggers + rng.choices(triggers, k=3)]
+    for values in permuted:
+        rng.shuffle(values)
+    prov = Provenance(tuple(permuted[0]), permuted[1], "IF A THEN C")
+    assert prov == expected and hash(prov) == hash(expected)
+    assert type(prov.sources) is type(prov.trigger_axioms) is tuple
+
+
 # ---------------------------------------------------------------------------
 # text rendering
 
