@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import gc
 from collections import defaultdict
+from collections.abc import Iterator
 from operator import itemgetter
 
 from .facts import Fact, FactBase, FeatureExpected, LinkFact, Membership, NegMembership, format_fact
-from .model import EquivalentClass, Iri, OntologyModel, SubClassOf, fields_repr
+from .model import EquivalentClass, OntologyModel, SubClassOf, fields_repr
 from .rules import (
     ClassRef,
     HasFeature,
@@ -570,6 +571,14 @@ def _saturate(rules: list[Rule], initial: FactBase, cap: int) -> InferenceResult
 # schema-level closure
 
 
+def _bits(row: int) -> Iterator[int]:
+    """The codes of the classes in a bit row, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
 def schema_closure(model: OntologyModel, rules: list[Rule]) -> list[SubClassOf]:
     """Least fixpoint of derived subclass axioms under the two schema shapes.
 
@@ -579,9 +588,9 @@ def schema_closure(model: OntologyModel, rules: list[Rule]) -> list[SubClassOf]:
     not at all otherwise.  ``extract_all`` emits a transitivity rule only
     where two given subclass axioms chain, so with its schema rules chaining
     depends on the rest of the model: ``X⊑A, A≡B, B⊑C`` closes to ``A⊑C``
-    alone, and ``X⊑C`` follows once an unrelated ``D⊑E⊑F`` is added.
-    Returns new axioms only — input edges and self-edges are never
-    reported — sorted by (sub, sup).
+    alone, and ``X⊑C`` follows once an unrelated ``D⊑E⊑F`` is added.  No
+    step derives a self-edge, so ``D⊑A, A≡D, B≡A`` derives nothing.
+    Returns new axioms only, sorted by (sub, sup).
     """
     allowed = {Pattern.EQUIVALENCE_INHERITANCE, Pattern.SUBCLASS_TRANSITIVITY}
     stray = [r.id for r in rules if r.pattern not in allowed]
@@ -590,39 +599,47 @@ def schema_closure(model: OntologyModel, rules: list[Rule]) -> list[SubClassOf]:
     trans_on = any(r.pattern is Pattern.SUBCLASS_TRANSITIVITY for r in rules)
     equiv_on = any(r.pattern is Pattern.EQUIVALENCE_INHERITANCE for r in rules)
 
-    given = {(ax.sub, ax.sup) for ax in model.axioms_of(SubClassOf)}
-    # lifts[d]: the classes declared equivalent to d, which inherit its superclasses
-    lifts: dict[Iri, list[Iri]] = defaultdict(list)
-    if equiv_on:
-        for ax in model.axioms_of(EquivalentClass):
-            lifts[ax.a].append(ax.b)
-            lifts[ax.b].append(ax.a)
-    sups: dict[Iri, set[Iri]] = defaultdict(set)  # known superclasses of each class
-    subs: dict[Iri, set[Iri]] = defaultdict(set)  # known subclasses of each class
-    pending: dict[Iri, set[Iri]] = {}  # superclasses not yet joined with the rest
-
-    def add(cls: Iri, candidates: set[Iri]) -> None:
-        fresh = candidates - sups[cls]
-        if fresh:
-            sups[cls] |= fresh
-            for sup in fresh:
-                subs[sup].add(cls)
-            pending.setdefault(cls, set()).update(fresh)
-
-    for sub, sup in given:
-        add(sub, {sup})
-    # Semi-naive: a new edge (cls, sup) waits in ``pending`` until it is joined,
-    # as either premise, with every edge known by then; an edge found later is
-    # joined with it when that edge's own turn comes.
-    while pending:
-        cls, delta = pending.popitem()
-        if trans_on:
-            for mid in delta:
-                add(cls, sups[mid] - {cls})
-            for sub in list(subs[cls]):
-                add(sub, delta - {sub})
-        for lifted in lifts[cls]:
-            add(lifted, delta - {lifted})
-
-    derived = ((sub, sup) for sub, known in sups.items() for sup in known)
-    return [SubClassOf(s, p) for s, p in sorted(set(derived) - given)]
+    given = model.axioms_of(SubClassOf)
+    equivs = model.axioms_of(EquivalentClass) if equiv_on else []
+    names = sorted({name for ax in (*given, *equivs) for name in ax[1:]})
+    code = {name: i for i, name in enumerate(names)}
+    stated = [0] * len(names)  # each class's given superclasses, a bit per class code
+    twins = [0] * len(names)  # the classes declared equivalent to each
+    for ax in given:
+        stated[code[ax.sub]] |= 1 << code[ax.sup]
+    for ax in equivs:
+        twins[code[ax.a]] |= 1 << code[ax.b]
+        twins[code[ax.b]] |= 1 << code[ax.a]
+    # Depth-first post-order over both kinds of edge: a row comes after the
+    # rows it reads, except around a cycle, so one pass settles a DAG.
+    order: list[int] = []
+    seen = [False] * len(names)
+    stack = list(range(len(names)))  # classes to enter, and ~class to leave
+    while stack:
+        c = stack.pop()
+        if c < 0:
+            order.append(~c)
+        elif not seen[c]:
+            seen[c] = True
+            stack.append(~c)
+            stack.extend(_bits(stated[c] | twins[c]))
+    # A row is its base (its given superclasses and its equivalents' rows)
+    # joined, when chaining, with the rows of its base: every row is closed
+    # at the fixpoint, so joining what a join adds would add nothing more.
+    sups = stated[:]  # each class's known superclasses, never itself
+    changed = True
+    while changed:
+        changed = False
+        for c in order:
+            base = stated[c]
+            for b in _bits(twins[c]):
+                base |= sups[b]
+            row = base
+            if trans_on:
+                for m in _bits(base):
+                    row |= sups[m]
+            row &= ~(1 << c)
+            changed |= row != sups[c]
+            sups[c] = row
+    fresh = [row & ~given_row for row, given_row in zip(sups, stated)]
+    return [SubClassOf(names[c], names[m]) for c, row in enumerate(fresh) for m in _bits(row)]

@@ -17,17 +17,17 @@ Thirteen scanners, one per licensed shape:
   inverse                      both directions of an inverse property pair
 
 Each scanner body is a generator that yields one rule, without building its
-atoms: ``(shape, names, trigger axioms, display form)``, where the shape is
-its branch's, the names are what the shape's function takes, and the trigger
-axioms are the ``describe()`` texts of the axioms that license the rule.  The
+atoms: ``(shape, names, triggers, display form)``, where the shape is its
+branch's, the names are what the shape's function takes, and the triggers are
+the axioms and property declarations that license the rule.  The
 ``_scanner(pattern)`` decorator turns it into the public entry point
 ``extract_<shape>(model) -> list[Rule]``, which builds each rule and its
-provenance (the model's source names, the trigger axioms and the display
-form), and registers it in ``_EXTRACTORS`` in definition order,
-which is ``Pattern`` order.  ``extract_all`` runs them all, deduplicates by
-rule id (merging trigger axioms), returns the rules in canonical id order,
-and warns of symmetric properties and inverse pairs skipped for a missing
-domain or range.
+provenance (the model's source names, the triggers' ``describe()`` texts,
+made once per model, and the display form), and registers it in
+``_EXTRACTORS`` in definition order, which is ``Pattern`` order.
+``extract_all`` runs them all, deduplicates by rule id (merging trigger
+axioms), returns the rules in canonical id order, and warns of symmetric
+properties and inverse pairs skipped for a missing domain or range.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from functools import wraps
 
 from .model import (
     AllValuesFrom,
+    Axiom,
     ClassLink,
     EquivalentClass,
     IntersectionOf,
@@ -72,8 +73,8 @@ VX = Var("?x")
 VY = Var("?y")
 VZ = Var("?z")
 
-# (shape, names, trigger axioms, display form) of one rule
-_Yield = tuple[_Shape, tuple[Iri, ...], list[str], str]
+# (shape, names, triggers, display form) of one rule
+_Yield = tuple[_Shape, tuple[Iri, ...], list[Axiom | PropertyDecl], str]
 _Shapes = Callable[[OntologyModel], Iterator[_Yield]]
 _Scanner = Callable[[OntologyModel], list[Rule]]
 
@@ -102,10 +103,10 @@ def _scanner(pattern: Pattern) -> Callable[[_Shapes], _Scanner]:
     def register(shapes: _Shapes) -> _Scanner:
         @wraps(shapes)
         def scan(model: OntologyModel) -> list[Rule]:
-            sources = model.source_names
+            sources, describe = model.source_names, model._index.texts.__getitem__
             return [
-                shape.rule(pattern, names, Provenance(sources, triggers, display_form))
-                for shape, names, triggers, display_form in shapes(model)
+                shape.rule(pattern, names, Provenance(sources, map(describe, triggers), form))
+                for shape, names, triggers, form in shapes(model)
             ]
 
         _EXTRACTORS[pattern] = scan
@@ -196,7 +197,7 @@ def extract_class_feature(model: OntologyModel) -> Iterator[_Yield]:
         yield (
             _FEATURES,
             (cls, *(d.iri for d in feats)),
-            [d.describe() for d in feats],
+            feats,
             f"IF {cls} THEN {' and '.join(str(d.iri) for d in feats)}",
         )
 
@@ -205,13 +206,13 @@ def extract_class_feature(model: OntologyModel) -> Iterator[_Yield]:
 def extract_equivalence_inheritance(model: OntologyModel) -> Iterator[_Yield]:
     for ax in sorted(model.axioms_of(EquivalentClass), key=lambda a: (a.a, a.b)):
         for lifted, declared in ((ax.a, ax.b), (ax.b, ax.a)):
-            for sup in model.superclasses_of(declared):
+            for sup, up in model._index.sups.get(declared, ()):
                 if sup == lifted:
                     continue
                 yield (
                     _LIFT,
                     (lifted, declared, sup),
-                    [ax.describe(), SubClassOf(declared, sup).describe()],
+                    [ax, up],
                     f'IF {declared} equivalent {lifted} THEN ("part of" {sup}) ∈ {lifted}',
                 )
 
@@ -222,7 +223,7 @@ def extract_domain_range_identification(model: OntologyModel) -> Iterator[_Yield
         yield (
             _IDENTIFY,
             (d.iri, d.range, d.domain),
-            [d.describe()],
+            [d],
             f"IF ({d.iri} {d.range}) THEN {d.domain}",
         )
 
@@ -231,13 +232,13 @@ def extract_domain_range_identification(model: OntologyModel) -> Iterator[_Yield
 def extract_subclass_transitivity(model: OntologyModel) -> Iterator[_Yield]:
     for first in sorted(model.axioms_of(SubClassOf), key=lambda a: (a.sub, a.sup)):
         a, b = first.sub, first.sup
-        for c in model.superclasses_of(b):  # joined through the middle class
+        for c, second in model._index.sups.get(b, ()):  # joined through the middle class
             if c == a:
                 continue
             yield (
                 _CHAIN,
                 (a, b, c),
-                [first.describe(), SubClassOf(b, c).describe()],
+                [first, second],
                 f'IF ({a} "part of" {b}) and ({b} "part of" {c}) THEN ({a} "part of" {c})',
             )
 
@@ -245,11 +246,11 @@ def extract_subclass_transitivity(model: OntologyModel) -> Iterator[_Yield]:
 @_scanner(Pattern.RELATION_PROPAGATION)
 def extract_relation_propagation(model: OntologyModel) -> Iterator[_Yield]:
     for d in _plain_object_props(model):
-        for sup in model.superclasses_of(d.range):
+        for sup, up in model._index.sups.get(d.range, ()):
             yield (
                 _PROPAGATE,
                 (d.iri, d.range, sup),
-                [d.describe(), SubClassOf(d.range, sup).describe()],
+                [d, up],
                 f'IF ({d.domain} "{d.iri}" {d.range}) and '
                 f'({d.range} "part of" {sup}) THEN ({d.domain} "{d.iri}" {sup})',
             )
@@ -261,7 +262,7 @@ def extract_subproperty_lift(model: OntologyModel) -> Iterator[_Yield]:
         yield (
             _LIFT_LINK,
             (ax.sub, ax.sup),
-            [ax.describe()],
+            [ax],
             f'IF {ax.sub} and "subproperty of" THEN {ax.sup}',
         )
 
@@ -275,7 +276,7 @@ def extract_symmetric(model: OntologyModel) -> Iterator[_Yield]:
             yield (
                 _LINK_TO_CLASS,
                 (here, d.iri, there),
-                [d.describe()],
+                [d],
                 f"IF {here} THEN ({d.iri} {there})",
             )
 
@@ -293,7 +294,7 @@ def extract_transitive(model: OntologyModel) -> Iterator[_Yield]:
         yield (
             _TRANSITIVE,
             (d.iri,),
-            [d.describe()],
+            [d],
             f'IF (?x "{d.iri}" ?y) and (?y "{d.iri}" ?z) THEN (?x "{d.iri}" ?z)',
         )
         by_subject = links.get(d.iri, {})
@@ -305,23 +306,23 @@ def extract_transitive(model: OntologyModel) -> Iterator[_Yield]:
                 yield (
                     _LINK_CHAIN,
                     (a, d.iri, b, c),
-                    [d.describe(), first.describe(), second.describe()],
+                    [d, first, second],
                     f'IF ({a} "{d.iri}" {b}) and ({b} "{d.iri}" {c}) THEN ({a} "{d.iri}" {c})',
                 )
 
 
 @_scanner(Pattern.SOLE_PARTOF)
 def extract_sole_partof(model: OntologyModel) -> Iterator[_Yield]:
-    subs = model.subs_by_super()
+    subs = model._index.subs
     for whole in sorted(subs):
         parts = subs[whole]
         if len(parts) != 1:
             continue
-        part = parts[0]
+        part, ax = parts[0]
         yield (
             _SOLE_PART,
             (part, whole),
-            [SubClassOf(part, whole).describe()],
+            [ax],
             f'IF {whole} and only one "part of" THEN (more "part of" ∈ {whole})',
         )
 
@@ -332,7 +333,7 @@ def extract_cooccurrence(model: OntologyModel) -> Iterator[_Yield]:
         yield (
             _COOCCUR,
             (d.domain, d.range, d.iri),
-            [d.describe()],
+            [d],
             f"IF {d.domain} and {d.range} THEN {d.iri}",
         )
 
@@ -343,7 +344,7 @@ def extract_allvaluesfrom(model: OntologyModel) -> Iterator[_Yield]:
         yield (
             _ONLY,
             (ax.filler, ax.on_property),
-            [ax.describe()],
+            [ax],
             f"IF not {ax.filler} THEN not {ax.on_property}",
         )
 
@@ -354,7 +355,7 @@ def extract_intersection(model: OntologyModel) -> Iterator[_Yield]:
         yield (
             _PARTS,
             (ax.defined, *ax.parts),  # listing order kept
-            [ax.describe()],
+            [ax],
             f"IF {ax.defined} THEN {' and '.join(str(p) for p in ax.parts)}",
         )
 
@@ -366,7 +367,7 @@ def extract_inverse(model: OntologyModel) -> Iterator[_Yield]:
         if not _has_domain_and_range(decl):
             continue
         d, r = decl.domain, decl.range
-        triggers = [ax.describe(), decl.describe()]
+        triggers = [ax, decl]
         yield _LINK_TO_CLASS, (d, ax.prop, r), triggers, f"IF {d} THEN ({ax.prop} {r})"
         yield (
             _LINK_TO_CLASS,

@@ -247,18 +247,27 @@ class MergeConflictError(Exception):
         self.kinds = kinds
 
 
+class _Texts(dict):
+    """``describe()`` of each axiom or declaration asked for, made on first ask."""
+
+    def __missing__(self, value: Axiom | PropertyDecl) -> str:
+        text = self[value] = value.describe()
+        return text
+
+
 class _ModelIndex:
-    __slots__ = ("by_kind", "sups", "subs")
+    __slots__ = ("by_kind", "sups", "subs", "texts")
 
     def __init__(
         self,
         by_kind: dict[type, list[Axiom]],
-        sups: dict[Iri, list[Iri]],
-        subs: dict[Iri, list[Iri]],
+        sups: dict[Iri, list[tuple[Iri, SubClassOf]]],
+        subs: dict[Iri, list[tuple[Iri, SubClassOf]]],
     ) -> None:
         self.by_kind = by_kind  # axioms by concrete class, in model order
-        self.sups = sups  # sorted direct superclasses of each subclass
-        self.subs = subs  # sorted direct subclasses of each superclass
+        self.sups = sups  # sorted (superclass, axiom) pairs of each subclass
+        self.subs = subs  # sorted (subclass, axiom) pairs of each superclass
+        self.texts = _Texts()
 
 
 class OntologyModel:
@@ -301,13 +310,13 @@ class OntologyModel:
         by_kind: dict[type, list[Axiom]] = {}
         for ax in self.axioms:
             by_kind.setdefault(type(ax), []).append(ax)
-        sups: dict[Iri, list[Iri]] = {}
-        subs: dict[Iri, list[Iri]] = {}
+        sups: dict[Iri, list[tuple[Iri, SubClassOf]]] = {}
+        subs: dict[Iri, list[tuple[Iri, SubClassOf]]] = {}
         for ax in by_kind.get(SubClassOf, ()):
-            sups.setdefault(ax.sub, []).append(ax.sup)
-            subs.setdefault(ax.sup, []).append(ax.sub)
-        for names in (*sups.values(), *subs.values()):
-            names.sort()
+            sups.setdefault(ax.sub, []).append((ax.sup, ax))
+            subs.setdefault(ax.sup, []).append((ax.sub, ax))
+        for pairs in (*sups.values(), *subs.values()):
+            pairs.sort()
         return _ModelIndex(by_kind, sups, subs)
 
     def property(self, name: Iri) -> PropertyDecl | None:
@@ -318,10 +327,10 @@ class OntologyModel:
         return list(self._index.by_kind.get(kind, ()))
 
     def superclasses_of(self, name: Iri) -> list[Iri]:
-        return list(self._index.sups.get(name, ()))
+        return [sup for sup, _ in self._index.sups.get(name, ())]
 
     def subs_by_super(self) -> dict[Iri, list[Iri]]:
-        return {sup: list(subs) for sup, subs in self._index.subs.items()}
+        return {sup: [sub for sub, _ in pairs] for sup, pairs in self._index.subs.items()}
 
     def structure(self) -> tuple:
         props = frozenset(self.properties.values())

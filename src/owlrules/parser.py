@@ -223,6 +223,7 @@ class _Interp:
     def __init__(self, source_name: str):
         self.builder = ModelBuilder(source_name)
         self.diags: list[ParseDiagnostic] = []
+        self.iris: dict[str, Iri] = {}  # the name of each good raw reference read so far
 
     def warn(self, el: _Element, message: str) -> None:
         self.diags.append(ParseDiagnostic(Severity.WARNING, message, el.location))
@@ -234,12 +235,14 @@ class _Interp:
 
     def iri_of(self, el: _Element, raw: str, what: str) -> Iri | None:
         """``raw`` as a name, or None after an error that says ``what``
-        (``{}`` standing for the element's name) and why."""
-        try:
-            return iri(raw)
-        except ValueError as exc:
-            self.error(el, f"{what.format(el.name)}: {exc}")
-            return None
+        (``{}`` standing for the element's name) and why, at each bad use."""
+        name = self.iris.get(raw)
+        if name is None:
+            try:
+                name = self.iris[raw] = iri(raw)
+            except ValueError as exc:
+                self.error(el, f"{what.format(el.name)}: {exc}")
+        return name
 
     def subject_iri(self, el: _Element) -> Iri | None:
         attrs = el.attrs

@@ -850,3 +850,71 @@ def test_schema_closure_matches_oracle_on_random_cyclic_graphs(rules, oracle):
         assert pairs == sorted(pairs)
         assert set(pairs) == oracle(edges, equivs)
         assert all(sub != sup for sub, sup in pairs)
+
+
+def test_schema_closure_chaining_alone_matches_warshall_on_random_cyclic_graphs():
+    rng = random.Random(47)
+    for _ in range(300):
+        model, edges, _ = _random_schema_model(rng)
+        pairs = [(ax.sub, ax.sup) for ax in schema_closure(model, [_TRANSITIVITY])]
+        assert pairs == sorted(pairs)
+        assert set(pairs) == closure_pairs(edges)
+
+
+def test_schema_closure_never_derives_a_self_edge():
+    # A⊑A is never known, so nothing is lifted through it: lifting D⊑A across
+    # A≡D would give A⊑A, and lifting that across B≡A would give B⊑A.
+    b = ModelBuilder()
+    b.add_axiom(SubClassOf(Iri("D"), Iri("A")))
+    b.add_axiom(EquivalentClass(Iri("A"), Iri("D")))
+    b.add_axiom(EquivalentClass(Iri("B"), Iri("A")))
+    assert schema_closure(b.build(), [_TRANSITIVITY, _EQUIVALENCE]) == []
+
+
+def _large_schema_model(rng: random.Random, size: int):
+    """``size`` classes, so that a bit row spans more than one 64-bit word.
+
+    Each class but the last gets a random superclass among the classes after
+    it, a few of those edges are reversed as well to close two-class cycles,
+    and a few classes are declared equivalent.
+    """
+    names = [Iri(f"K{i:03d}") for i in range(size)]
+    b = ModelBuilder()
+    edges: set[tuple[Iri, Iri]] = set()
+    for i in range(size - 1):
+        edges.add((names[i], names[rng.randrange(i + 1, size)]))
+    edges |= {(sup, sub) for sub, sup in rng.sample(sorted(edges), 3)}
+    for sub, sup in edges:
+        b.add_axiom(SubClassOf(sub, sup))
+    for _ in range(4):
+        b.add_axiom(EquivalentClass(*rng.sample(names, 2)))
+    model = b.build()
+    return model, edges, [(ax.a, ax.b) for ax in model.axioms_of(EquivalentClass)]
+
+
+@pytest.mark.parametrize(
+    "rules, oracle, cases",
+    [
+        ([_TRANSITIVITY], lambda edges, _: closure_pairs(edges), 6),
+        ([_EQUIVALENCE], equivalence_lift_pairs, 6),
+        ([_TRANSITIVITY, _EQUIVALENCE], joint_closure_pairs, 4),
+    ],
+    ids=["transitivity-only", "equivalence-only", "joint"],
+)
+def test_schema_closure_matches_oracle_on_rows_wider_than_a_word(rules, oracle, cases):
+    rng = random.Random(53)
+    for _ in range(cases):
+        model, edges, equivs = _large_schema_model(rng, rng.randint(65, 130))
+        pairs = [(ax.sub, ax.sup) for ax in schema_closure(model, rules)]
+        assert pairs == sorted(pairs)
+        assert set(pairs) == oracle(edges, equivs)
+        assert any(sup >= "K064" for _, sup in pairs)
+
+
+def test_schema_closure_of_the_patterns_ontology_matches_its_golden_file():
+    model, diags = parse_ontology((DATA_DIR / "patterns.owl").read_text(encoding="utf-8"))
+    assert not diags
+    schema = (Pattern.SUBCLASS_TRANSITIVITY, Pattern.EQUIVALENCE_INHERITANCE)
+    derived = schema_closure(model, [r for r in extract_all(model).rules if r.pattern in schema])
+    text = "".join(f"{ax.sub} {ax.sup}\n" for ax in derived)
+    assert text == (DATA_DIR / "patterns.closure.txt").read_text(encoding="utf-8")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import pickle
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,7 @@ from owlrules import (
 )
 import owlrules
 from owlrules import extract
+from owlrules.model import Axiom
 from owlrules.rules import ClassRef, Var, make_rule
 
 PER_PATTERN = {
@@ -447,3 +449,25 @@ def test_the_random_models_fire_every_scanner_branch():
         (ClassRef, 1),
     }
     assert {n for p, _, n in seen if p is Pattern.CLASS_FEATURE} == {1, 2}
+
+
+def test_extract_all_describes_each_axiom_and_declaration_at_most_once(monkeypatch):
+    # A rule cites each trigger by its describe() text; an axiom or property
+    # declaration that licenses many rules is still described once per model.
+    calls: Counter = Counter()
+    for kind in (PropertyDecl, Axiom, IntersectionOf):
+
+        def counted(value, describe=kind.describe):
+            calls[value] += 1
+            return describe(value)
+
+        monkeypatch.setattr(kind, "describe", counted)
+    text = (DATA_DIR / "patterns.owl").read_text(encoding="utf-8")
+    models = [parse_ontology(text, name="patterns.owl")[0]]
+    models += [random_model(random.Random(7000 + seed), max_axioms=30) for seed in range(5)]
+    for model in models:
+        calls.clear()
+        rules = extract_all(model).rules
+        cited = {cite for rule in rules for cite in rule.provenance.trigger_axioms}
+        assert calls and len(calls) == len(cited)
+        assert max(calls.values()) == 1, calls.most_common(3)

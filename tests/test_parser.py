@@ -349,6 +349,21 @@ def test_each_skipped_construct_has_its_located_diagnostic(name):
     assert _diagnostic_lines(body) == expected
 
 
+def test_a_repeated_bad_reference_reports_each_location():
+    # The parser reads each distinct reference once; a bad one is read again
+    # wherever it appears, so that each use gets its own located error.
+    body = (
+        '<owl:Class rdf:ID="A">\n  <rdfs:subClassOf rdf:resource="a b"/>\n'
+        '  <rdfs:subClassOf rdf:resource="#B"/>\n</owl:Class>\n'
+        '<owl:Class rdf:ID="C">\n  <rdfs:subClassOf rdf:resource="a b"/>\n'
+        '  <rdfs:subClassOf rdf:resource="#B"/>\n</owl:Class>'
+    )
+    error = "bad reference on rdfs:subClassOf: IRI contains whitespace: 'a b'"
+    assert _diagnostic_lines(body) == [f"ERROR x.owl:3:3 {error}", f"ERROR x.owl:7:3 {error}"]
+    model, _ = parse_ontology(f"<rdf:RDF>\n{body}\n</rdf:RDF>\n", "x.owl")
+    assert set(model.axioms) == {SubClassOf(Iri("A"), Iri("B")), SubClassOf(Iri("C"), Iri("B"))}
+
+
 def test_a_nested_property_declaration_used_as_a_reference_is_declared_and_linked():
     body = (
         '<owl:Class rdf:ID="A">\n  <owl:equivalentClass>\n'
