@@ -90,6 +90,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 # pipeline pieces
 
 
+class _Exit(Exception):
+    """Ends the run with the exit code ``args[0]``, once its reason is printed."""
+
+
 def _read(path: str) -> str | None:
     """The UTF-8 text of ``path``, or None once the reason it cannot be read
     is printed.  (The parsers ignore a leading byte-order mark.)"""
@@ -100,27 +104,15 @@ def _read(path: str) -> str | None:
         return None
 
 
-def _load_models(paths: list[str]) -> tuple[list[OntologyModel], bool]:
-    models = []
-    failed = False
-    for path in paths:
-        text = _read(path)
-        if text is None:
-            failed = True
-            continue
-        model, diags = parse_ontology(text, name=path)
-        for diag in diags:
-            print(format_diagnostic(diag, path), file=sys.stderr)
-        if has_errors(diags):
-            failed = True
-        else:
-            models.append(model)
-    return models, failed
+def _report(diags: list, path: str) -> bool:
+    """Print the diagnostics of ``path``; whether any is an error."""
+    for diag in diags:
+        print(format_diagnostic(diag, path), file=sys.stderr)
+    return has_errors(diags)
 
 
-def _emit(args: argparse.Namespace, parts: Iterable[str]) -> int:
-    """Write ``parts`` to --output or stdout, each as it is made; the exit
-    code of the write."""
+def _emit(args: argparse.Namespace, parts: Iterable[str]) -> None:
+    """Write ``parts`` to --output or stdout, each as it is made."""
     try:
         if args.output:
             with Path(args.output).open("w", encoding="utf-8") as out:
@@ -136,21 +128,25 @@ def _emit(args: argparse.Namespace, parts: Iterable[str]) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         print(f"ERROR {args.output or '<stdout>'}: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    return EXIT_OK
+        raise _Exit(EXIT_PARSE_ERROR)
 
 
-def _extract_rules(
-    paths: list[str], executable_only: bool
-) -> tuple[list[Rule], OntologyModel] | int:
-    models, failed = _load_models(paths)
-    if failed:
-        return EXIT_PARSE_ERROR
+def _extract_rules(paths: list[str], executable_only: bool) -> tuple[list[Rule], OntologyModel]:
+    """The merged files' rules; each file is read and reported before a bad one ends the run."""
+    models = []
+    for path in paths:
+        text = _read(path)
+        if text is not None:
+            model, diags = parse_ontology(text, name=path)
+            if not _report(diags, path):
+                models.append(model)
+    if len(models) < len(paths):
+        raise _Exit(EXIT_PARSE_ERROR)
     try:
         model = merge(models)
     except MergeConflictError as exc:
         print(f"ERROR {exc}", file=sys.stderr)
-        return EXIT_MERGE_CONFLICT
+        raise _Exit(EXIT_MERGE_CONFLICT)
     for note in model.notes:
         print(f"WARNING {note}", file=sys.stderr)
     report = extract_all(model)
@@ -166,77 +162,60 @@ def _extract_rules(
 # subcommands
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    got = _extract_rules(args.files, args.no_nonexecutable)
-    if isinstance(got, int):
-        return got
-    rules, model = got
+def cmd_extract(args: argparse.Namespace) -> None:
+    rules, model = _extract_rules(args.files, args.no_nonexecutable)
     if args.format == "structured":
         return _emit(args, structured_parts(rules, source=model.source_names))
-    return _emit(args, (render_text(r) + "\n" for r in rules))
+    _emit(args, (render_text(r) + "\n" for r in rules))
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> None:
     if args.format == "structured":
         return cmd_extract(args)  # the same document
-    got = _extract_rules(args.files, args.no_nonexecutable)
-    if isinstance(got, int):
-        return got
-    rules, _model = got
+    rules, _model = _extract_rules(args.files, args.no_nonexecutable)
     lines = [f"{c.value}: {sum(1 for r in rules if r.category is c)}\n" for c in CATEGORY_ORDER]
     grouped = [r for category in CATEGORY_ORDER for r in rules if r.category is category]
     if grouped:
         lines.append("\n")
     listing = (f"{r.category.value} {r.pattern.value} {render_text(r)}\n" for r in grouped)
-    return _emit(args, chain(lines, listing))
+    _emit(args, chain(lines, listing))
 
 
-def cmd_infer(args: argparse.Namespace) -> int:
+def cmd_infer(args: argparse.Namespace) -> None:
     if args.cap < 1:
         print("ERROR cap must be positive", file=sys.stderr)
-        return EXIT_MERGE_CONFLICT  # bad usage shares the conflict code
-    got = _extract_rules(args.files, executable_only=True)
-    if isinstance(got, int):
-        return got
-    executable, _model = got
+        raise _Exit(EXIT_MERGE_CONFLICT)  # bad usage shares the conflict code
+    executable, _model = _extract_rules(args.files, executable_only=True)
     facts_text = _read(args.facts)
     if facts_text is None:
-        return EXIT_PARSE_ERROR
+        raise _Exit(EXIT_PARSE_ERROR)
     try:
         base, diags = parse_fact_base(facts_text)
     except ContradictionError as exc:
-        for diag in exc.diagnostics:
-            print(format_diagnostic(diag, args.facts), file=sys.stderr)
+        malformed = _report(exc.diagnostics, args.facts)
         where = exc.location
         print(f"ERROR {args.facts}:{where.line}:{where.col} {exc}", file=sys.stderr)
         # A malformed line outranks the contradiction.
-        return EXIT_PARSE_ERROR if has_errors(exc.diagnostics) else EXIT_CONTRADICTION
-    for diag in diags:
-        print(format_diagnostic(diag, args.facts), file=sys.stderr)
-    if has_errors(diags):
-        return EXIT_PARSE_ERROR
+        raise _Exit(EXIT_PARSE_ERROR if malformed else EXIT_CONTRADICTION)
+    if _report(diags, args.facts):
+        raise _Exit(EXIT_PARSE_ERROR)
     try:
         result = run_fixpoint(executable, base, args.cap)
     except ContradictionError as exc:
         print(f"ERROR {exc}", file=sys.stderr)
-        return EXIT_CONTRADICTION
+        raise _Exit(EXIT_CONTRADICTION)
 
     violations = map("{} [{}]".format, result.violation_text, (r for _, r in result.violations))
-    summary = "summary: iterations={} derived={} violations={} converged={}".format(
-        result.iterations,
-        len(result.derived),
-        len(result.violations),
-        "yes" if result.converged else "no",
+    summary = (
+        f"summary: iterations={result.iterations} derived={len(result.derived)} "
+        f"violations={len(result.violations)} converged={'yes' if result.converged else 'no'}"
     )
     lines = chain(["derived:"], result.derived_text, ["violations:"], violations, [summary])
-    written = _emit(args, (line + "\n" for line in lines))
-    if written != EXIT_OK:
-        return written
+    _emit(args, (line + "\n" for line in lines))
     if not result.converged:
-        return EXIT_CAP_EXCEEDED
+        raise _Exit(EXIT_CAP_EXCEEDED)
     if args.strict and result.violations:
-        return EXIT_VIOLATIONS
-    return EXIT_OK
+        raise _Exit(EXIT_VIOLATIONS)
 
 
 _arg_parser = cache(build_arg_parser)  # one parser per process, built by the first main
@@ -244,7 +223,11 @@ _arg_parser = cache(build_arg_parser)  # one parser per process, built by the fi
 
 def main(argv: list[str] | None = None) -> int:
     args = _arg_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        args.run(args)
+    except _Exit as exc:
+        return exc.args[0]
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

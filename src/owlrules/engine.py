@@ -110,16 +110,16 @@ def _parts(terms: tuple) -> tuple:
     )
 
 
-def _split(rule_id: str, antecedent: tuple, consequent: tuple) -> tuple | None:
-    """A rule's atoms as its engine shape ``(body, heads)``: ``body`` lists
-    the instance atoms of the antecedent as ``(fact kind, parts)`` and
-    ``heads`` those of the consequent as ``(fact kind, parts,
+def _split(rule: Rule, antecedent: tuple, consequent: tuple) -> tuple | None:
+    """The atoms of ``rule``'s shape as its engine shape ``(body, heads)``:
+    ``body`` lists the instance atoms of the antecedent as ``(fact kind,
+    parts)`` and ``heads`` those of the consequent as ``(fact kind, parts,
     object-is-class)``.
 
     Returns None for a rule that can derive nothing: some atom can never match
     (a literal, or a variable-bearing schema atom), or no consequent atom is
-    instance-level.  Raises ``ValueError`` naming the rule for an atom the
-    engine cannot run, even if no fact would ever match the rule.
+    instance-level.  Raises ``ValueError`` naming the rule, and its own term,
+    for an atom the engine cannot run, even if no fact would ever match it.
     """
     body = []
     fires = True
@@ -133,7 +133,7 @@ def _split(rule_id: str, antecedent: tuple, consequent: tuple) -> tuple | None:
                 body.append((kind, parts))
         elif isinstance(atom, Not):
             raise ValueError(
-                f"rule {rule_id}: negated antecedents are only supported on "
+                f"rule {rule.id}: negated antecedents are only supported on "
                 "integrity-check rules"
             )
         elif any(isinstance(t, Var) for t in atom[1:]):
@@ -144,16 +144,16 @@ def _split(rule_id: str, antecedent: tuple, consequent: tuple) -> tuple | None:
         return None
     bound = {p for _, parts in body for p in parts if isinstance(p, Var)}
     heads = []
-    for atom in consequent:
+    for i, atom in enumerate(consequent):
         kind = _FACT_OF.get(type(atom))
         if kind is None:
             continue
         parts = _parts(atom[1:])
-        for term, part in zip(atom[1:], parts):
+        for k, part in enumerate(parts, 1):
             if part is None:
-                raise ValueError(f"rule {rule_id}: cannot ground {term!r}")
+                raise ValueError(f"rule {rule.id}: cannot ground {rule.consequent[i][k]!r}")
             if isinstance(part, Var) and part not in bound:
-                raise ValueError(f"rule {rule_id}: consequent variable {part.name} is unbound")
+                raise ValueError(f"rule {rule.id}: consequent variable {part.name} is unbound")
         heads.append((kind, parts, kind is LinkFact and type(atom.obj) is ClassRef))
     return (tuple(body), tuple(heads)) if heads else None
 
@@ -174,11 +174,7 @@ def _prepare(rule: Rule) -> tuple[tuple[int, int] | None, list[tuple]]:
             ) if guard == obj:
                 return (prop, filler), []
         raise ValueError(f"rule {rule.id}: unsupported integrity-check shape")
-    try:
-        shape = _split(rule.id, antecedent, consequent)
-    except ValueError:
-        _split(rule.id, rule.antecedent, rule.consequent)  # the same error, in the rule's names
-        raise
+    shape = _split(rule, antecedent, consequent)
     return None, ([] if shape is None else _compile_shape(shape, len(rule.names)))
 
 
@@ -642,4 +638,5 @@ def schema_closure(model: OntologyModel, rules: list[Rule]) -> list[SubClassOf]:
             changed |= row != sups[c]
             sups[c] = row
     fresh = [row & ~given_row for row, given_row in zip(sups, stated)]
-    return [SubClassOf(names[c], names[m]) for c, row in enumerate(fresh) for m in _bits(row)]
+    edges = ((SubClassOf, names[c], names[m]) for c, row in enumerate(fresh) for m in _bits(row))
+    return [tuple.__new__(SubClassOf, edge) for edge in edges]  # no self-edge to check

@@ -198,6 +198,20 @@ def test_extract_an_element_left_open_is_a_located_error_at_the_end(capsys, tmp_
     assert err.splitlines() == [f"ERROR {bad}:3:1 malformed XML: no element found"]
 
 
+def test_every_ontology_file_is_read_and_reported_before_the_run_fails(capsys, tmp_path):
+    missing = tmp_path / "missing.owl"
+    malformed = tmp_path / "open.owl"
+    malformed.write_text('<owl:Class rdf:ID="A">', encoding="utf-8")
+    argv = ["extract", str(missing), str(malformed), str(DATA_DIR / "patterns.owl")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    # One line per bad file, in argument order; the good file adds nothing.
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"ERROR {missing}: ")
+    assert lines[1] == f"ERROR {malformed}:1:23 malformed XML: no element found"
+
+
 def test_extract_merge_conflict_across_files_exits_2(capsys, tmp_path):
     first = tmp_path / "first.owl"
     second = tmp_path / "second.owl"
