@@ -22,9 +22,11 @@ branch's, the names are what the shape's function takes, and the triggers are
 the axioms and property declarations that license the rule.  The
 ``_scanner(pattern)`` decorator turns it into the public entry point
 ``extract_<shape>(model) -> list[Rule]``, which builds each rule and its
-provenance (the model's source names, the triggers' ``describe()`` texts,
-made once per model, and the display form), and registers it in
-``_EXTRACTORS`` in definition order, which is ``Pattern`` order.
+provenance, already sorted and distinct (the model's source names, the
+triggers' ``describe()`` texts, made once per model, and the display form),
+and registers it in ``_EXTRACTORS`` in definition order, which is ``Pattern``
+order.  The model's index holds what several scanners read sorted: the
+property declarations, the inverse pairs and the source names.
 ``extract_all`` runs them all, deduplicates by rule id (merging trigger
 axioms), returns the rules in canonical id order, and warns of symmetric
 properties and inverse pairs skipped for a missing domain or range.
@@ -41,7 +43,6 @@ from .model import (
     ClassLink,
     EquivalentClass,
     IntersectionOf,
-    InverseOf,
     Iri,
     OntologyModel,
     PropertyDecl,
@@ -103,20 +104,23 @@ def _scanner(pattern: Pattern) -> Callable[[_Shapes], _Scanner]:
     def register(shapes: _Shapes) -> _Scanner:
         @wraps(shapes)
         def scan(model: OntologyModel) -> list[Rule]:
-            sources, describe = model.source_names, model._index.texts.__getitem__
-            return [
-                shape.rule(pattern, names, Provenance(sources, map(describe, triggers), form))
-                for shape, names, triggers, form in shapes(model)
-            ]
+            sources, describe = model._index.sources, model._index.texts.__getitem__
+            rules = []
+            for shape, names, triggers, form in shapes(model):
+                # sorted and distinct, as Provenance(...) keeps them
+                texts = (
+                    (describe(triggers[0]),)
+                    if len(triggers) == 1
+                    else tuple(sorted(set(map(describe, triggers))))
+                )
+                provenance = tuple.__new__(Provenance, (Provenance, sources, texts, form))
+                rules.append(shape.rule(pattern, names, provenance))
+            return rules
 
         _EXTRACTORS[pattern] = scan
         return scan
 
     return register
-
-
-def _sorted_props(model: OntologyModel) -> list[PropertyDecl]:
-    return sorted(model.properties.values(), key=lambda d: d.iri)
 
 
 def _has_domain_and_range(decl: PropertyDecl | None) -> bool:
@@ -128,13 +132,9 @@ def _plain_object_props(model: OntologyModel) -> list[PropertyDecl]:
     # scanners of their own and must not double-fire the domain/range shapes.
     return [
         d
-        for d in _sorted_props(model)
+        for d in model._index.props
         if d.kind is PropertyKind.OBJECT and _has_domain_and_range(d)
     ]
-
-
-def _sorted_inverses(model: OntologyModel) -> list[InverseOf]:
-    return sorted(model.axioms_of(InverseOf), key=lambda a: (a.prop, a.inverse))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ _PARTS = _Shape(lambda defined, *parts: ([_isa(VX, defined)], [_isa(VX, c) for c
 @_scanner(Pattern.CLASS_FEATURE)
 def extract_class_feature(model: OntologyModel) -> Iterator[_Yield]:
     by_domain: dict[Iri, list[PropertyDecl]] = {}
-    for d in _sorted_props(model):
+    for d in model._index.props:
         if d.kind is PropertyKind.DATATYPE and d.domain is not None:
             by_domain.setdefault(d.domain, []).append(d)
     for cls in sorted(by_domain):
@@ -269,7 +269,7 @@ def extract_subproperty_lift(model: OntologyModel) -> Iterator[_Yield]:
 
 @_scanner(Pattern.SYMMETRIC)
 def extract_symmetric(model: OntologyModel) -> Iterator[_Yield]:
-    for d in _sorted_props(model):
+    for d in model._index.props:
         if d.kind is not PropertyKind.SYMMETRIC or not _has_domain_and_range(d):
             continue
         for here, there in ((d.domain, d.range), (d.range, d.domain)):
@@ -288,7 +288,7 @@ def extract_transitive(model: OntologyModel) -> Iterator[_Yield]:
     for ax in sorted(model.axioms_of(ClassLink), key=lambda a: (a.prop, a.subject, a.obj)):
         if ax.subject != ax.obj:
             links.setdefault(ax.prop, {}).setdefault(ax.subject, []).append(ax)
-    for d in _sorted_props(model):
+    for d in model._index.props:
         if d.kind is not PropertyKind.TRANSITIVE:
             continue
         yield (
@@ -362,7 +362,7 @@ def extract_intersection(model: OntologyModel) -> Iterator[_Yield]:
 
 @_scanner(Pattern.INVERSE)
 def extract_inverse(model: OntologyModel) -> Iterator[_Yield]:
-    for ax in _sorted_inverses(model):
+    for ax in model._index.inverses:
         decl = model.property(ax.prop)
         if not _has_domain_and_range(decl):
             continue
@@ -381,12 +381,12 @@ def _guard_warnings(model: OntologyModel) -> list[str]:
     """The symmetric properties and inverse pairs skipped for a missing domain or range."""
     warnings = [
         f"symmetric property {d.iri} lacks a domain or range; no rules emitted"
-        for d in _sorted_props(model)
+        for d in model._index.props
         if d.kind is PropertyKind.SYMMETRIC and not _has_domain_and_range(d)
     ]
     warnings.extend(
         f"inverse pair ({ax.prop},{ax.inverse}) lacks a domain or range; no rules emitted"
-        for ax in _sorted_inverses(model)
+        for ax in model._index.inverses
         if not _has_domain_and_range(model.property(ax.prop))
     )
     return warnings

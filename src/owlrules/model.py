@@ -256,17 +256,23 @@ class _Texts(dict):
 
 
 class _ModelIndex:
-    __slots__ = ("by_kind", "sups", "subs", "texts")
+    __slots__ = ("by_kind", "sups", "subs", "props", "inverses", "sources", "texts")
 
-    def __init__(
-        self,
-        by_kind: dict[type, list[Axiom]],
-        sups: dict[Iri, list[tuple[Iri, SubClassOf]]],
-        subs: dict[Iri, list[tuple[Iri, SubClassOf]]],
-    ) -> None:
-        self.by_kind = by_kind  # axioms by concrete class, in model order
-        self.sups = sups  # sorted (superclass, axiom) pairs of each subclass
-        self.subs = subs  # sorted (subclass, axiom) pairs of each superclass
+    def __init__(self, model: OntologyModel) -> None:
+        self.by_kind: dict[type, list[Axiom]] = {}  # axioms by concrete class, in model order
+        for ax in model.axioms:
+            self.by_kind.setdefault(type(ax), []).append(ax)
+        # sorted (superclass, axiom) pairs of each subclass, (subclass, axiom) of each superclass
+        self.sups: dict[Iri, list[tuple[Iri, SubClassOf]]] = {}
+        self.subs: dict[Iri, list[tuple[Iri, SubClassOf]]] = {}
+        for ax in self.by_kind.get(SubClassOf, ()):
+            self.sups.setdefault(ax.sub, []).append((ax.sup, ax))
+            self.subs.setdefault(ax.sup, []).append((ax.sub, ax))
+        for pairs in (*self.sups.values(), *self.subs.values()):
+            pairs.sort()
+        self.props = sorted(model.properties.values(), key=lambda d: d.iri)
+        self.inverses = sorted(self.by_kind.get(InverseOf, ()), key=lambda a: (a.prop, a.inverse))
+        self.sources = tuple(sorted(set(model.source_names)))  # as a Provenance keeps them
         self.texts = _Texts()
 
 
@@ -307,17 +313,7 @@ class OntologyModel:
     @cached_property
     def _index(self) -> _ModelIndex:
         # Built on first use; the fields it reads are never reassigned.
-        by_kind: dict[type, list[Axiom]] = {}
-        for ax in self.axioms:
-            by_kind.setdefault(type(ax), []).append(ax)
-        sups: dict[Iri, list[tuple[Iri, SubClassOf]]] = {}
-        subs: dict[Iri, list[tuple[Iri, SubClassOf]]] = {}
-        for ax in by_kind.get(SubClassOf, ()):
-            sups.setdefault(ax.sub, []).append((ax.sup, ax))
-            subs.setdefault(ax.sup, []).append((ax.sub, ax))
-        for pairs in (*sups.values(), *subs.values()):
-            pairs.sort()
-        return _ModelIndex(by_kind, sups, subs)
+        return _ModelIndex(self)
 
     def property(self, name: Iri) -> PropertyDecl | None:
         return self.properties.get(name)

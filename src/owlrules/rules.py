@@ -1,8 +1,9 @@
 """IF-THEN rule language: terms, atoms, classification, text and JSON forms.
 
-A rule is its shape plus its names.  Each shape is compiled once, on
-placeholder names, into ``str.format`` templates of the id text, the rule
-text and the atoms' JSON, which rules fill with their names.
+A rule is its shape plus its names.  Each shape writes the text hashed into
+a rule's id, the rule text and the atoms' JSON with functions of its names,
+each compiled once per process, on first use, from the shape written on
+placeholder names: its fixed text as literals and one parameter per name.
 
 The structured (JSON) document is written directly as text, its strings
 escaped by the C function ``json.dumps`` uses.  Its bytes are exactly those of
@@ -235,11 +236,12 @@ class Rule(Value):
         return tuple.__new__(Rule, self[:5] + (provenance,))
 
 
-def _rule(pattern: Pattern, shape: "_Shape", names: tuple, provenance: Provenance) -> Rule:
-    """The rule of ``shape`` filled with ``names``, with its deterministic id."""
-    prefix = pattern._value_
-    digest = hashlib.sha256(f"{prefix}|{shape.key.format(*names)}".encode()).hexdigest()[:10]
-    return tuple.__new__(Rule, (Rule, f"{prefix}-{digest}", shape, names, pattern, provenance))
+def _rule(
+    pattern: Pattern, key: Callable[..., str], shape: "_Shape", names: tuple, prov: Provenance
+) -> Rule:
+    """The rule of ``shape`` filled with ``names``, its id hashed from ``key(*names)``."""
+    digest = hashlib.sha256(key(*names).encode()).hexdigest()[:10]
+    return tuple.__new__(Rule, (Rule, f"{pattern._value_}-{digest}", shape, names, pattern, prov))
 
 
 def make_rule(
@@ -251,7 +253,7 @@ def make_rule(
     """Build a rule with its deterministic id."""
     pattern = coerce_pattern(pattern)
     shape, names = _walk(tuple(antecedent), tuple(consequent))
-    return _rule(pattern, shape, names, provenance or Provenance())
+    return _rule(pattern, shape.writers[pattern], shape, names, provenance or Provenance())
 
 
 # ---------------------------------------------------------------------------
@@ -298,37 +300,63 @@ def _rename_term(term: Term, rename: Callable) -> Term:
     return term if kind is Var else kind(rename(term[1]))
 
 
-def _template(text: str, marks: list[Iri], spell: Callable[[str], str]) -> str:
-    """``text`` with its braces doubled and each placeholder, as ``spell``
-    writes it, replaced by its slot's ``str.format`` field."""
-    text = text.replace("{", "{{").replace("}", "}}")
-    for slot, mark in enumerate(marks):
-        text = text.replace(spell(mark), f"{{{slot}}}")
-    return text
+def _compile(skeleton: tuple, kind: Pattern | str) -> Callable[..., str]:
+    """The writer ``kind`` of the shape of ``skeleton``, a function of one
+    name per slot, in slot order.  Its source is one f-string of the text the
+    shape's placeholders spell, the fixed parts as ``repr`` literals and each
+    placeholder as its slot's parameter, so no rule's name is ever in it."""
+    if kind == "json":
+        ifs, thens = (json.dumps([*map(_atom_obj, side)], indent=2) for side in skeleton)
+        text = f'{ifs},\n"then": {thens}'.replace("\n", "\n" + _KEY_INDENT)
+        # each placeholder is a whole JSON string, written by ``_json_str(name)``
+        text, field = text.replace('"\\u0000', "\0").replace('\\u0000"', "\0"), "_j(_{})"
+    else:
+        ant, cons = (" and ".join(map(render_atom, side)) for side in skeleton)
+        text = f"IF {ant} THEN {cons}" if kind == "text" else f"{kind._value_}|{ant}|{cons}"
+        field = "_{}"
+    parts = text.split("\0")  # fixed text, then each slot's number and the fixed text after it
+    body = " ".join(f"f'{{{field.format(p)}}}'" if i % 2 else repr(p) for i, p in enumerate(parts))
+    params = ", ".join(f"_{slot}" for slot in range(len(parts) // 2))
+    return eval(f"lambda {params}: {body}", {"_j": _json_str})
+
+
+class _Writers(dict):
+    """An interned shape's writers, each compiled on first use: ``[pattern]``
+    the text hashed into the ids of the pattern's rules, ``["text"]`` the rule
+    text and ``["json"]`` the "if" and "then" arrays."""
+
+    __slots__ = ("skeleton",)
+
+    def __missing__(self, kind: Pattern | str) -> Callable[..., str]:
+        writer = self[kind] = _compile(self.skeleton, kind)
+        return writer
 
 
 class _Shape:
     """A function ``build`` from names to ``(antecedent, consequent)`` atoms.
 
-    A scanner makes one per branch.  Once per number of names, ``rule`` walks
-    the atoms built on placeholders to their interned shape (one per skeleton,
-    one name per slot), whose templates are ``key``, the text hashed into the
-    id, ``text``, the rule text, and ``json``, the "if" and "then" arrays.
+    A scanner makes one per branch.  Once per pattern and number of names,
+    ``rule`` walks the atoms built on placeholders to their interned shape
+    (one per skeleton, one name per slot, its ``writers`` shared), and keeps
+    which name fills each slot and the pattern's id writer.
     """
 
-    __slots__ = ("build", "forms", "key", "text", "json")
+    __slots__ = ("build", "forms", "writers")
 
     def __init__(self, build: Callable[..., tuple]) -> None:
         self.build = build
-        self.forms: dict[int, tuple] = {}  # number of names -> (shape, slot order)
+        # (pattern, number of names) -> (shape, slot order or None if the same, id writer)
+        self.forms: dict[tuple, tuple] = {}
 
     def rule(self, pattern: Pattern, names: tuple, provenance: Provenance) -> Rule:
-        form = self.forms.get(len(names))
+        form = self.forms.get((pattern, len(names)))
         if form is None:
-            marks = list(map(_mark, range(len(names))))
+            marks = tuple(map(_mark, range(len(names))))
             shape, slots = _walk(*map(tuple, self.build(*marks)))
-            form = self.forms[len(names)] = shape, _tuple_of(list(map(marks.index, slots)))
-        return _rule(pattern, form[0], form[1](names), provenance)
+            order = None if slots == marks else _tuple_of(list(map(marks.index, slots)))
+            form = self.forms[pattern, len(names)] = shape, order, shape.writers[pattern]
+        shape, order, key = form
+        return _rule(pattern, key, shape, names if order is None else order(names), provenance)
 
 
 _SHAPES: dict[tuple, _Shape] = {}
@@ -344,13 +372,8 @@ def _walk(antecedent: tuple, consequent: tuple) -> tuple[_Shape, tuple]:
     shape = _SHAPES.get(skeleton)
     if shape is None:
         shape = _Shape(lambda *names: _fill(skeleton, iter(names)))
-        marks = list(map(_mark, range(len(names))))
-        ant, cons = (" and ".join(map(render_atom, side)) for side in skeleton)
-        shape.key = _template(f"{ant}|{cons}", marks, str)
-        shape.text = _template(f"IF {ant} THEN {cons}", marks, str)
-        ifs, thens = (json.dumps([*map(_atom_obj, side)], indent=2) for side in skeleton)
-        json_text = f'{ifs},\n"then": {thens}'.replace("\n", "\n" + _KEY_INDENT)
-        shape.json = _template(json_text, marks, _json_str)
+        shape.writers = _Writers()
+        shape.writers.skeleton = skeleton
         shape = _SHAPES.setdefault(skeleton, shape)  # one shape per skeleton, even if raced
     return shape, tuple(names)
 
@@ -412,7 +435,7 @@ def render_atom(atom: Atom) -> str:
 
 def render_text(rule: Rule) -> str:
     """Single-line canonical form: ``IF <atoms> THEN <atoms>``."""
-    return rule[2].text.format(*rule[3])
+    return rule[2].writers["text"](*rule[3])
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +478,7 @@ def _rule_json(rule: Rule, sources: dict[tuple, str], lead: str) -> str:
     _, rule_id, shape, names, pattern, prov = rule
     return (
         f'{lead}{{\n{k}"id": {_json_str(rule_id)},\n{_PATTERN_JSON[pattern]}'
-        f'{k}"if": {shape.json.format(*map(_json_str, names))},\n'
+        f'{k}"if": {shape.writers["json"](*names)},\n'
         f'{k}"provenance": {{\n'
         f'{p}"source": {sources[prov.sources]},\n'
         f'{p}"trigger_axioms": {_strings_json(prov.trigger_axioms, p)},\n'

@@ -46,11 +46,13 @@ from owlrules import (
     extract_transitive,
     merge,
     parse_ontology,
+    parse_structured,
     render_structured,
     render_text,
 )
 import owlrules
 from owlrules import extract
+from owlrules import rules as rules_module
 from owlrules.model import Axiom
 from owlrules.rules import ClassRef, Var, make_rule
 
@@ -449,6 +451,50 @@ def test_the_random_models_fire_every_scanner_branch():
         (ClassRef, 1),
     }
     assert {n for p, _, n in seen if p is Pattern.CLASS_FEATURE} == {1, 2}
+
+
+def test_each_shape_writer_is_compiled_once_on_placeholders_only(monkeypatch):
+    # Each interned shape compiles its id writer once per pattern and its text
+    # and JSON writers once, on first use, and no compiled writer holds a name
+    # of a rule.  The shapes are interned afresh here, so that every writer
+    # the models need is compiled while counted.
+    monkeypatch.setattr(rules_module, "_SHAPES", {})
+    for shape in vars(extract).values():
+        if isinstance(shape, rules_module._Shape):
+            monkeypatch.setattr(shape, "forms", {})
+    compile_writer = rules_module._compile
+    compiled: Counter = Counter()
+    writers = []
+
+    def counting(skeleton, kind):
+        compiled[skeleton, kind] += 1
+        writers.append(compile_writer(skeleton, kind))
+        return writers[-1]
+
+    monkeypatch.setattr(rules_module, "_compile", counting)
+    models = [
+        parse_ontology(path.read_text(encoding="utf-8"), path.name)[0]
+        for path in sorted(DATA_DIR.glob("*.owl"))
+    ] + [random_model(random.Random(7100 + seed), max_axioms=30) for seed in range(20)]
+    names = set()
+
+    def extract_and_render_all():
+        for model in models:
+            rules = extract_all(model).rules
+            [render_text(rule) for rule in rules]
+            assert parse_structured(render_structured(rules))[0] == rules
+            names.update(name for rule in rules for name in rule.names)
+
+    extract_and_render_all()
+    first = Counter(compiled)
+    extract_and_render_all()
+    assert compiled == first and set(compiled.values()) == {1}
+    assert {kind for _, kind in compiled} == set(Pattern) | {"text", "json"}
+    for writer in writers:
+        code = writer.__code__
+        texts = [c for c in code.co_consts if isinstance(c, str)]
+        texts += [*code.co_names, *code.co_varnames]
+        assert [name for name in names for text in texts if name in text] == []
 
 
 def test_extract_all_describes_each_axiom_and_declaration_at_most_once(monkeypatch):

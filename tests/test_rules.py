@@ -634,8 +634,12 @@ def test_a_rule_built_directly_coerces_its_pattern():
 # names that look like template syntax
 
 # Format fields, lone and doubled braces, a printf directive, a control
-# character, an escaped quote, and digits between NUL characters.
-_TEMPLATE_LIKE = ("{0}", "{", "}}", "%s", "\x01", '\\"', "\x000\x00")
+# character, an escaped quote, and digits between NUL characters; then Python
+# quotes and f-string syntax, which no compiled writer's source ever holds.
+_TEMPLATE_LIKE = (
+    "{0}", "{", "}}", "%s", "\x01", '\\"', "\x000\x00",
+    "'", '"""', "'{0}'", "__import__('os')", "f'{x}'", r"\N{DASH}",
+)
 
 
 def _model_named(n: str):
