@@ -201,13 +201,9 @@ def _prepare(rule: Rule) -> tuple[tuple[int, int] | None, list[tuple]]:
 _JOIN, _CLOSE, _CLOSE_ONE = range(3)
 
 
-def _nothing(_: tuple) -> tuple:
-    return ()
-
-
 def _key_of(positions: list[int] | tuple[int, ...]):
     """The lookup key at ``positions``: one value, a tuple of several, or ()."""
-    return itemgetter(*positions) if positions else _nothing
+    return itemgetter(*positions) if positions else _tuple_of([])
 
 
 def _vars(parts: tuple) -> set[Var]:

@@ -81,15 +81,10 @@ _Scanner = Callable[[OntologyModel], list[Rule]]
 
 
 class ExtractionReport:
-    def __init__(
-        self,
-        rules: list[Rule] | None = None,
-        counts: dict[Pattern, int] | None = None,
-        warnings: list[str] | None = None,
-    ) -> None:
-        self.rules = [] if rules is None else rules
-        self.counts = {} if counts is None else counts
-        self.warnings = [] if warnings is None else warnings
+    def __init__(self, rules: list[Rule], counts: dict[Pattern, int], warnings: list[str]) -> None:
+        self.rules = rules
+        self.counts = counts
+        self.warnings = warnings
 
     def __repr__(self) -> str:
         return fields_repr("ExtractionReport", self, ("rules", "counts", "warnings"))
@@ -204,7 +199,7 @@ def extract_class_feature(model: OntologyModel) -> Iterator[_Yield]:
 
 @_scanner(Pattern.EQUIVALENCE_INHERITANCE)
 def extract_equivalence_inheritance(model: OntologyModel) -> Iterator[_Yield]:
-    for ax in sorted(model.axioms_of(EquivalentClass), key=lambda a: (a.a, a.b)):
+    for ax in sorted(model.axioms_of(EquivalentClass)):
         for lifted, declared in ((ax.a, ax.b), (ax.b, ax.a)):
             for sup, up in model._index.sups.get(declared, ()):
                 if sup == lifted:
@@ -230,7 +225,7 @@ def extract_domain_range_identification(model: OntologyModel) -> Iterator[_Yield
 
 @_scanner(Pattern.SUBCLASS_TRANSITIVITY)
 def extract_subclass_transitivity(model: OntologyModel) -> Iterator[_Yield]:
-    for first in sorted(model.axioms_of(SubClassOf), key=lambda a: (a.sub, a.sup)):
+    for first in sorted(model.axioms_of(SubClassOf)):
         a, b = first.sub, first.sup
         for c, second in model._index.sups.get(b, ()):  # joined through the middle class
             if c == a:
@@ -258,7 +253,7 @@ def extract_relation_propagation(model: OntologyModel) -> Iterator[_Yield]:
 
 @_scanner(Pattern.SUBPROPERTY_LIFT)
 def extract_subproperty_lift(model: OntologyModel) -> Iterator[_Yield]:
-    for ax in sorted(model.axioms_of(SubPropertyOf), key=lambda a: (a.sub, a.sup)):
+    for ax in sorted(model.axioms_of(SubPropertyOf)):
         yield (
             _LIFT_LINK,
             (ax.sub, ax.sup),
@@ -340,7 +335,7 @@ def extract_cooccurrence(model: OntologyModel) -> Iterator[_Yield]:
 
 @_scanner(Pattern.ALLVALUESFROM)
 def extract_allvaluesfrom(model: OntologyModel) -> Iterator[_Yield]:
-    for ax in sorted(model.axioms_of(AllValuesFrom), key=lambda a: (a.on_property, a.filler)):
+    for ax in sorted(model.axioms_of(AllValuesFrom)):
         yield (
             _ONLY,
             (ax.filler, ax.on_property),
@@ -351,7 +346,7 @@ def extract_allvaluesfrom(model: OntologyModel) -> Iterator[_Yield]:
 
 @_scanner(Pattern.INTERSECTION)
 def extract_intersection(model: OntologyModel) -> Iterator[_Yield]:
-    for ax in sorted(model.axioms_of(IntersectionOf), key=lambda a: (a.defined, a.parts)):
+    for ax in sorted(model.axioms_of(IntersectionOf)):
         yield (
             _PARTS,
             (ax.defined, *ax.parts),  # listing order kept

@@ -85,10 +85,6 @@ class FactBase:
             self.add(f)
 
     @property
-    def facts(self) -> tuple[Fact, ...]:
-        return tuple(self._sources)
-
-    @property
     def sources(self) -> dict[Fact, str | None]:
         """The dict itself, for a caller that adds facts in bulk; it calls
         ``check_contradiction`` on each fact first, as ``add`` does."""

@@ -7,8 +7,10 @@ or the pure helper :func:`merge`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
 from functools import cached_property
+from operator import methodcaller
 
 try:  # the C descriptor that collections.namedtuple uses for its fields
     from _collections import _tuplegetter
@@ -28,14 +30,16 @@ class Value(tuple):
 
     An instance is the tuple ``(kind, *fields)``, where ``kind`` is the class
     it was built as, so hashing and equality are the tuple's, in C, and values
-    of different kinds never compare equal.  Each subclass declares
-    ``__slots__ = ()`` (no instance dict) and names its fields in order in
-    ``__match_args__``.  Each field becomes a read-only attribute, unless the
-    class defines that name itself.  A class that defines no ``__new__`` gets
-    one that takes the fields, by position or by name, and packs them; a class
-    writes its own only to check or default its fields.  ``repr`` and pickling
-    read the fields by name.  ``rules.Rule`` is the one kind whose tuple holds
-    a shape and names where its atom fields were; it builds those on demand.
+    of different kinds never compare equal.  Values of one kind order as
+    their fields do, in field order, which is how the extractor sorts axioms.
+    Each subclass declares ``__slots__ = ()`` (no instance dict) and names its
+    fields in order in ``__match_args__``.  Each field becomes a read-only
+    attribute, unless the class defines that name itself.  A class that
+    defines no ``__new__`` gets one that takes the fields, by position or by
+    name, and packs them; a class writes its own only to check or default its
+    fields.  ``repr`` and pickling read the fields by name.  ``rules.Rule`` is
+    the one kind whose tuple holds a shape and names where its atom fields
+    were; it builds those on demand.
     """
 
     __slots__ = ()
@@ -247,12 +251,17 @@ class MergeConflictError(Exception):
         self.kinds = kinds
 
 
-class _Texts(dict):
-    """``describe()`` of each axiom or declaration asked for, made on first ask."""
+class _Memo(dict):
+    """A dict that fills each key on first ask with ``make(key)``."""
 
-    def __missing__(self, value: Axiom | PropertyDecl) -> str:
-        text = self[value] = value.describe()
-        return text
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class _ModelIndex:
@@ -271,9 +280,9 @@ class _ModelIndex:
         for pairs in (*self.sups.values(), *self.subs.values()):
             pairs.sort()
         self.props = sorted(model.properties.values(), key=lambda d: d.iri)
-        self.inverses = sorted(self.by_kind.get(InverseOf, ()), key=lambda a: (a.prop, a.inverse))
+        self.inverses = sorted(self.by_kind.get(InverseOf, ()))
         self.sources = tuple(sorted(set(model.source_names)))  # as a Provenance keeps them
-        self.texts = _Texts()
+        self.texts = _Memo(methodcaller("describe"))  # each axiom's or declaration's text
 
 
 class OntologyModel:
@@ -321,12 +330,6 @@ class OntologyModel:
     def axioms_of(self, kind: type) -> list:
         """The axioms of one concrete axiom class, in model order."""
         return list(self._index.by_kind.get(kind, ()))
-
-    def superclasses_of(self, name: Iri) -> list[Iri]:
-        return [sup for sup, _ in self._index.sups.get(name, ())]
-
-    def subs_by_super(self) -> dict[Iri, list[Iri]]:
-        return {sup: [sub for sub, _ in pairs] for sup, pairs in self._index.subs.items()}
 
     def structure(self) -> tuple:
         props = frozenset(self.properties.values())
@@ -444,10 +447,12 @@ def merge(models: list[OntologyModel]) -> OntologyModel:
     Property kind conflicts raise :class:`MergeConflictError`.  Conflicting
     non-None domains/ranges resolve to the lexicographic minimum, so the result
     does not depend on input order; each such resolution is described in the
-    result's ``notes``.
+    result's ``notes``.  A lone model is returned as it is.
     """
     if not models:
         raise ValueError("merge requires at least one model")
+    if len(models) == 1:
+        return models[0]
     b = ModelBuilder()
     notes: list[str] = []
     for m in models:
@@ -459,7 +464,6 @@ def merge(models: list[OntologyModel]) -> OntologyModel:
             notes.extend(b.declare_property(d, merging=True))
         for ax in m.axioms:
             b.add_axiom(ax)
-    built = b.build()
     return OntologyModel(
-        built.classes, built.properties, built.axioms, built.source_names, tuple(notes)
+        tuple(b._classes), b._props, tuple(b._axioms), tuple(b._sources), tuple(notes)
     )

@@ -19,7 +19,7 @@ from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from operator import itemgetter
 
-from .model import Iri, Value
+from .model import Iri, Value, _Memo
 
 VAR_NAMES = ("?x", "?y", "?z")
 
@@ -320,18 +320,6 @@ def _compile(skeleton: tuple, kind: Pattern | str) -> Callable[..., str]:
     return eval(f"lambda {params}: {body}", {"_j": _json_str})
 
 
-class _Writers(dict):
-    """An interned shape's writers, each compiled on first use: ``[pattern]``
-    the text hashed into the ids of the pattern's rules, ``["text"]`` the rule
-    text and ``["json"]`` the "if" and "then" arrays."""
-
-    __slots__ = ("skeleton",)
-
-    def __missing__(self, kind: Pattern | str) -> Callable[..., str]:
-        writer = self[kind] = _compile(self.skeleton, kind)
-        return writer
-
-
 class _Shape:
     """A function ``build`` from names to ``(antecedent, consequent)`` atoms.
 
@@ -372,8 +360,10 @@ def _walk(antecedent: tuple, consequent: tuple) -> tuple[_Shape, tuple]:
     shape = _SHAPES.get(skeleton)
     if shape is None:
         shape = _Shape(lambda *names: _fill(skeleton, iter(names)))
-        shape.writers = _Writers()
-        shape.writers.skeleton = skeleton
+        # each writer compiled on first use: ``[pattern]`` the text hashed into
+        # the ids of the pattern's rules, ``["text"]`` the rule text and
+        # ``["json"]`` the "if" and "then" arrays
+        shape.writers = _Memo(lambda kind: _compile(skeleton, kind))
         shape = _SHAPES.setdefault(skeleton, shape)  # one shape per skeleton, even if raced
     return shape, tuple(names)
 

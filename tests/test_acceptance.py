@@ -78,7 +78,7 @@ def scenario_runs():
             executable = [r for r in report.rules if r.executable]
             base, diags = parse_fact_base(corpus_text(facts_name))
             assert not has_errors(diags), facts_name
-            cap = herbrand_cap(executable, list(base.facts))
+            cap = herbrand_cap(executable, list(base))
             result = run_fixpoint(executable, base, cap)
             _SCENARIO_RUNS.append((owl_name, result, cap, expected))
     return _SCENARIO_RUNS

@@ -240,6 +240,12 @@ def test_equality_detects_differing_axioms():
     assert b.build() != _chain_model()
 
 
+def test_a_model_is_unequal_to_a_non_model_both_ways():
+    model = _chain_model()
+    assert model.__eq__(model.structure()) is NotImplemented
+    assert model != model.structure() and model.structure() != model
+
+
 def test_models_are_unhashable():
     with pytest.raises(TypeError):
         hash(_chain_model())
@@ -252,29 +258,27 @@ def test_models_are_unhashable():
 def test_lists_returned_by_the_index_are_the_callers_own():
     model = _chain_model()
     model.axioms_of(SubClassOf).clear()
-    model.superclasses_of(Iri("House")).append(Iri("Planet"))
-    model.subs_by_super()[Iri("City")].clear()
+    model.axioms_of(SubClassOf).append(SubClassOf(Iri("House"), Iri("Planet")))
     assert model.axioms_of(SubClassOf) == [
         SubClassOf(Iri("House"), Iri("City")),
         SubClassOf(Iri("City"), Iri("Country")),
     ]
-    assert model.superclasses_of(Iri("House")) == [Iri("City")]
-    assert model.subs_by_super() == {Iri("City"): [Iri("House")], Iri("Country"): [Iri("City")]}
     assert model == _chain_model()
 
 
 def test_merge_indexes_the_new_model_only():
     before = _chain_model()
-    assert before.superclasses_of(Iri("House")) == [Iri("City")]  # index built
+    chain = [SubClassOf(Iri("House"), Iri("City")), SubClassOf(Iri("City"), Iri("Country"))]
+    assert before.axioms_of(SubClassOf) == chain  # index built
     after = merge([before, _model_of(SubClassOf(Iri("House"), Iri("Building")))])
-    assert after.superclasses_of(Iri("House")) == [Iri("Building"), Iri("City")]
-    assert before.superclasses_of(Iri("House")) == [Iri("City")]
+    assert after.axioms_of(SubClassOf) == [*chain, SubClassOf(Iri("House"), Iri("Building"))]
+    assert before.axioms_of(SubClassOf) == chain
     assert Iri("Building") in after.classes and Iri("Building") not in before.classes
 
 
 def test_building_the_index_leaves_equality_alone():
     indexed, fresh, other = _chain_model(), _chain_model(flip=True), _chain_model()
-    indexed.superclasses_of(Iri("House"))
+    indexed.axioms_of(SubClassOf)
     assert Iri("City") in indexed.classes
     assert indexed == fresh and fresh == indexed
     other.axioms_of(SubClassOf)
@@ -292,6 +296,35 @@ def test_merge_with_empty_model_is_identity():
     a = _chain_model(sources=("a.owl",))
     empty = ModelBuilder().build()
     assert merge([a, empty]) == a
+
+
+def test_merge_returns_a_lone_model_as_it_is():
+    model = _chain_model(sources=("a.owl",))
+    assert merge([model]) is model
+
+
+def test_merge_of_two_models_keeps_each_field_in_first_seen_order():
+    b1 = ModelBuilder("a.owl")
+    b1.declare_property(
+        PropertyDecl(Iri("p"), PropertyKind.OBJECT, domain=Iri("Zebra"), range=Iri("R"))
+    )
+    b1.add_axiom(SubClassOf(Iri("House"), Iri("City")))
+    b2 = ModelBuilder("b.owl")
+    b2.add_axiom(SubClassOf(Iri("City"), Iri("Country")))
+    b2.add_axiom(SubClassOf(Iri("House"), Iri("City")))
+    b2.declare_property(PropertyDecl(Iri("p"), PropertyKind.OBJECT, domain=Iri("Ant")))
+    merged = merge([b1.build(), b2.build()])
+    names = ("Zebra", "R", "House", "City", "Country", "Ant")
+    assert merged.classes == tuple(map(Iri, names))
+    assert merged.properties == {
+        Iri("p"): PropertyDecl(Iri("p"), PropertyKind.OBJECT, domain=Iri("Ant"), range=Iri("R"))
+    }
+    assert merged.axioms == (
+        SubClassOf(Iri("House"), Iri("City")),
+        SubClassOf(Iri("City"), Iri("Country")),
+    )
+    assert merged.source_names == ("a.owl", "b.owl")
+    assert merged.notes == ("property p has multiple domains (Zebra, Ant); keeping Ant",)
 
 
 def test_merge_unions_class_declarations():

@@ -45,11 +45,16 @@ def _names_used(source: str) -> set[str]:
     return {n for n in names if not n.startswith("__") and n not in SUBMODULES}
 
 
-def _readme_library_example() -> str:
+def _readme_block(pattern: str) -> str:
+    """The body of the README's fenced block that ``pattern`` leads into."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    found = re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.M | re.S)
-    assert found, "README has no Library example"
+    found = re.search(pattern + r"\n(.*?)^```", readme, re.M | re.S)
+    assert found, f"README has no block for {pattern!r}"
     return found.group(1)
+
+
+def _readme_library_example() -> str:
+    return _readme_block(r"^## Library\n+```python")
 
 
 def test_all_exports_every_name_the_bench_and_the_readme_use():
@@ -63,6 +68,21 @@ def test_all_exports_every_name_the_bench_and_the_readme_use():
         where: sorted(names - set(owlrules.__all__)) for where, names in used.items()
     }
     assert not any(missing.values()), missing
+
+
+def test_the_readme_library_example_runs_as_printed(capsys, monkeypatch, tmp_path):
+    region = _readme_block(r"^Given `region\.owl`:\n+```xml")
+    (tmp_path / "region.owl").write_text(region, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(_readme_library_example(), {})
+    assert capsys.readouterr().out == (
+        "transitive-property-b5304bf074 -> LinkFact(subject=Iri(value='latgale'), "
+        "prop=Iri(value='subAreaOf'), obj=Iri(value='eu'), obj_is_class=False)\n"
+    )
+
+
+def test_dir_lists_exactly_all():
+    assert dir(owlrules) == owlrules.__all__
 
 
 def test_star_import_binds_exactly_all():
