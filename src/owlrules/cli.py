@@ -23,7 +23,7 @@ from pathlib import Path
 from .engine import run_fixpoint
 from .extract import extract_all
 from .facts import ContradictionError
-from .model import MergeConflictError, OntologyModel, merge
+from .model import MergeConflictError, OntologyModel, _paused, merge
 from .parser import (
     format_diagnostic,
     has_errors,
@@ -221,6 +221,7 @@ def cmd_infer(args: argparse.Namespace) -> None:
 _arg_parser = cache(build_arg_parser)  # one parser per process, built by the first main
 
 
+@_paused
 def main(argv: list[str] | None = None) -> int:
     args = _arg_parser().parse_args(argv)
     try:

@@ -36,13 +36,12 @@ are reported as violations after the fixpoint is reached.
 
 from __future__ import annotations
 
-import gc
 from collections import defaultdict
 from collections.abc import Iterator
 from operator import itemgetter
 
 from .facts import Fact, FactBase, FeatureExpected, LinkFact, Membership, NegMembership, format_fact
-from .model import EquivalentClass, OntologyModel, SubClassOf, fields_repr
+from .model import EquivalentClass, OntologyModel, SubClassOf, _paused, fields_repr
 from .rules import (
     ClassRef,
     HasFeature,
@@ -476,6 +475,7 @@ def _round(dispatch: dict, delta: dict, known: dict) -> dict[tuple, str]:
     return new
 
 
+@_paused
 def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceResult:
     """Saturate ``initial`` under ``rules``; never mutates the input base."""
     if cap < 1:
@@ -483,18 +483,6 @@ def run_fixpoint(rules: list[Rule], initial: FactBase, cap: int) -> InferenceRes
     bad = [r.id for r in rules if not r.executable]
     if bad:
         raise NonExecutableRuleError(f"non-executable rules passed to fixpoint: {', '.join(bad)}")
-    # The rounds make many tuples and free them by reference count; the cyclic
-    # collector would only rescan them, more often the more facts are kept.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _saturate(rules, initial, cap)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _saturate(rules: list[Rule], initial: FactBase, cap: int) -> InferenceResult:
     indexes: dict[tuple, _Index] = {}
     watch: dict[tuple, list[_Index]] = defaultdict(list)
     dispatch: dict[tuple | None, list[tuple]] = defaultdict(list)
@@ -571,6 +559,7 @@ def _bits(row: int) -> Iterator[int]:
         row ^= low
 
 
+@_paused
 def schema_closure(model: OntologyModel, rules: list[Rule]) -> list[SubClassOf]:
     """Least fixpoint of derived subclass axioms under the two schema shapes.
 

@@ -49,6 +49,7 @@ from .model import (
     PropertyKind,
     SubClassOf,
     SubPropertyOf,
+    _paused,
     fields_repr,
 )
 from .rules import (
@@ -387,6 +388,7 @@ def _guard_warnings(model: OntologyModel) -> list[str]:
     return warnings
 
 
+@_paused
 def extract_all(model: OntologyModel) -> ExtractionReport:
     """Run every scanner; dedup by id (trigger axioms merged), sort by id."""
     merged: dict[str, Rule] = {}

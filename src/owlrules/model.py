@@ -7,9 +7,10 @@ or the pure helper :func:`merge`.
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Callable
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import methodcaller
 
 try:  # the C descriptor that collections.namedtuple uses for its fields
@@ -262,6 +263,25 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.make(key)
         return value
+
+
+def _paused(stage: Callable) -> Callable:
+    """``stage`` run with the cyclic collector off, then left as it was found,
+    so nested stages keep it off until the outermost ends.  The stages free
+    what they make by reference count; the collector would only rescan it.
+    Not for generators: one suspended between items would keep it off."""
+
+    @wraps(stage)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused
 
 
 class _ModelIndex:

@@ -41,6 +41,7 @@ from .model import (
     SubClassOf,
     SubPropertyOf,
     Value,
+    _paused,
     iri,
     resolve_field,
 )
@@ -128,12 +129,12 @@ def _sniff_root(text: str) -> tuple[int, str | None]:
 
 
 class _Element:
-    __slots__ = ("name", "attrs", "location", "children")
+    __slots__ = ("name", "attrs", "at", "children")
 
-    def __init__(self, name: str, attrs: dict[str, str], location: Location) -> None:
+    def __init__(self, name: str, attrs: dict[str, str], at: tuple[int, int]) -> None:
         self.name = name
         self.attrs = attrs
-        self.location = location
+        self.at = at  # (line, col); a Location is made only for a diagnostic
         self.children: list[_Element] = []
 
 
@@ -150,7 +151,7 @@ def _read_tree(text: str) -> tuple[list[_Element], ParseDiagnostic | None]:
     On malformed XML, or on nesting deeper than ``MAX_DEPTH``, reading stops:
     the elements read so far are kept and the error is returned with them.
     """
-    doc = _Element("", {}, Location(0, 0))
+    doc = _Element("", {}, (0, 0))
     stack = [doc]
     cut, root = _sniff_root(text)
     wrapped = root != ROOT_ELEMENT
@@ -165,16 +166,15 @@ def _read_tree(text: str) -> tuple[list[_Element], ParseDiagnostic | None]:
         line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
         if line == root_line and col > root_col:
             col -= len(_OPEN_ROOT)
-        location = Location(line, col)
         if len(stack) > MAX_DEPTH:
             raise _TooDeep(
                 ParseDiagnostic(
                     Severity.ERROR,
                     f"elements nested deeper than {MAX_DEPTH} levels; reading stopped",
-                    location,
+                    Location(line, col),
                 )
             )
-        el = _Element(name, attrs, location)
+        el = _Element(name, attrs, (line, col))
         stack[-1].children.append(el)
         stack.append(el)
 
@@ -226,10 +226,10 @@ class _Interp:
         self.iris: dict[str, Iri] = {}  # the name of each good raw reference read so far
 
     def warn(self, el: _Element, message: str) -> None:
-        self.diags.append(ParseDiagnostic(Severity.WARNING, message, el.location))
+        self.diags.append(ParseDiagnostic(Severity.WARNING, message, Location(*el.at)))
 
     def error(self, el: _Element, message: str) -> None:
-        self.diags.append(ParseDiagnostic(Severity.ERROR, message, el.location))
+        self.diags.append(ParseDiagnostic(Severity.ERROR, message, Location(*el.at)))
 
     # -- names
 
@@ -405,6 +405,7 @@ class _Interp:
         self.add_axiom_checked(el, AllValuesFrom, on_prop, filler)
 
 
+@_paused
 def parse_ontology(text: str, name: str = "<input>") -> tuple[OntologyModel, list[ParseDiagnostic]]:
     """Parse one document (auto-wrapped when the root is not ``rdf:RDF``).
 
@@ -439,6 +440,7 @@ def _read_fact(line: str) -> Fact | None:
     return kind(*[Iri(n.strip()) for n in names]) if len(names) == arity else None
 
 
+@_paused
 def parse_fact_base(text: str) -> tuple[FactBase, list[ParseDiagnostic]]:
     """Line-oriented facts: ``isa(a, B)``, ``not isa(a, B)``, ``link(a, p, b)``,
     ``feature(a, F)``.

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 from conftest import DATA_DIR, corpus_text, load_model
@@ -39,12 +41,13 @@ from owlrules import (
     extract_symmetric,
     extract_transitive,
     format_fact,
+    has_errors,
     parse_fact_base,
     parse_ontology,
     run_fixpoint,
     schema_closure,
 )
-from owlrules import engine
+from owlrules import cli, engine
 from owlrules.rules import (
     ClassRef,
     HasFeature,
@@ -437,6 +440,40 @@ def test_a_second_call_compiles_no_rule_shape(monkeypatch):
     )
 
 
+@contextmanager
+def _collections_watched(stage, collecting: bool):
+    """Sets the collector to ``collecting``, with a threshold of 1 so that
+    nearly every allocation while it is on starts a collection, and yields
+    the generations of those that start while ``stage``'s own body runs.
+    Puts the hook, the threshold and the collector's state back afterwards."""
+    body = getattr(stage, "__wrapped__", stage).__code__
+    started: list[int] = []
+    inside: list[int] = []
+
+    def hook(phase: str, info: dict) -> None:
+        if phase == "start":
+            started.append(info["generation"])
+            frame = sys._getframe(1)  # the frame running when it started
+            while frame is not None and frame.f_code is not body:
+                frame = frame.f_back
+            if frame is not None:
+                inside.append(info["generation"])
+
+    was, threshold = gc.isenabled(), gc.get_threshold()
+    gc.callbacks.append(hook)
+    gc.set_threshold(1)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if collecting:  # the hook sees the collections that allocations start
+            [[] for _ in range(1000)]
+            assert started
+        yield inside
+    finally:
+        gc.callbacks.remove(hook)
+        gc.set_threshold(*threshold)
+        (gc.enable if was else gc.disable)()
+
+
 @pytest.mark.parametrize("contradicted", [False, True])
 @pytest.mark.parametrize("collecting", [True, False])
 def test_run_fixpoint_pauses_the_collector_and_restores_its_state(
@@ -451,18 +488,136 @@ def test_run_fixpoint_pauses_the_collector_and_restores_its_state(
     monkeypatch.setattr(
         engine, "_round", lambda *args: during.append(gc.isenabled()) or rounds(*args)
     )
-    was = gc.isenabled()
-    (gc.enable if collecting else gc.disable)()
-    try:
+    with _collections_watched(run_fixpoint, collecting) as inside:
         if contradicted:
             with pytest.raises(ContradictionError):
                 run_fixpoint([rule], FactBase(facts), CAP)
         else:
             run_fixpoint([rule], FactBase(facts), CAP)
         assert gc.isenabled() is collecting
-    finally:
-        (gc.enable if was else gc.disable)()
     assert during and not any(during)
+    assert inside == []
+
+
+def _data_text(name: str) -> str:
+    return (DATA_DIR / name).read_text(encoding="utf-8")
+
+
+def _data_model(name: str):
+    model, diags = parse_ontology(_data_text(name), name)
+    assert not has_errors(diags)
+    return model
+
+
+def _schema_rules(model) -> list:
+    schema = (Pattern.SUBCLASS_TRANSITIVITY, Pattern.EQUIVALENCE_INHERITANCE)
+    return [r for r in extract_all(model).rules if r.pattern in schema]
+
+
+def _data(name: str) -> str:
+    return str(DATA_DIR / name)
+
+
+def _cli(*argv):
+    """A ``main`` case: ``argv``, where a ``(name, text)`` pair is a file
+    written with ``text``, and the output goes to a file."""
+
+    def make(tmp):
+        paths = []
+        for arg in argv:
+            if isinstance(arg, tuple):
+                (tmp / arg[0]).write_text(arg[1], encoding="utf-8")
+                arg = str(tmp / arg[0])
+            paths.append(arg)
+        return cli.main, ([*paths, "--output", str(tmp / "out")],)
+
+    return make
+
+
+# Each case makes a stage's arguments, and names what the stage returns
+# (``None`` for anything) or the exception it raises.
+_STAGE_CASES = {
+    "parse": (lambda tmp: (parse_ontology, (_data_text("patterns.owl"),)), None),
+    "parse-error": (lambda tmp: (parse_ontology, ("<owl:Class rdf:ID='A'>",)), None),
+    "facts": (lambda tmp: (parse_fact_base, (_data_text("combined.facts"),)), None),
+    "facts-contradiction": (
+        lambda tmp: (parse_fact_base, ("isa(a, B)\nnot isa(a, B)\n",)),
+        ContradictionError,
+    ),
+    "extract": (lambda tmp: (extract_all, (_data_model("patterns.owl"),)), None),
+    "fixpoint": (
+        lambda tmp: (
+            run_fixpoint,
+            (
+                _executable(_data_model("combined.owl")),
+                parse_fact_base(_data_text("combined.facts"))[0],
+                CAP,
+            ),
+        ),
+        None,
+    ),
+    "fixpoint-contradiction": (
+        lambda tmp: (
+            run_fixpoint,
+            (
+                [_positive([IsA(VX, ClassRef(Iri("A")))], [IsA(VX, ClassRef(Iri("B")))])],
+                FactBase([Membership(Iri("a"), Iri("A")), NegMembership(Iri("a"), Iri("B"))]),
+                CAP,
+            ),
+        ),
+        ContradictionError,
+    ),
+    "fixpoint-nonexecutable": (
+        lambda tmp: (
+            run_fixpoint,
+            (extract_all(_data_model("patterns.owl")).rules, FactBase(), CAP),
+        ),
+        NonExecutableRuleError,
+    ),
+    "closure": (
+        lambda tmp: (schema_closure, (model := _data_model("patterns.owl"), _schema_rules(model))),
+        None,
+    ),
+    "main-exit-0": (_cli("extract", _data("patterns.owl"), "--format", "structured"), 0),
+    "main-exit-1": (_cli("extract", _data("patterns.owl"), _data("no-such.owl")), 1),
+    "main-exit-2": (
+        _cli(
+            "extract",
+            ("object.owl", '<owl:ObjectProperty rdf:ID="p"/>'),
+            ("datatype.owl", '<owl:DatatypeProperty rdf:ID="p"/>'),
+        ),
+        2,
+    ),
+    "main-exit-3": (
+        _cli("infer", _data("combined.owl"), "--facts", ("x.facts", "isa(a, B)\nnot isa(a, B)\n")),
+        3,
+    ),
+    "main-exit-4": (
+        _cli("infer", _data("chain40.owl"), "--facts", _data("chain40.facts"), "--cap", "1"),
+        4,
+    ),
+    "main-exit-5": (
+        _cli("infer", _data("combined.owl"), "--facts", _data("combined.facts"), "--strict"),
+        5,
+    ),
+    "main-usage": (_cli("infer", _data("combined.owl")), SystemExit),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("case", list(_STAGE_CASES))
+def test_each_stage_pauses_the_collector_and_restores_its_state(tmp_path, case, collecting):
+    make, outcome = _STAGE_CASES[case]
+    stage, args = make(tmp_path)
+    with _collections_watched(stage, collecting) as inside:
+        if isinstance(outcome, type):
+            with pytest.raises(outcome):
+                stage(*args)
+        else:
+            result = stage(*args)
+            assert outcome is None or result == outcome
+        assert gc.isenabled() is collecting
+    assert inside == []
 
 
 def test_a_schema_consequent_beside_an_instance_consequent_is_skipped():

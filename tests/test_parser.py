@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import random
 import sys
 
 import pytest
-from conftest import DATA_DIR, FRAGMENTS, load_model, load_with_diagnostics, nested_subclass_chain
+from conftest import (
+    CORPUS_DIR,
+    DATA_DIR,
+    FRAGMENTS,
+    load_model,
+    load_with_diagnostics,
+    nested_subclass_chain,
+)
 from oracles import random_instance
 
 from owlrules import (
@@ -22,18 +31,22 @@ from owlrules import (
     Membership,
     ModelBuilder,
     NegMembership,
+    Pattern,
     PropertyDecl,
     PropertyKind,
     SubClassOf,
     SubPropertyOf,
+    extract_all,
     format_diagnostic,
     format_fact,
     has_errors,
     parse_fact_base,
     parse_ontology,
     run_fixpoint,
+    schema_closure,
 )
-from owlrules.parser import Location, Severity
+from owlrules import cli
+from owlrules.parser import MAX_DEPTH, Location, Severity
 
 
 def test_car_listing_yields_class_and_two_datatype_properties():
@@ -170,6 +183,61 @@ def test_a_parse_leaves_nothing_for_the_cycle_collector(text):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+_ONTOLOGIES = sorted([*DATA_DIR.glob("*.owl"), *CORPUS_DIR.glob("*.owl")])
+_FACT_FILES = sorted([*DATA_DIR.glob("*.facts"), *CORPUS_DIR.glob("facts_*.txt")])
+
+
+def _each_stage(path, tmp):
+    """Runs every stage on the ontology at ``path``, yielding after each:
+    the library stages, then ``main``'s commands, writing to ``tmp``."""
+    model, _ = parse_ontology(path.read_text(encoding="utf-8"), path.name)
+    yield "parse_ontology"
+    rules = extract_all(model).rules
+    yield "extract_all"
+    schema = (Pattern.SUBCLASS_TRANSITIVITY, Pattern.EQUIVALENCE_INHERITANCE)
+    schema_closure(model, [r for r in rules if r.pattern in schema])
+    yield "schema_closure"
+    executable = [r for r in rules if r.executable]
+    for facts in _FACT_FILES:
+        base, _ = parse_fact_base(facts.read_text(encoding="utf-8"))
+        yield f"parse_fact_base {facts.name}"
+        with contextlib.suppress(ContradictionError):
+            run_fixpoint(executable, base, 1000)
+        yield f"run_fixpoint {facts.name}"
+    out = ["--output", str(tmp / "out")]
+    for argv in (["extract"], ["extract", "--format", "structured"], ["classify"]):
+        cli.main([*argv, str(path), *out])
+        yield f"main {' '.join(argv)}"
+    for facts in _FACT_FILES:
+        cli.main(["infer", str(path), "--facts", str(facts), *out])
+        yield f"main infer {facts.name}"
+
+
+@pytest.fixture(scope="module")
+def warmed(tmp_path_factory):
+    """One pass over every input first: the first ``main`` builds its argument
+    parser, and the first rule of each shape compiles its writers, once per
+    process; both leave cycles behind once, which no later call repeats."""
+    tmp = tmp_path_factory.mktemp("warm-up")
+    with contextlib.redirect_stderr(io.StringIO()):
+        for path in _ONTOLOGIES:
+            for _ in _each_stage(path, tmp):
+                pass
+
+
+@pytest.mark.parametrize("path", _ONTOLOGIES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_stage_leaves_anything_for_the_cycle_collector(warmed, path, tmp_path):
+    gc.collect()
+    gc.disable()
+    try:
+        # With the collector off, what a stage makes stays in the youngest
+        # generation, which is all that each collection here has to scan.
+        left = [(stage, gc.collect(0)) for stage in _each_stage(path, tmp_path)]
+    finally:
+        gc.enable()
+    assert [(stage, n) for stage, n in left if n] == []
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +531,23 @@ _DOCUMENT_DIAGNOSTICS = {
         ("A",),
         ["ERROR x.owl:1:35 malformed XML: not well-formed (invalid token)"],
     ),
+    # The depth guard stops at the 256th element of the file, each one 3 columns on.
+    "too-deep": (
+        "<a>" * 300,
+        (),
+        [
+            f"ERROR x.owl:1:766 elements nested deeper than {MAX_DEPTH} levels; reading stopped",
+            "WARNING x.owl:1:1 unknown top-level element a; skipped",
+        ],
+    ),
+    "too-deep-after-a-declaration": (
+        '<?xml version="1.0"?>' + "<a>" * 300,
+        (),
+        [
+            f"ERROR x.owl:1:787 elements nested deeper than {MAX_DEPTH} levels; reading stopped",
+            "WARNING x.owl:1:22 unknown top-level element a; skipped",
+        ],
+    ),
 }
 
 
@@ -472,6 +557,20 @@ def test_a_document_reports_each_diagnostic_at_its_own_line_and_column(name):
     model, diags = parse_ontology(text, "x.owl")
     assert [format_diagnostic(d, "x.owl") for d in diags] == expected
     assert model.classes == tuple(map(Iri, classes))
+
+
+@pytest.mark.parametrize("root", [False, True], ids=["fragment", "rdf-root"])
+def test_the_depth_guard_reports_the_first_element_past_the_limit(root):
+    # Element k of the chain is on line k, under a root line when there is one.
+    text = nested_subclass_chain(300)
+    if root:
+        text = f"<rdf:RDF>\n{text}</rdf:RDF>\n"
+    model, diags = parse_ontology(text, "x.owl")
+    line = MAX_DEPTH + root
+    assert [format_diagnostic(d, "x.owl") for d in diags] == [
+        f"ERROR x.owl:{line}:1 elements nested deeper than {MAX_DEPTH} levels; reading stopped"
+    ]
+    assert len(model.classes) == MAX_DEPTH // 2  # the classes read before it
 
 
 def test_whitespace_in_a_custom_element_name_is_malformed_xml():
