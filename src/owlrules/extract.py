@@ -43,7 +43,6 @@ from .model import (
     ClassLink,
     EquivalentClass,
     IntersectionOf,
-    Iri,
     OntologyModel,
     PropertyDecl,
     PropertyKind,
@@ -76,7 +75,7 @@ VY = Var("?y")
 VZ = Var("?z")
 
 # (shape, names, triggers, display form) of one rule
-_Yield = tuple[_Shape, tuple[Iri, ...], list[Axiom | PropertyDecl], str]
+_Yield = tuple[_Shape, tuple[str, ...], list[Axiom | PropertyDecl], str]
 _Shapes = Callable[[OntologyModel], Iterator[_Yield]]
 _Scanner = Callable[[OntologyModel], list[Rule]]
 
@@ -137,15 +136,15 @@ def _plain_object_props(model: OntologyModel) -> list[PropertyDecl]:
 # the shapes of the scanners' branches, each a function of the names at hand
 
 
-def _isa(var: Var, cls: Iri) -> IsA:
+def _isa(var: Var, cls: str) -> IsA:
     return IsA(var, ClassRef(cls))
 
 
-def _link(subject: Term, prop: Iri, obj: Term) -> Link:
+def _link(subject: Term, prop: str, obj: Term) -> Link:
     return Link(subject, PropRef(prop), obj)
 
 
-def _sub(sub: Iri, sup: Iri) -> SchemaSubClassOf:
+def _sub(sub: str, sup: str) -> SchemaSubClassOf:
     return SchemaSubClassOf(ClassRef(sub), ClassRef(sup))
 
 
@@ -184,7 +183,7 @@ _PARTS = _Shape(lambda defined, *parts: ([_isa(VX, defined)], [_isa(VX, c) for c
 
 @_scanner(Pattern.CLASS_FEATURE)
 def extract_class_feature(model: OntologyModel) -> Iterator[_Yield]:
-    by_domain: dict[Iri, list[PropertyDecl]] = {}
+    by_domain: dict[str, list[PropertyDecl]] = {}
     for d in model._index.props:
         if d.kind is PropertyKind.DATATYPE and d.domain is not None:
             by_domain.setdefault(d.domain, []).append(d)
@@ -194,7 +193,7 @@ def extract_class_feature(model: OntologyModel) -> Iterator[_Yield]:
             _FEATURES,
             (cls, *(d.iri for d in feats)),
             feats,
-            f"IF {cls} THEN {' and '.join(str(d.iri) for d in feats)}",
+            f"IF {cls} THEN {' and '.join(d.iri for d in feats)}",
         )
 
 
@@ -280,7 +279,7 @@ def extract_symmetric(model: OntologyModel) -> Iterator[_Yield]:
 @_scanner(Pattern.TRANSITIVE_PROPERTY)
 def extract_transitive(model: OntologyModel) -> Iterator[_Yield]:
     # property -> subject -> that subject's links, sorted by object
-    links: dict[Iri, dict[Iri, list[ClassLink]]] = {}
+    links: dict[str, dict[str, list[ClassLink]]] = {}
     for ax in sorted(model.axioms_of(ClassLink), key=lambda a: (a.prop, a.subject, a.obj)):
         if ax.subject != ax.obj:
             links.setdefault(ax.prop, {}).setdefault(ax.subject, []).append(ax)
@@ -352,7 +351,7 @@ def extract_intersection(model: OntologyModel) -> Iterator[_Yield]:
             _PARTS,
             (ax.defined, *ax.parts),  # listing order kept
             [ax],
-            f"IF {ax.defined} THEN {' and '.join(str(p) for p in ax.parts)}",
+            f"IF {ax.defined} THEN {' and '.join(ax.parts)}",
         )
 
 

@@ -9,7 +9,7 @@ which ``format_fact`` writes and the parser reads.
 
 from __future__ import annotations
 
-from .model import Iri, Value
+from .model import Value
 
 
 class ContradictionError(Exception):
@@ -44,7 +44,7 @@ class LinkFact(Fact, Value):
     __slots__ = ()
     __match_args__ = ("subject", "prop", "obj", "obj_is_class")
 
-    def __new__(cls, subject: Iri, prop: Iri, obj: Iri, obj_is_class: bool = False) -> "LinkFact":
+    def __new__(cls, subject: str, prop: str, obj: str, obj_is_class: bool = False) -> "LinkFact":
         return tuple.__new__(cls, (cls, subject, prop, obj, obj_is_class))
 
 

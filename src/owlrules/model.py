@@ -1,8 +1,9 @@
-"""In-memory ontology model: identifiers, declarations, schema axioms, merging.
+"""In-memory ontology model: names, declarations, schema axioms, merging.
 
-The model is a plain value object.  Parsing lives in :mod:`owlrules.parser`;
-everything here is constructible programmatically through :class:`ModelBuilder`
-or the pure helper :func:`merge`.
+The model is a plain value object, and each name in it an exact ``str``
+checked by :func:`Iri`.  Parsing lives in :mod:`owlrules.parser`; everything
+here is constructible programmatically through :class:`ModelBuilder` or the
+pure helper :func:`merge`.
 """
 
 from __future__ import annotations
@@ -74,36 +75,25 @@ def fields_repr(name: str, obj: object, fields: tuple[str, ...]) -> str:
 # identifiers
 
 
-class Iri(str):
-    """Name of a class, property, individual, or opaque datatype token.
+def Iri(value: str) -> str:
+    """Check the name of a class, property, individual or opaque datatype
+    token, and return it as an exact ``str``, also when given a subclass.
 
-    An ``Iri`` is a ``str``, validated on construction: non-empty, without
-    whitespace.  Hashing, equality and ordering are the text's, so an ``Iri``
-    equals (and hashes like) the plain string with the same text.  It holds
-    no attributes besides the text; ``.value`` and ``str()`` give that text
-    as a plain ``str``.
+    A name is non-empty and holds no whitespace.  Every name in a model, rule,
+    fact or closure edge is a plain ``str`` that passed this check, so that
+    hashing, comparing and formatting names take CPython's exact-string fast
+    paths.  There is no name type to test with ``isinstance``, and no ``.value``.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, value: str) -> "Iri":
-        if not value:
-            raise ValueError("IRI must be non-empty")
-        # str.split() splits at exactly the characters str.isspace() accepts.
-        if value.split() != [value]:
-            raise ValueError(f"IRI contains whitespace: {value!r}")
-        return super().__new__(cls, value)
-
-    @property
-    def value(self) -> str:
-        return str(self)
-
-    def __repr__(self) -> str:
-        return f"Iri(value={str.__repr__(self)})"
+    if not value:
+        raise ValueError("IRI must be non-empty")
+    # str.split() splits at exactly the characters str.isspace() accepts.
+    if value.split() != [value]:
+        raise ValueError(f"IRI contains whitespace: {value!r}")
+    return str.__str__(value)
 
 
-def iri(text: str) -> Iri:
-    """Normalize a raw reference into an :class:`Iri`.
+def iri(text: str) -> str:
+    """Normalize a raw reference into a name checked by :func:`Iri`.
 
     Surrounding whitespace and leading ``#`` marks (local-reference syntax)
     are dropped.  Normalization is idempotent.
@@ -130,7 +120,7 @@ class PropertyDecl(Value):
     __match_args__ = ("iri", "kind", "domain", "range")
 
     def __new__(
-        cls, iri: Iri, kind: PropertyKind, domain: Iri | None = None, range: Iri | None = None
+        cls, iri: str, kind: PropertyKind, domain: str | None = None, range: str | None = None
     ) -> "PropertyDecl":
         return tuple.__new__(cls, (cls, iri, kind, domain, range))
 
@@ -158,7 +148,7 @@ class Axiom:
         return f"{self[0].__name__}({','.join(self[1:])})"
 
 
-def _require_distinct(a: Iri, b: Iri, what: str) -> None:
+def _require_distinct(a: str, b: str, what: str) -> None:
     if a == b:
         raise ValueError(f"{what} may not relate {a} to itself")
 
@@ -167,18 +157,18 @@ class SubClassOf(Axiom, Value):
     __slots__ = ()
     __match_args__ = ("sub", "sup")
 
-    def __new__(cls, sub: Iri, sup: Iri) -> "SubClassOf":
+    def __new__(cls, sub: str, sup: str) -> "SubClassOf":
         _require_distinct(sub, sup, "SubClassOf")
         return tuple.__new__(cls, (cls, sub, sup))
 
 
 class EquivalentClass(Axiom, Value):
-    """Unordered equivalence, stored with the lexicographically smaller Iri first."""
+    """Unordered equivalence, stored with the lexicographically smaller name first."""
 
     __slots__ = ()
     __match_args__ = ("a", "b")
 
-    def __new__(cls, a: Iri, b: Iri) -> "EquivalentClass":
+    def __new__(cls, a: str, b: str) -> "EquivalentClass":
         _require_distinct(a, b, "EquivalentClass")
         return tuple.__new__(cls, (cls, b, a) if b < a else (cls, a, b))
 
@@ -187,7 +177,7 @@ class SubPropertyOf(Axiom, Value):
     __slots__ = ()
     __match_args__ = ("sub", "sup")
 
-    def __new__(cls, sub: Iri, sup: Iri) -> "SubPropertyOf":
+    def __new__(cls, sub: str, sup: str) -> "SubPropertyOf":
         _require_distinct(sub, sup, "SubPropertyOf")
         return tuple.__new__(cls, (cls, sub, sup))
 
@@ -196,7 +186,7 @@ class InverseOf(Axiom, Value):
     __slots__ = ()
     __match_args__ = ("prop", "inverse")
 
-    def __new__(cls, prop: Iri, inverse: Iri) -> "InverseOf":
+    def __new__(cls, prop: str, inverse: str) -> "InverseOf":
         _require_distinct(prop, inverse, "InverseOf")
         return tuple.__new__(cls, (cls, prop, inverse))
 
@@ -214,7 +204,7 @@ class IntersectionOf(Axiom, Value):
     __slots__ = ()
     __match_args__ = ("defined", "parts")
 
-    def __new__(cls, defined: Iri, parts: tuple[Iri, ...]) -> "IntersectionOf":
+    def __new__(cls, defined: str, parts: tuple[str, ...]) -> "IntersectionOf":
         parts = tuple(parts)
         if len(parts) < 2:
             raise ValueError("IntersectionOf needs at least two parts")
@@ -223,8 +213,7 @@ class IntersectionOf(Axiom, Value):
         return tuple.__new__(cls, (cls, defined, parts))
 
     def describe(self) -> str:
-        inner = ",".join(str(p) for p in self.parts)
-        return f"IntersectionOf({self.defined},[{inner}])"
+        return f"IntersectionOf({self.defined},[{','.join(self.parts)}])"
 
 
 class ClassLink(Axiom, Value):
@@ -245,7 +234,7 @@ class ClassLink(Axiom, Value):
 class MergeConflictError(Exception):
     """Raised when merged ontologies declare one property with different kinds."""
 
-    def __init__(self, name: Iri, kinds: tuple[PropertyKind, PropertyKind]):
+    def __init__(self, name: str, kinds: tuple[PropertyKind, PropertyKind]):
         pretty = " vs ".join(sorted(k.value for k in kinds))
         super().__init__(f"conflicting kinds for property {name}: {pretty}")
         self.iri = name
@@ -292,8 +281,8 @@ class _ModelIndex:
         for ax in model.axioms:
             self.by_kind.setdefault(type(ax), []).append(ax)
         # sorted (superclass, axiom) pairs of each subclass, (subclass, axiom) of each superclass
-        self.sups: dict[Iri, list[tuple[Iri, SubClassOf]]] = {}
-        self.subs: dict[Iri, list[tuple[Iri, SubClassOf]]] = {}
+        self.sups: dict[str, list[tuple[str, SubClassOf]]] = {}
+        self.subs: dict[str, list[tuple[str, SubClassOf]]] = {}
         for ax in self.by_kind.get(SubClassOf, ()):
             self.sups.setdefault(ax.sub, []).append((ax.sup, ax))
             self.subs.setdefault(ax.sup, []).append((ax.sub, ax))
@@ -317,8 +306,8 @@ class OntologyModel:
 
     def __init__(
         self,
-        classes: tuple[Iri, ...] = (),
-        properties: dict[Iri, PropertyDecl] | None = None,
+        classes: tuple[str, ...] = (),
+        properties: dict[str, PropertyDecl] | None = None,
         axioms: tuple[Axiom, ...] = (),
         source_names: tuple[str, ...] = (),
         notes: tuple[str, ...] = (),
@@ -344,7 +333,7 @@ class OntologyModel:
         # Built on first use; the fields it reads are never reassigned.
         return _ModelIndex(self)
 
-    def property(self, name: Iri) -> PropertyDecl | None:
+    def property(self, name: str) -> PropertyDecl | None:
         return self.properties.get(name)
 
     def axioms_of(self, kind: type) -> list:
@@ -367,12 +356,12 @@ class ModelBuilder:
     """Mutable accumulator used by the parser, merge, and tests."""
 
     def __init__(self, source_name: str | None = None):
-        self._classes: dict[Iri, None] = {}  # declared names, in declaration order
-        self._props: dict[Iri, PropertyDecl] = {}
+        self._classes: dict[str, None] = {}  # declared names, in declaration order
+        self._props: dict[str, PropertyDecl] = {}
         self._axioms: dict[Axiom, None] = {}  # each axiom once, in insertion order
         self._sources: list[str] = [source_name] if source_name else []
 
-    def declare_class(self, name: Iri) -> None:
+    def declare_class(self, name: str) -> None:
         # Re-declaration merges: a class carries nothing but its name.
         self._classes[name] = None
 
@@ -432,8 +421,8 @@ class ModelBuilder:
 
 
 def resolve_field(
-    name: Iri, label: str, old: Iri | None, new: Iri | None, merging: bool
-) -> tuple[Iri | None, list[str]]:
+    name: str, label: str, old: str | None, new: str | None, merging: bool
+) -> tuple[str | None, list[str]]:
     """The ``label`` (domain or range) that property ``name`` keeps when
     ``new`` is stated after ``old``, and the note on a conflict: the first
     value is kept, or with ``merging`` the lexicographic minimum."""
@@ -447,7 +436,7 @@ def resolve_field(
     return old, [f"property {name} has multiple {label}s; keeping the first ({old})"]
 
 
-def _class_refs(ax: Axiom) -> tuple[Iri, ...]:
+def _class_refs(ax: Axiom) -> tuple[str, ...]:
     if isinstance(ax, SubClassOf):
         return (ax.sub, ax.sup)
     if isinstance(ax, EquivalentClass):

@@ -223,7 +223,7 @@ class _Interp:
     def __init__(self, source_name: str):
         self.builder = ModelBuilder(source_name)
         self.diags: list[ParseDiagnostic] = []
-        self.iris: dict[str, Iri] = {}  # the name of each good raw reference read so far
+        self.iris: dict[str, str] = {}  # the name of each good raw reference read so far
 
     def warn(self, el: _Element, message: str) -> None:
         self.diags.append(ParseDiagnostic(Severity.WARNING, message, Location(*el.at)))
@@ -233,7 +233,7 @@ class _Interp:
 
     # -- names
 
-    def iri_of(self, el: _Element, raw: str, what: str) -> Iri | None:
+    def iri_of(self, el: _Element, raw: str, what: str) -> str | None:
         """``raw`` as a name, or None after an error that says ``what``
         (``{}`` standing for the element's name) and why, at each bad use."""
         name = self.iris.get(raw)
@@ -244,7 +244,7 @@ class _Interp:
                 self.error(el, f"{what.format(el.name)}: {exc}")
         return name
 
-    def subject_iri(self, el: _Element) -> Iri | None:
+    def subject_iri(self, el: _Element) -> str | None:
         attrs = el.attrs
         raw = attrs.get("rdf:ID", attrs.get("rdf:about"))
         if raw is None:
@@ -252,7 +252,7 @@ class _Interp:
             return None
         return self.iri_of(el, raw, "bad identifier on {}")
 
-    def reference(self, el: _Element) -> Iri | None:
+    def reference(self, el: _Element) -> str | None:
         """Target of a link-style element: rdf:resource or one nested declaration."""
         raw = el.attrs.get("rdf:resource")
         if raw is not None:
@@ -265,7 +265,7 @@ class _Interp:
         self.warn(el, f"{el.name} has no rdf:resource and no nested declaration; skipped")
         return None
 
-    def range_reference(self, el: _Element, kind: PropertyKind) -> Iri | None:
+    def range_reference(self, el: _Element, kind: PropertyKind) -> str | None:
         if kind is not PropertyKind.DATATYPE:
             return self.reference(el)
         # Datatype ranges are opaque tokens; never treat them as classes.
@@ -275,7 +275,7 @@ class _Interp:
             return None
         return self.iri_of(el, raw, "bad range token")
 
-    def add_axiom_checked(self, el: _Element, ax_type, *names: Iri) -> None:
+    def add_axiom_checked(self, el: _Element, ax_type, *names: str) -> None:
         try:
             self.builder.add_axiom(ax_type(*names))
         except ValueError as exc:
@@ -296,7 +296,7 @@ class _Interp:
 
     # -- classes
 
-    def parse_class(self, el: _Element) -> Iri | None:
+    def parse_class(self, el: _Element) -> str | None:
         subject = self.subject_iri(el)
         if subject is None:
             return None
@@ -330,11 +330,11 @@ class _Interp:
                     self.add_axiom_checked(child, ClassLink, subject, iri(name), target)
         return subject
 
-    def parse_intersection(self, subject: Iri, el: _Element) -> None:
+    def parse_intersection(self, subject: str, el: _Element) -> None:
         if el.attrs.get("rdf:parseType") != "Collection":
             self.warn(el, 'owl:intersectionOf without rdf:parseType="Collection"; skipped')
             return
-        parts: list[Iri] = []
+        parts: list[str] = []
         for child in el.children:
             if child.name != "owl:Class":
                 self.warn(child, f"unexpected {child.name} in intersection listing; skipped")
@@ -349,12 +349,12 @@ class _Interp:
 
     # -- properties
 
-    def parse_property(self, el: _Element, kind: PropertyKind) -> Iri | None:
+    def parse_property(self, el: _Element, kind: PropertyKind) -> str | None:
         subject = self.subject_iri(el)
         if subject is None:
             return None
-        ends: dict[str, Iri] = {}  # "domain" and "range", once read
-        deferred: list[tuple[_Element, type[Axiom], Iri]] = []
+        ends: dict[str, str] = {}  # "domain" and "range", once read
+        deferred: list[tuple[_Element, type[Axiom], str]] = []
         for child in el.children:
             name = child.name
             if name == "rdfs:domain" or name == "rdfs:range":
@@ -390,8 +390,8 @@ class _Interp:
     # -- restrictions
 
     def parse_restriction(self, el: _Element) -> None:
-        on_prop: Iri | None = None
-        filler: Iri | None = None
+        on_prop: str | None = None
+        filler: str | None = None
         for child in el.children:
             if child.name == "owl:onProperty":
                 on_prop = self.reference(child)

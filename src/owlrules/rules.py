@@ -1,9 +1,11 @@
 """IF-THEN rule language: terms, atoms, classification, text and JSON forms.
 
-A rule is its shape plus its names.  Each shape writes the text hashed into
-a rule's id, the rule text and the atoms' JSON with functions of its names,
-each compiled once per process, on first use, from the shape written on
-placeholder names: its fixed text as literals and one parameter per name.
+A rule is its shape plus its names, each an exact ``str`` checked by
+:func:`owlrules.model.Iri`, as every name in a model or fact is.  Each shape
+writes the text hashed into a rule's id, the rule text and the atoms' JSON
+with functions of its names, each compiled once per process, on first use,
+from the shape written on placeholder names: its fixed text as literals and
+one parameter per name.
 
 The structured (JSON) document is written directly as text, its strings
 escaped by the C function ``json.dumps`` uses.  Its bytes are exactly those of
@@ -272,7 +274,7 @@ def _tuple_of(positions: list[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*positions) if positions else lambda values: ()
 
 
-def _mark(slot: int) -> Iri:
+def _mark(slot: int) -> str:
     """A slot's placeholder: no fixed part of a template holds a NUL character."""
     return Iri(f"\x00{slot}\x00")
 
@@ -374,9 +376,9 @@ def _fill(skeleton: tuple, names: Iterator) -> tuple:
 
 # ---------------------------------------------------------------------------
 # spelling: one table per family, read by the text writer and by the
-# structured writer and reader.  A term kind maps to its JSON key and the type
-# of its value; an atom kind to its JSON "kind" name, the JSON keys of its
-# fields in field order, and its text form.  ``Not`` nests an atom, and
+# structured writer and reader.  A term kind maps to its JSON key and the
+# reader of its value; an atom kind to its JSON "kind" name, the JSON keys of
+# its fields in field order, and its text form.  ``Not`` nests an atom, and
 # ``HasFeature``'s feature is a bare name, written in JSON as a "prop" term.
 
 _TERMS = {
@@ -414,7 +416,7 @@ def render_term(term: Term) -> str:
     kind = type(term)
     if kind not in _TERMS:
         raise TypeError(f"unknown term: {term!r}")
-    return f'"{term[1]}"' if kind is LiteralTok else str(term[1])
+    return f'"{term[1]}"' if kind is LiteralTok else term[1]
 
 
 def render_atom(atom: Atom) -> str:
@@ -509,7 +511,7 @@ def render_structured(rules: list[Rule] | tuple[Rule, ...], source: tuple[str, .
     return "".join(structured_parts(rules, source))
 
 
-_TERM_OF_KEY = {key: (kind, value_type) for kind, (key, value_type) in _TERMS.items()}
+_TERM_OF_KEY = {key: (kind, read) for kind, (key, read) in _TERMS.items()}
 _ATOM_OF_NAME = {name: (kind, keys) for kind, (name, keys, _) in _ATOMS.items()}
 
 

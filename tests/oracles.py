@@ -58,10 +58,10 @@ VZ = Var("?z")
 # transitive closure
 
 
-def closure_pairs(edges: set[tuple[Iri, Iri]]) -> set[tuple[Iri, Iri]]:
+def closure_pairs(edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
     """Warshall closure of (sub, sup) pairs, minus the input edges."""
     nodes = sorted({n for edge in edges for n in edge})
-    reach: dict[Iri, set[Iri]] = {n: set() for n in nodes}
+    reach: dict[str, set[str]] = {n: set() for n in nodes}
     for a, b in edges:
         reach[a].add(b)
     for k in nodes:
@@ -73,7 +73,7 @@ def closure_pairs(edges: set[tuple[Iri, Iri]]) -> set[tuple[Iri, Iri]]:
 
 
 def equivalence_lift_pairs(
-    edges: set[tuple[Iri, Iri]], equivs: list[tuple[Iri, Iri]]
+    edges: set[tuple[str, str]], equivs: list[tuple[str, str]]
 ) -> set[tuple[Iri, Iri]]:
     """Fixpoint of lifting superclasses across equivalences, minus the input."""
     known = set(edges)
@@ -90,7 +90,7 @@ def equivalence_lift_pairs(
 
 
 def joint_closure_pairs(
-    edges: set[tuple[Iri, Iri]], equivs: list[tuple[Iri, Iri]]
+    edges: set[tuple[str, str]], equivs: list[tuple[str, str]]
 ) -> set[tuple[Iri, Iri]]:
     """Closure under both transitivity and equivalence lifting, minus input."""
     known = set(edges)
@@ -115,7 +115,7 @@ def joint_closure_pairs(
 # naive saturation (reference for run_fixpoint)
 
 
-def _bind_term(term, value: Iri, binds: dict[str, Iri]) -> dict[str, Iri] | None:
+def _bind_term(term, value: str, binds: dict[str, str]) -> dict[str, str] | None:
     if isinstance(term, Var):
         if term.name in binds:
             return binds if binds[term.name] == value else None
@@ -127,7 +127,7 @@ def _bind_term(term, value: Iri, binds: dict[str, Iri]) -> dict[str, Iri] | None
     return None
 
 
-def _bindings_for(atom, facts: list[Fact], binds: dict[str, Iri]):
+def _bindings_for(atom, facts: list[Fact], binds: dict[str, str]):
     for fact in facts:
         if isinstance(atom, IsA) and isinstance(fact, Membership):
             b = _bind_term(atom.subject, fact.individual, binds)
@@ -161,7 +161,7 @@ def _all_bindings(atoms: list, facts: list[Fact]):
         yield from _all_bindings_rest(atoms, 1, facts, binds)
 
 
-def _all_bindings_rest(atoms: list, idx: int, facts: list[Fact], binds: dict[str, Iri]):
+def _all_bindings_rest(atoms: list, idx: int, facts: list[Fact], binds: dict[str, str]):
     if idx == len(atoms):
         yield binds
         return
@@ -169,13 +169,13 @@ def _all_bindings_rest(atoms: list, idx: int, facts: list[Fact], binds: dict[str
         yield from _all_bindings_rest(atoms, idx + 1, facts, nb)
 
 
-def _value_of(term, binds: dict[str, Iri]) -> Iri:
+def _value_of(term, binds: dict[str, str]) -> str:
     if isinstance(term, Var):
         return binds[term.name]
     return term.iri
 
 
-def _conclude(atom, binds: dict[str, Iri]) -> Fact | None:
+def _conclude(atom, binds: dict[str, str]) -> Fact | None:
     if isinstance(atom, IsA):
         return Membership(_value_of(atom.subject, binds), _value_of(atom.cls, binds))
     if isinstance(atom, Link):
@@ -210,7 +210,7 @@ def naive_saturate(
     the contract of ``run_fixpoint`` (final facts, (fact, rule id) pairs).
     """
     positives: list[tuple[Rule, list]] = []
-    checks: list[tuple[Rule, Iri, Iri]] = []
+    checks: list[tuple[Rule, str, str]] = []
     for rule in rules:
         if any(isinstance(a, Not) for a in rule.consequent):
             head = rule.consequent[0].inner
@@ -315,7 +315,7 @@ def expected_pattern_counts(model: OntologyModel) -> dict[Pattern, int]:
         )
     counts[Pattern.TRANSITIVE_PROPERTY] = n
 
-    supers: dict[Iri, set[Iri]] = {}
+    supers: dict[str, set[str]] = {}
     for e in edges:
         supers.setdefault(e.sup, set()).add(e.sub)
     counts[Pattern.SOLE_PARTOF] = sum(1 for subs in supers.values() if len(subs) == 1)
@@ -395,7 +395,7 @@ def render_term_by_match(term) -> str:
         case Var(name):
             return name
         case ClassRef(i) | PropRef(i) | IndividualRef(i):
-            return i.value
+            return i
         case LiteralTok(text):
             return f'"{text}"'
     raise TypeError(f"unknown term: {term!r}")
@@ -409,7 +409,7 @@ def render_atom_by_match(atom) -> str:
         case Link(subject=s, prop=p, obj=o):
             return f"({t(s)} {t(p)} {t(o)})"
         case HasFeature(subject=s, feature=f):
-            return f"hasFeature({t(s)},{f.value})"
+            return f"hasFeature({t(s)},{f})"
         case Not(inner=i):
             return f"not {render_atom_by_match(i)}"
         case SchemaSubClassOf(sub=a, sup=b):
@@ -441,13 +441,13 @@ def rule_id_by_match(rule: Rule) -> str:
 def format_fact_by_match(fact) -> str:
     match fact:
         case Membership(individual=i, cls=c):
-            return f"isa({i.value}, {c.value})"
+            return f"isa({i}, {c})"
         case NegMembership(individual=i, cls=c):
-            return f"not isa({i.value}, {c.value})"
+            return f"not isa({i}, {c})"
         case LinkFact(subject=s, prop=p, obj=o):
-            return f"link({s.value}, {p.value}, {o.value})"
+            return f"link({s}, {p}, {o})"
         case FeatureExpected(individual=i, feature=f):
-            return f"feature({i.value}, {f.value})"
+            return f"feature({i}, {f})"
     raise TypeError(f"unknown fact: {fact!r}")
 
 
@@ -459,11 +459,11 @@ def _term_dict(term) -> dict:
     if isinstance(term, Var):
         return {"var": term.name}
     if isinstance(term, ClassRef):
-        return {"class": term.iri.value}
+        return {"class": term.iri}
     if isinstance(term, PropRef):
-        return {"prop": term.iri.value}
+        return {"prop": term.iri}
     if isinstance(term, IndividualRef):
-        return {"individual": term.iri.value}
+        return {"individual": term.iri}
     if isinstance(term, LiteralTok):
         return {"literal": term.text}
     raise TypeError(f"unknown term: {term!r}")
@@ -481,7 +481,7 @@ def _atom_dict(atom) -> dict:
             "object": t(atom.obj),
         }
     if isinstance(atom, HasFeature):
-        feature = {"prop": atom.feature.value}
+        feature = {"prop": atom.feature}
         return {"kind": "feature", "subject": t(atom.subject), "feature": feature}
     if isinstance(atom, Not):
         return {"kind": "not", "inner": _atom_dict(atom.inner)}
@@ -534,7 +534,7 @@ def random_dag_model(rng: random.Random, max_nodes: int = 50, p: float = 0.1):
     n = rng.randint(2, max_nodes)
     names = [Iri(f"N{i:02d}") for i in range(n)]
     b = ModelBuilder()
-    edges: set[tuple[Iri, Iri]] = set()
+    edges: set[tuple[str, str]] = set()
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p:
@@ -677,7 +677,7 @@ _CLS2 = _CLASSES[:2]
 _PROP2 = _PROPS[:2]
 
 
-def _random_term(rng: random.Random, ref, names: tuple[Iri, ...], var_odds: float = 0.7):
+def _random_term(rng: random.Random, ref, names: tuple[str, ...], var_odds: float = 0.7):
     """A variable with probability ``var_odds``, else a reference to one of
     ``names``, rarely a literal spelling one of them (which must match nothing)."""
     r = rng.random()
@@ -767,9 +767,9 @@ def random_rule_instance(rng: random.Random) -> tuple[list[Rule], list[Fact]]:
 
 def herbrand_cap(rules: list[Rule], facts: list[Fact]) -> int:
     """|individuals|^2 * |properties| + |individuals| * |classes| + 1."""
-    individuals: set[Iri] = set()
-    classes: set[Iri] = set()
-    props: set[Iri] = set()
+    individuals: set[str] = set()
+    classes: set[str] = set()
+    props: set[str] = set()
     for fact in facts:
         if isinstance(fact, Membership):
             individuals.add(fact.individual)

@@ -63,8 +63,27 @@ def test_every_whitespace_code_point_is_rejected_inside_a_name():
 @pytest.mark.parametrize("ch", ["\u200b", "\u180e", "\u2060", "\ufeff", "\u00ad"])
 def test_invisible_characters_that_are_not_whitespace_are_accepted(ch):
     name = Iri(f"a{ch}b")
-    assert name.value == f"a{ch}b"
+    assert type(name) is str and name == f"a{ch}b"
     assert Iri(ch) == ch
+
+
+class _Text(str):
+    """A ``str`` subclass, as a caller's own name type might be."""
+
+    __slots__ = ()
+
+
+def test_an_iri_is_its_text_as_an_exact_str():
+    plain = "Car"
+    assert Iri(plain) is plain  # an exact str comes back as it is
+    name = Iri(_Text("Car"))
+    assert type(name) is str and name == "Car"
+    assert type(Iri(value=_Text("Car"))) is str
+    for bad, message in ((_Text(""), "IRI must be non-empty"),
+                         (_Text("a b"), "IRI contains whitespace: 'a b'")):
+        with pytest.raises(ValueError) as exc:
+            Iri(bad)
+        assert str(exc.value) == message
 
 
 def test_an_iri_sorts_hashes_and_compares_as_its_text():
@@ -73,23 +92,22 @@ def test_an_iri_sorts_hashes_and_compares_as_its_text():
         "".join(rng.choice("aAbB\u00e9\u4e2d_#0") for _ in range(rng.randint(1, 4)))
         for _ in range(200)
     ]
-    names = [Iri(t) for t in texts]
+    names = [Iri(_Text(t)) for t in texts]
     assert sorted(names) == sorted(texts)
-    assert all(type(n) is Iri for n in sorted(names))
+    assert all(type(n) is str for n in sorted(names))
     assert all(hash(n) == hash(t) and n == t for n, t in zip(names, texts))
     assert len(set(names) | set(texts)) == len(set(texts))
 
 
 def test_an_iri_keeps_its_text_forms():
     car = Iri("Car")
-    assert repr(car) == "Iri(value='Car')"
-    assert repr(Iri("it's")) == 'Iri(value="it\'s")'
-    assert type(car.value) is str and car.value == "Car"
+    assert repr(car) == "'Car'"
+    assert repr(Iri("it's")) == '"it\'s"'
     assert type(str(car)) is str and str(car) == "Car"
     assert f"<{car}>" == "<Car>"
-    assert Iri(value="Car") == car
+    assert Iri(value="Car") == car == "Car"
     copy = pickle.loads(pickle.dumps(car))
-    assert type(copy) is Iri and copy == car
+    assert type(copy) is str and copy == car
 
 
 def test_an_iri_cannot_take_attributes():
@@ -99,6 +117,7 @@ def test_an_iri_cannot_take_attributes():
     with pytest.raises(AttributeError):
         car.note = "x"
     assert not hasattr(car, "__dict__")
+    assert not hasattr(car, "value")
 
 
 def test_equivalent_class_is_canonicalized():

@@ -437,7 +437,7 @@ def _text(rng: random.Random, lo: int = 0) -> str:
     return "".join(rng.choice(_PIECES) for _ in range(rng.randint(lo, 6)))
 
 
-def _name(rng: random.Random) -> Iri:
+def _name(rng: random.Random) -> str:
     # An IRI is non-empty and free of whitespace.
     while True:
         text = "".join(c for c in _text(rng, lo=1) if not c.isspace())

@@ -76,8 +76,8 @@ def test_the_readme_library_example_runs_as_printed(capsys, monkeypatch, tmp_pat
     monkeypatch.chdir(tmp_path)
     exec(_readme_library_example(), {})
     assert capsys.readouterr().out == (
-        "transitive-property-b5304bf074 -> LinkFact(subject=Iri(value='latgale'), "
-        "prop=Iri(value='subAreaOf'), obj=Iri(value='eu'), obj_is_class=False)\n"
+        "transitive-property-b5304bf074 -> LinkFact(subject='latgale', "
+        "prop='subAreaOf', obj='eu', obj_is_class=False)\n"
     )
 
 
