@@ -15,12 +15,12 @@ needed variable unites the value sets of each group of bindings, and drops the
 values already known, in one set operation.  Head rows are plain tuples,
 tested against the fact dict before any fact is built.
 
-The output is canonical.  Derived facts are listed round by round and, within
-a round, sorted by their rendered text, which the result keeps beside them;
-each carries the id of the first rule, in the order of the rule list, that
-derives it in that round.  Violations are sorted by text, then rule id.  A
-derived membership that contradicts a given negation raises
-``ContradictionError`` for the first such fact in that order.
+The output, an ``InferenceResult`` record, is canonical.  Derived facts are
+listed round by round and, within a round, sorted by their rendered text,
+which the result keeps beside them; each carries the id of the first rule, in
+the order of the rule list, that derives it in that round.  Violations are
+sorted by text, then rule id.  A derived membership that contradicts a given
+negation raises ``ContradictionError`` for the first such fact in that order.
 
 Matching binds the variables ?x/?y/?z to fact components, with one restriction:
 the object of a class-flagged link fact never binds a variable (it names a
@@ -39,9 +39,10 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterator
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .facts import Fact, FactBase, FeatureExpected, LinkFact, Membership, NegMembership, format_fact
-from .model import EquivalentClass, OntologyModel, SubClassOf, _paused, fields_repr
+from .model import EquivalentClass, OntologyModel, SubClassOf, _paused
 from .rules import (
     ClassRef,
     HasFeature,
@@ -62,29 +63,11 @@ class NonExecutableRuleError(ValueError):
     """A rule flagged non-executable was handed to the fixpoint engine."""
 
 
-class InferenceResult:
-    def __init__(
-        self,
-        final: FactBase,
-        iterations: int,
-        derived: list[tuple[Fact, str]],
-        violations: list[tuple[Fact, str]],
-        converged: bool,
-        derived_text: list[str],
-        violation_text: list[str],
-    ) -> None:
-        self.final = final
-        self.iterations = iterations
-        self.derived = derived
-        self.violations = violations
-        self.converged = converged
-        self.derived_text = derived_text  # format_fact of each derived fact, in order
-        self.violation_text = violation_text  # and of each violation
-
-    def __repr__(self) -> str:
-        fields = ("final", "iterations", "derived", "violations", "converged")
-        fields += ("derived_text", "violation_text")
-        return fields_repr("InferenceResult", self, fields)
+class InferenceResult(SimpleNamespace):
+    """What ``run_fixpoint`` returns: ``final`` (the saturated fact base),
+    ``iterations``, ``derived`` and ``violations`` (lists of ``(fact, rule
+    id)``), ``converged``, and ``derived_text`` and ``violation_text`` (the
+    ``format_fact`` text of each derived fact and violation, in order)."""
 
 
 # ---------------------------------------------------------------------------

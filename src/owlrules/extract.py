@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import wraps
+from types import SimpleNamespace
 
 from .model import (
     AllValuesFrom,
@@ -49,7 +50,6 @@ from .model import (
     SubClassOf,
     SubPropertyOf,
     _paused,
-    fields_repr,
 )
 from .rules import (
     ClassRef,
@@ -80,14 +80,9 @@ _Shapes = Callable[[OntologyModel], Iterator[_Yield]]
 _Scanner = Callable[[OntologyModel], list[Rule]]
 
 
-class ExtractionReport:
-    def __init__(self, rules: list[Rule], counts: dict[Pattern, int], warnings: list[str]) -> None:
-        self.rules = rules
-        self.counts = counts
-        self.warnings = warnings
-
-    def __repr__(self) -> str:
-        return fields_repr("ExtractionReport", self, ("rules", "counts", "warnings"))
+class ExtractionReport(SimpleNamespace):
+    """What ``extract_all`` returns: ``rules`` in id order, ``counts`` (the
+    rules per pattern) and ``warnings``."""
 
 
 _EXTRACTORS: dict[Pattern, _Scanner] = {}
@@ -280,7 +275,7 @@ def extract_symmetric(model: OntologyModel) -> Iterator[_Yield]:
 def extract_transitive(model: OntologyModel) -> Iterator[_Yield]:
     # property -> subject -> that subject's links, sorted by object
     links: dict[str, dict[str, list[ClassLink]]] = {}
-    for ax in sorted(model.axioms_of(ClassLink), key=lambda a: (a.prop, a.subject, a.obj)):
+    for ax in sorted(model.axioms_of(ClassLink)):
         if ax.subject != ax.obj:
             links.setdefault(ax.prop, {}).setdefault(ax.subject, []).append(ax)
     for d in model._index.props:

@@ -40,8 +40,8 @@ class Value(tuple):
     defines no ``__new__`` gets one that takes the fields, by position or by
     name, and packs them; a class writes its own only to check or default its
     fields.  ``repr`` and pickling read the fields by name.  ``rules.Rule`` is
-    the one kind whose tuple holds a shape and names where its atom fields
-    were; it builds those on demand.
+    the one kind whose tuple is not its fields: it holds the rule's id, shape
+    and names, and the class reads each field through a property of its own.
     """
 
     __slots__ = ()

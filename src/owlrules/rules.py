@@ -1,11 +1,13 @@
 """IF-THEN rule language: terms, atoms, classification, text and JSON forms.
 
-A rule is its shape plus its names, each an exact ``str`` checked by
-:func:`owlrules.model.Iri`, as every name in a model or fact is.  Each shape
-writes the text hashed into a rule's id, the rule text and the atoms' JSON
-with functions of its names, each compiled once per process, on first use,
-from the shape written on placeholder names: its fixed text as literals and
-one parameter per name.
+A rule is built one way, ``Rule(pattern, antecedent, consequent,
+provenance)``, and its id is hashed from that content, so a rule written out
+reads back with the same id.  It is kept as its shape plus its names, each an
+exact ``str`` checked by :func:`owlrules.model.Iri`, as every name in a model
+or fact is.  Each shape writes the text hashed into a rule's id, the rule text
+and the atoms' JSON with functions of its names, each compiled once per
+process, on first use, from the shape written on placeholder names: its fixed
+text as literals and one parameter per name.
 
 The structured (JSON) document is written directly as text, its strings
 escaped by the C function ``json.dumps`` uses.  Its bytes are exactly those of
@@ -202,27 +204,30 @@ class Provenance(Value):
 class Rule(Value):
     """An IF-THEN rule, the tuple ``(Rule, id, shape, names, pattern, provenance)``.
 
-    Its atoms are kept as their interned shape and the names in its slots, and
-    built on demand.  Built from atoms, a rule walks them to the shape and names
-    a scanner gives the same atoms, and coerces its pattern.
+    Built from its pattern and atoms, a rule coerces the pattern, walks the
+    atoms to the interned shape and names a scanner gives them, and hashes its
+    id from that content.  Its atoms are built from those on demand.
     """
 
     __slots__ = ()
-    __match_args__ = ("id", "antecedent", "consequent", "pattern", "provenance")
+    __match_args__ = ("pattern", "antecedent", "consequent", "provenance")
 
     def __new__(
         cls,
-        id: str,
-        antecedent: tuple[Atom, ...],
-        consequent: tuple[Atom, ...],
         pattern: Pattern | str,
-        provenance: Provenance,
+        antecedent: tuple[Atom, ...] | list[Atom],
+        consequent: tuple[Atom, ...] | list[Atom],
+        provenance: Provenance | None = None,
     ) -> "Rule":
+        pattern = coerce_pattern(pattern)
         shape, names = _walk(tuple(antecedent), tuple(consequent))
-        return tuple.__new__(cls, (cls, id, shape, names, coerce_pattern(pattern), provenance))
+        return _rule(pattern, shape.writers[pattern], shape, names, provenance or Provenance())
 
+    id = property(itemgetter(1))
     shape = property(itemgetter(2))
     names = property(itemgetter(3))
+    pattern = property(itemgetter(4))
+    provenance = property(itemgetter(5))
     antecedent = property(lambda self: self[2].build(*self[3])[0])
     consequent = property(lambda self: self[2].build(*self[3])[1])
 
@@ -244,18 +249,6 @@ def _rule(
     """The rule of ``shape`` filled with ``names``, its id hashed from ``key(*names)``."""
     digest = hashlib.sha256(key(*names).encode()).hexdigest()[:10]
     return tuple.__new__(Rule, (Rule, f"{pattern._value_}-{digest}", shape, names, pattern, prov))
-
-
-def make_rule(
-    pattern: Pattern | str,
-    antecedent: tuple[Atom, ...] | list[Atom],
-    consequent: tuple[Atom, ...] | list[Atom],
-    provenance: Provenance | None = None,
-) -> Rule:
-    """Build a rule with its deterministic id."""
-    pattern = coerce_pattern(pattern)
-    shape, names = _walk(tuple(antecedent), tuple(consequent))
-    return _rule(pattern, shape.writers[pattern], shape, names, provenance or Provenance())
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +577,7 @@ def _obj_to_rule(obj: dict) -> Rule:
     prov = obj["provenance"]
     if not isinstance(prov["display_form"], str):
         raise ValueError(f"display_form must be a string, got {prov['display_form']!r}")
-    rule = make_rule(
+    rule = Rule(
         obj["pattern"],
         [_obj_to_atom(a) for a in obj["if"]],
         [_obj_to_atom(a) for a in obj["then"]],

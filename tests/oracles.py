@@ -46,7 +46,6 @@ from owlrules.rules import (
     SchemaSubClassOf,
     SolePart,
     Var,
-    make_rule,
 )
 
 VX = Var("?x")
@@ -343,7 +342,7 @@ def pair_chain_rule_ids(model: OntologyModel) -> dict[Pattern, list[str]]:
         (ax for ax in model.axioms if isinstance(ax, SubClassOf)), key=lambda a: (a.sub, a.sup)
     )
     subclass = [
-        make_rule(
+        Rule(
             Pattern.SUBCLASS_TRANSITIVITY,
             [
                 SchemaSubClassOf(ClassRef(first.sub), ClassRef(first.sup)),
@@ -365,10 +364,10 @@ def pair_chain_rule_ids(model: OntologyModel) -> dict[Pattern, list[str]]:
             continue
         p = PropRef(name)
         transitive.append(
-            make_rule(Pattern.TRANSITIVE_PROPERTY, [Link(VX, p, VY), Link(VY, p, VZ)], [Link(VX, p, VZ)]).id
+            Rule(Pattern.TRANSITIVE_PROPERTY, [Link(VX, p, VY), Link(VY, p, VZ)], [Link(VX, p, VZ)]).id
         )
         transitive.extend(
-            make_rule(
+            Rule(
                 Pattern.TRANSITIVE_PROPERTY,
                 [
                     Link(ClassRef(first.subject), p, ClassRef(first.obj)),
@@ -387,7 +386,7 @@ def pair_chain_rule_ids(model: OntologyModel) -> dict[Pattern, list[str]]:
 
 # ---------------------------------------------------------------------------
 # rule text and fact text by structural pattern matching (reference for
-# rules.render_term/render_atom/render_text/make_rule ids and engine.format_fact)
+# rules.render_term/render_atom/render_text/Rule ids and engine.format_fact)
 
 
 def render_term_by_match(term) -> str:
@@ -593,19 +592,19 @@ def _template_rule(rng: random.Random) -> Rule:
     p1, p2 = rng.choice(_PROPS), rng.choice(_PROPS)
     maker = rng.randrange(9)
     if maker == 0:
-        return make_rule(
+        return Rule(
             Pattern.CLASS_FEATURE,
             [IsA(VX, ClassRef(c1))],
             [HasFeature(VX, rng.choice(_FEATURES))],
         )
     if maker == 1:
-        return make_rule(
+        return Rule(
             Pattern.DOMAIN_RANGE_IDENTIFICATION,
             [Link(VX, PropRef(p1), VY), IsA(VY, ClassRef(c1))],
             [IsA(VX, ClassRef(c2))],
         )
     if maker == 2:
-        return make_rule(
+        return Rule(
             Pattern.RELATION_PROPAGATION,
             [
                 Link(VX, PropRef(p1), VY),
@@ -615,36 +614,36 @@ def _template_rule(rng: random.Random) -> Rule:
             [Link(VX, PropRef(p1), ClassRef(c2))],
         )
     if maker == 3:
-        return make_rule(
+        return Rule(
             Pattern.SUBPROPERTY_LIFT,
             [Link(VX, PropRef(p1), VY)],
             [Link(VX, PropRef(p2), VY)],
         )
     if maker == 4:
-        return make_rule(
+        return Rule(
             Pattern.SYMMETRIC,
             [IsA(VX, ClassRef(c1))],
             [Link(VX, PropRef(p1), ClassRef(c2))],
         )
     if maker == 5:
-        return make_rule(
+        return Rule(
             Pattern.TRANSITIVE_PROPERTY,
             [Link(VX, PropRef(p1), VY), Link(VY, PropRef(p1), VZ)],
             [Link(VX, PropRef(p1), VZ)],
         )
     if maker == 6:
-        return make_rule(
+        return Rule(
             Pattern.COOCCURRENCE,
             [IsA(VX, ClassRef(c1)), IsA(VY, ClassRef(c2))],
             [Link(VX, PropRef(p1), VY)],
         )
     if maker == 7:
-        return make_rule(
+        return Rule(
             Pattern.INTERSECTION,
             [IsA(VX, ClassRef(c1))],
             [IsA(VX, ClassRef(c2)), IsA(VX, ClassRef(c3))],
         )
-    return make_rule(
+    return Rule(
         Pattern.ALLVALUESFROM,
         [Not(IsA(VY, ClassRef(c1)))],
         [Not(Link(VX, PropRef(p1), VY))],
@@ -723,7 +722,7 @@ def _random_head_atom(rng: random.Random, bound: list[Var]):
 
 def _random_rule(rng: random.Random) -> Rule:
     if rng.random() < 0.1:
-        return make_rule(
+        return Rule(
             Pattern.ALLVALUESFROM,
             [Not(IsA(VY, ClassRef(rng.choice(_CLS2))))],
             [Not(Link(VX, PropRef(rng.choice(_PROP2)), VY))],
@@ -736,7 +735,7 @@ def _random_rule(rng: random.Random) -> Rule:
                 if isinstance(term, Var) and term not in bound:
                     bound.append(term)
     head = [_random_head_atom(rng, bound) for _ in range(rng.randint(1, 2))]
-    return make_rule(Pattern.SUBPROPERTY_LIFT, body, head)
+    return Rule(Pattern.SUBPROPERTY_LIFT, body, head)
 
 
 def random_rule_instance(rng: random.Random) -> tuple[list[Rule], list[Fact]]:

@@ -34,7 +34,7 @@ from owlrules import (
     run_fixpoint,
     schema_closure,
 )
-from owlrules.rules import ClassRef, SchemaSubClassOf, classify, make_rule
+from owlrules.rules import ClassRef, Rule, SchemaSubClassOf, classify
 from owlrules.cli import main
 from test_extract import GOLDEN, PER_PATTERN
 
@@ -167,7 +167,7 @@ def test_criterion_3_fact_level_reproductions_are_exact():
 
 def test_criterion_4_closure_matches_independent_warshall():
     rng = random.Random(417)
-    chain = make_rule(
+    chain = Rule(
         Pattern.SUBCLASS_TRANSITIVITY,
         [
             SchemaSubClassOf(ClassRef(Iri("A")), ClassRef(Iri("B"))),

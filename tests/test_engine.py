@@ -58,11 +58,11 @@ from owlrules.rules import (
     MorePartsExpected,
     Not,
     PropRef,
+    Rule,
     SchemaEquivalent,
     SchemaSubClassOf,
     SolePart,
     Var,
-    make_rule,
 )
 
 VX, VY, VZ = Var("?x"), Var("?y"), Var("?z")
@@ -221,7 +221,7 @@ def test_symmetric_consequents_are_class_flagged():
 
 
 def test_flagged_links_never_bind_object_variables():
-    lift = make_rule(
+    lift = Rule(
         Pattern.SUBPROPERTY_LIFT,
         [Link(VX, PropRef(Iri("colleagueOf")), VY)],
         [Link(VX, PropRef(Iri("knows")), VY)],
@@ -233,7 +233,7 @@ def test_flagged_links_never_bind_object_variables():
 
 def test_flagged_links_do_match_ground_class_objects():
     p = PropRef(Iri("subAreaOf"))
-    grounded = make_rule(
+    grounded = Rule(
         Pattern.TRANSITIVE_PROPERTY,
         [
             Link(ClassRef(Iri("Latgale")), p, ClassRef(Iri("Latvia"))),
@@ -266,7 +266,7 @@ def test_flagged_links_are_exempt_from_violation_scans():
 
 
 def test_an_atom_that_repeats_a_variable_matches_only_equal_components():
-    rule = make_rule(
+    rule = Rule(
         Pattern.SUBPROPERTY_LIFT,
         [Link(VX, PropRef(Iri("p")), VX)],
         [Link(VX, PropRef(Iri("q")), VX)],
@@ -283,7 +283,7 @@ def test_an_atom_that_repeats_a_variable_matches_only_equal_components():
 
 
 def test_a_variable_property_matches_links_of_every_property():
-    rule = make_rule(
+    rule = Rule(
         Pattern.SUBPROPERTY_LIFT,
         [Link(VX, VY, VZ)],
         [Link(VX, PropRef(Iri("related")), VZ)],
@@ -306,7 +306,7 @@ def test_a_variable_property_matches_links_of_every_property():
 def test_a_flagged_link_reached_by_its_object_never_binds_the_object():
     # ?y is bound by the first atom, so the link atom looks its facts up by
     # object; the class-flagged link shares that object but must not match.
-    rule = make_rule(
+    rule = Rule(
         Pattern.DOMAIN_RANGE_IDENTIFICATION,
         [IsA(VY, ClassRef(Iri("Role"))), Link(VX, PropRef(Iri("knows")), VY)],
         [IsA(VX, ClassRef(Iri("Social")))],
@@ -324,8 +324,8 @@ def test_a_flagged_link_reached_by_its_object_never_binds_the_object():
 
 def test_a_fact_two_rules_derive_in_one_round_belongs_to_the_earlier_rule():
     to_c = [IsA(VX, ClassRef(Iri("C")))]
-    from_a = make_rule(Pattern.INTERSECTION, [IsA(VX, ClassRef(Iri("A")))], to_c)
-    from_b = make_rule(Pattern.INTERSECTION, [IsA(VX, ClassRef(Iri("B")))], to_c)
+    from_a = Rule(Pattern.INTERSECTION, [IsA(VX, ClassRef(Iri("A")))], to_c)
+    from_b = Rule(Pattern.INTERSECTION, [IsA(VX, ClassRef(Iri("B")))], to_c)
     base = FactBase([Membership(Iri("i"), Iri("A")), Membership(Iri("i"), Iri("B"))])
     shared = Membership(Iri("i"), Iri("C"))
     for first, second in ((from_a, from_b), (from_b, from_a)):
@@ -348,7 +348,7 @@ def test_combined_fixture_derivations_keep_their_order_and_rule_ids():
 
 
 def test_non_executable_rules_are_rejected_by_id():
-    rule = make_rule(
+    rule = Rule(
         Pattern.SOLE_PARTOF,
         [SolePart(ClassRef(Iri("House")), ClassRef(Iri("City")))],
         [MorePartsExpected(ClassRef(Iri("City")))],
@@ -359,7 +359,7 @@ def test_non_executable_rules_are_rejected_by_id():
 
 
 def _positive(antecedent: list, consequent: list):
-    return make_rule(Pattern.INTERSECTION, antecedent, consequent)
+    return Rule(Pattern.INTERSECTION, antecedent, consequent)
 
 
 def test_an_unbound_consequent_variable_is_rejected_before_the_rule_fires():
@@ -389,7 +389,7 @@ def test_a_negated_antecedent_on_a_positive_rule_is_rejected():
 
 
 def test_an_unsupported_integrity_check_shape_is_rejected():
-    rule = make_rule(
+    rule = Rule(
         Pattern.ALLVALUESFROM, [IsA(VX, ClassRef(Iri("A")))], [Not(IsA(VX, ClassRef(Iri("B"))))]
     )
     with pytest.raises(ValueError, match=rf"^rule {rule.id}: unsupported integrity-check shape$"):
@@ -622,7 +622,7 @@ def test_each_stage_pauses_the_collector_and_restores_its_state(tmp_path, case, 
 
 def test_a_schema_consequent_beside_an_instance_consequent_is_skipped():
     a, b = ClassRef(Iri("A")), ClassRef(Iri("B"))
-    rule = make_rule(
+    rule = Rule(
         Pattern.INTERSECTION, [IsA(VX, a)], [IsA(VX, b), SchemaSubClassOf(a, b)]
     )
     result = run_fixpoint([rule], FactBase([Membership(Iri("i"), Iri("A"))]), CAP)
@@ -650,7 +650,7 @@ def test_initial_contradiction_is_reported():
 
 def test_cap_of_one_leaves_a_long_chain_unconverged():
     p = PropRef(Iri("next"))
-    chain_rule = make_rule(
+    chain_rule = Rule(
         Pattern.TRANSITIVE_PROPERTY,
         [Link(VX, p, VY), Link(VY, p, VZ)],
         [Link(VX, p, VZ)],
@@ -928,7 +928,7 @@ def test_schema_closure_chains_only_when_a_transitivity_rule_is_given():
 
 def test_schema_closure_matches_warshall_on_random_dags():
     rng = random.Random(31)
-    gate = make_rule(
+    gate = Rule(
         Pattern.SUBCLASS_TRANSITIVITY,
         [
             SchemaSubClassOf(ClassRef(Iri("A")), ClassRef(Iri("B"))),
@@ -976,12 +976,12 @@ def _random_schema_model(rng: random.Random):
     return model, edges, [(ax.a, ax.b) for ax in model.axioms_of(EquivalentClass)]
 
 
-_TRANSITIVITY = make_rule(
+_TRANSITIVITY = Rule(
     Pattern.SUBCLASS_TRANSITIVITY,
     [SchemaSubClassOf(ClassRef(Iri("A")), ClassRef(Iri("B")))],
     [SchemaSubClassOf(ClassRef(Iri("A")), ClassRef(Iri("B")))],
 )
-_EQUIVALENCE = make_rule(
+_EQUIVALENCE = Rule(
     Pattern.EQUIVALENCE_INHERITANCE,
     [SchemaEquivalent(ClassRef(Iri("A")), ClassRef(Iri("B")))],
     [SchemaSubClassOf(ClassRef(Iri("A")), ClassRef(Iri("B")))],

@@ -54,7 +54,7 @@ import owlrules
 from owlrules import extract
 from owlrules import rules as rules_module
 from owlrules.model import Axiom
-from owlrules.rules import ClassRef, Var, make_rule
+from owlrules.rules import ClassRef, Var
 
 PER_PATTERN = {
     "class-feature": extract_class_feature,
@@ -425,14 +425,14 @@ def test_each_scanner_emits_only_its_pattern_with_the_models_sorted_sources():
 def test_extracted_rules_match_the_references_and_rebuild_from_their_atoms(seed):
     # Each scanner rule must read as the pattern-matching and stdlib-encoder
     # references say, and equal (with an equal hash) the rule rebuilt from its
-    # atoms by make_rule and the rule read back from a pickle.
+    # atoms by Rule and the rule read back from a pickle.
     rules = extract_all(random_model(random.Random(7000 + seed), max_axioms=30)).rules
     assert json_dumps_structured(rules, ("r.owl",)) == render_structured(rules, ("r.owl",))
     for rule in rules:
         assert render_text(rule) == render_text_by_match(rule)
         assert rule.id == rule_id_by_match(rule)
         for twin in (
-            make_rule(rule.pattern, rule.antecedent, rule.consequent, rule.provenance),
+            Rule(rule.pattern, rule.antecedent, rule.consequent, rule.provenance),
             pickle.loads(pickle.dumps(rule)),
         ):
             assert twin == rule and hash(twin) == hash(rule)

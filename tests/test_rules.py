@@ -54,7 +54,6 @@ from owlrules.rules import (
     Var,
     classify,
     coerce_pattern,
-    make_rule,
     render_atom,
     render_term,
 )
@@ -108,7 +107,7 @@ def test_unknown_pattern_is_rejected():
 
 
 def _rule_of(pattern: Pattern) -> Rule:
-    return make_rule(pattern, [IsA(VX, ClassRef(Iri("A")))], [IsA(VX, ClassRef(Iri("B")))])
+    return Rule(pattern, [IsA(VX, ClassRef(Iri("A")))], [IsA(VX, ClassRef(Iri("B")))])
 
 
 def test_only_sole_partof_is_non_executable():
@@ -140,7 +139,7 @@ def test_not_refuses_to_nest():
 
 
 def _fox_rule() -> Rule:
-    return make_rule(
+    return Rule(
         Pattern.COOCCURRENCE,
         [IsA(VX, ClassRef(Iri("Fox"))), IsA(VY, ClassRef(Iri("Hole")))],
         [Link(VX, PropRef(Iri("liveIn")), VY)],
@@ -157,7 +156,7 @@ def test_rule_id_is_stable_and_pattern_prefixed():
 
 
 def test_rule_id_distinguishes_content():
-    other = make_rule(
+    other = Rule(
         Pattern.COOCCURRENCE,
         [IsA(VX, ClassRef(Iri("Fox"))), IsA(VY, ClassRef(Iri("Hole")))],
         [Link(VX, PropRef(Iri("sleepsIn")), VY)],
@@ -167,17 +166,16 @@ def test_rule_id_distinguishes_content():
 
 def test_rule_requires_nonempty_sides():
     with pytest.raises(ValueError):
-        make_rule(Pattern.COOCCURRENCE, [], [Link(VX, PropRef(Iri("p")), VY)])
+        Rule(Pattern.COOCCURRENCE, [], [Link(VX, PropRef(Iri("p")), VY)])
     with pytest.raises(ValueError):
-        make_rule(Pattern.COOCCURRENCE, [IsA(VX, ClassRef(Iri("A")))], [])
+        Rule(Pattern.COOCCURRENCE, [IsA(VX, ClassRef(Iri("A")))], [])
 
 
 def _rule_fields(rule: Rule) -> dict:
     return {
-        "id": rule.id,
+        "pattern": rule.pattern,
         "antecedent": rule.antecedent,
         "consequent": rule.consequent,
-        "pattern": rule.pattern,
         "provenance": rule.provenance,
     }
 
@@ -270,13 +268,13 @@ def test_render_text_has_no_trailing_whitespace():
 def _sample_rules() -> list[Rule]:
     rules = [
         _fox_rule(),
-        make_rule(
+        Rule(
             Pattern.SOLE_PARTOF,
             [SolePart(ClassRef(Iri("House")), ClassRef(Iri("City")))],
             [MorePartsExpected(ClassRef(Iri("City")))],
             Provenance(sources=("sole.owl",), trigger_axioms=("SubClassOf(House,City)",)),
         ),
-        make_rule(
+        Rule(
             Pattern.ALLVALUESFROM,
             [Not(IsA(VY, ClassRef(Iri("Citizen"))))],
             [Not(Link(VX, PropRef(Iri("hasPass")), VY))],
@@ -484,7 +482,7 @@ def _random_rules(rng: random.Random, count: int) -> list[Rule]:
             display_form=_text(rng),
         )
         pattern = rng.choice(list(Pattern))
-        rules.append(make_rule(pattern, _random_atoms(rng), _random_atoms(rng), prov))
+        rules.append(Rule(pattern, _random_atoms(rng), _random_atoms(rng), prov))
     return rules
 
 
@@ -527,10 +525,9 @@ def test_structured_documents_read_back_as_the_rules_written(seed):
     # The writer sorts the rules by id, and each list of strings as a set.
     expected = [
         Rule(
-            r.id,
+            r.pattern,
             r.antecedent,
             r.consequent,
-            r.pattern,
             Provenance(
                 tuple(sorted(set(r.provenance.sources))),
                 tuple(sorted(set(r.provenance.trigger_axioms))),
@@ -548,7 +545,7 @@ def test_structured_documents_read_back_as_the_rules_written(seed):
 def test_structured_writer_matches_on_empty_lists():
     empty = '{\n  "version": 1,\n  "source": [],\n  "rules": []\n}\n'
     assert render_structured([]) == json_dumps_structured([]) == empty
-    bare = make_rule(Pattern.SYMMETRIC, [IsA(VX, ClassRef(Iri("A")))], [IsA(VX, ClassRef(Iri("B")))])
+    bare = Rule(Pattern.SYMMETRIC, [IsA(VX, ClassRef(Iri("A")))], [IsA(VX, ClassRef(Iri("B")))])
     assert bare.provenance == Provenance()
     text = render_structured([bare])
     assert text == json_dumps_structured([bare])
@@ -557,7 +554,7 @@ def test_structured_writer_matches_on_empty_lists():
 
 def test_structured_writer_escapes_like_the_stdlib_encoder():
     nasty = '"\\\x00\x1f\x7f</\u00e9\u2028\u4e2d\U0001f600'
-    rule = make_rule(
+    rule = Rule(
         Pattern.ALLVALUESFROM,
         [Not(IsA(VY, ClassRef(Iri('C"\\</\u00e9'))))],
         [Not(Link(VX, PropRef(Iri("p\u4e2d\U0001f600")), LiteralTok(nasty)))],
@@ -612,22 +609,31 @@ def test_unknown_terms_and_atoms_are_type_errors():
         render_atom(Not(Atom()))
     ok = IsA(VX, ClassRef(Iri("A")))
     with pytest.raises(TypeError, match="unknown atom"):
-        make_rule(Pattern.SYMMETRIC, [ok, Atom()], [ok])
+        Rule(Pattern.SYMMETRIC, [ok, Atom()], [ok])
     # A rule walks its atoms when it is built, so a rule built directly
     # refuses them at once.
     for bad in (Atom(), IsA(VX, Term())):
         with pytest.raises(TypeError, match="unknown"):
-            Rule("x", (bad,), (ok,), Pattern.SYMMETRIC, Provenance())
+            Rule(Pattern.SYMMETRIC, (bad,), (ok,), Provenance())
 
 
 def test_a_rule_built_directly_coerces_its_pattern():
     a, b = IsA(VX, ClassRef(Iri("A"))), IsA(VX, ClassRef(Iri("B")))
-    rule = Rule("x", (a,), (b,), "symmetric", Provenance())
+    prov = Provenance(("a.owl",), ("SubClassOf(A,B)",), "IF A THEN B")
+    rule = Rule("symmetric", (a,), (b,), prov)
     assert rule.pattern is Pattern.SYMMETRIC
     assert rule.category is RuleCategory.MEANING_ENRICHING
-    assert render_structured([rule], ["a.owl"]) == json_dumps_structured([rule], ("a.owl",))
+    assert rule.id == rule_id_by_match(rule)  # derived from the content, never given
+    text = render_structured([rule], ["a.owl"])
+    assert text == json_dumps_structured([rule], ("a.owl",))
+    # The document it renders reads back as the same rule.
+    (reparsed,), source = parse_structured(text)
+    assert reparsed == rule and source == ["a.owl"]
+    assert (reparsed.id, reparsed.pattern, reparsed.provenance) == (rule.id, rule.pattern, prov)
     with pytest.raises(UnknownPatternError):
-        Rule("x", (a,), (b,), "no-such-pattern", Provenance())
+        Rule("no-such-pattern", (a,), (b,), prov)
+    with pytest.raises(TypeError):  # no id can be given
+        Rule("symmetric", (a,), (b,), prov, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +677,7 @@ def _model_named(n: str):
 def _rule_named(n: str) -> Rule:
     """A rule that holds ``n`` in every term kind and as a bare feature."""
     name = Iri(n)
-    return make_rule(
+    return Rule(
         Pattern.INTERSECTION,
         [
             IsA(IndividualRef(name), ClassRef(name)),
@@ -689,7 +695,7 @@ def test_names_that_look_like_template_syntax_go_in_verbatim(n):
     extracted = extract_all(_model_named(n)).rules
     assert {r.pattern for r in extracted} == set(Pattern)
     built = [
-        make_rule(r.pattern, r.antecedent, r.consequent, r.provenance) for r in extracted
+        Rule(r.pattern, r.antecedent, r.consequent, r.provenance) for r in extracted
     ] + [_rule_named(n)]
     assert built[:-1] == extracted
     for rules in (extracted, built):

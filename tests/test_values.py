@@ -33,6 +33,8 @@ from owlrules import (
     Rule,
     SubClassOf,
     SubPropertyOf,
+    extract_all,
+    run_fixpoint,
 )
 from owlrules.model import Value
 from owlrules.parser import Location, ParseDiagnostic, Severity
@@ -96,12 +98,11 @@ REPRS = [
         "display_form='IF A THEN B')",
     ),
     (
-        Rule("x-1", (IsA(VX, CA),), (IsA(VX, CB),), Pattern.INTERSECTION, Provenance()),
-        "Rule(id='x-1', antecedent=(IsA(subject=Var(name='?x'), "
-        "cls=ClassRef(iri='A')),), consequent=(IsA(subject=Var(name='?x'), "
-        "cls=ClassRef(iri='B')),), pattern=<Pattern.INTERSECTION: "
-        "'intersection'>, provenance=Provenance(sources=(), trigger_axioms=(), "
-        "display_form=''))",
+        Rule(Pattern.INTERSECTION, (IsA(VX, CA),), (IsA(VX, CB),), Provenance()),
+        "Rule(pattern=<Pattern.INTERSECTION: 'intersection'>, "
+        "antecedent=(IsA(subject=Var(name='?x'), cls=ClassRef(iri='A')),), "
+        "consequent=(IsA(subject=Var(name='?x'), cls=ClassRef(iri='B')),), "
+        "provenance=Provenance(sources=(), trigger_axioms=(), display_form=''))",
     ),
     (
         PropertyDecl(P, PropertyKind.DATATYPE, range=Iri("xs:int")),
@@ -163,16 +164,46 @@ def test_the_records_print_their_kind_and_fields():
         "domain=None, range=None)}, axioms=(SubClassOf(sub='A', "
         "sup='B'),), source_names=('a.owl',), notes=('n',))"
     )
-    report = ExtractionReport([], {Pattern.SYMMETRIC: 0}, ["w"])
+    report = ExtractionReport(rules=[], counts={Pattern.SYMMETRIC: 0}, warnings=["w"])
     assert repr(report) == (
         "ExtractionReport(rules=[], counts={<Pattern.SYMMETRIC: 'symmetric'>: 0}, warnings=['w'])"
     )
     base = FactBase()
-    result = InferenceResult(base, 1, [], [], True, [], [])
+    result = InferenceResult(
+        final=base,
+        iterations=1,
+        derived=[],
+        violations=[],
+        converged=True,
+        derived_text=[],
+        violation_text=[],
+    )
     assert repr(result) == (
         f"InferenceResult(final={base!r}, iterations=1, derived=[], violations=[], "
         "converged=True, derived_text=[], violation_text=[])"
     )
+
+
+def test_the_records_compare_by_their_fields_and_pickle():
+    model = OntologyModel((A, B), {}, (SubClassOf(A, B),), ("a.owl",))
+    report = extract_all(model)
+    assert report == extract_all(model) and report != ExtractionReport(**vars(report), extra=1)
+    assert report.rules
+    rule = Rule(Pattern.INTERSECTION, (IsA(VX, CA),), (IsA(VX, CB),))
+    result = run_fixpoint([rule], FactBase([Membership(Iri("ann"), A)]), 5)
+    assert result == InferenceResult(**vars(result))
+    assert result != InferenceResult(**{**vars(result), "iterations": result.iterations + 1})
+    for record in (report, result):
+        with pytest.raises(TypeError):
+            hash(record)
+    assert pickle.loads(pickle.dumps(report)) == report
+    twin = pickle.loads(pickle.dumps(result))
+    # A fact base compares by identity, so its copy is compared by its facts.
+    assert type(twin) is InferenceResult and list(twin.final.sources.items()) == list(
+        result.final.sources.items()
+    )
+    assert {**vars(twin), "final": None} == {**vars(result), "final": None}
+    assert result.derived_text == ["isa(ann, B)"]
 
 
 def test_kinds_built_from_equal_fields_stay_apart():
@@ -228,7 +259,7 @@ def test_a_value_rebuilds_equal_from_its_fields_by_position_and_by_name(value):
 
 
 # The kinds whose last field has a default, so that one argument short is valid.
-DEFAULTED = (LinkFact, PropertyDecl, Provenance)
+DEFAULTED = (LinkFact, PropertyDecl, Provenance, Rule)
 REQUIRED = [value for value in VALUES if value[0] not in DEFAULTED]
 
 
