@@ -76,7 +76,8 @@ class FactBase:
     """Duplicate-free fact store that remembers which rule derived what.
 
     One insertion-ordered dict maps each fact to the id of the rule that
-    derived it, or to None for a fact given initially.
+    derived it, or to None for a fact given initially.  Two fact bases are
+    equal when they hold the same facts from the same sources.
     """
 
     def __init__(self, facts: tuple[Fact, ...] | list[Fact] = ()):
@@ -117,6 +118,11 @@ class FactBase:
         clone = FactBase()
         clone._sources = dict(self._sources)
         return clone
+
+    def __eq__(self, other: object) -> bool:
+        return self._sources == other._sources if isinstance(other, FactBase) else NotImplemented
+
+    __hash__ = None  # a fact base grows, so it is not hashable
 
     def __contains__(self, fact: Fact) -> bool:
         return fact in self._sources

@@ -5,8 +5,9 @@ interpreter then walks that tree once to fill a :class:`ModelBuilder`.
 Element and attribute names are matched by their literal prefixed spelling
 (``owl:Class``, ``rdf:ID``, ...); ``xmlns`` declarations are accepted and
 ignored; element text is ignored.  A file whose root element is not
-``rdf:RDF`` is read inside a synthetic root: bare fragments parse as-is, and
-an element left open in one is reported at the end of the file, as under an
+``rdf:RDF`` is read inside a synthetic root, put where expat finds the first
+element: bare fragments parse as-is, after any prolog expat accepts, and an
+element left open in one is reported at the end of the file, as under an
 explicit root.  Elements nested deeper than ``MAX_DEPTH`` end the read with
 an error.
 
@@ -96,34 +97,6 @@ def format_diagnostic(diag: ParseDiagnostic, filename: str) -> str:
     )
 
 
-_FIRST_TAG = re.compile(r"<([A-Za-z_][^\s>/]*)")
-_LINE_BREAK = re.compile(r"\r\n?|\n")  # each counts as one, as expat counts lines
-
-
-def _sniff_root(text: str) -> tuple[int, str | None]:
-    """Where the first element starts, and its name, skipping declarations,
-    comments and a DOCTYPE; ``(len(text), None)`` when there is none."""
-    pos = 0
-    while True:
-        i = text.find("<", pos)
-        if i < 0:
-            return len(text), None
-        if text.startswith("<?", i):
-            j = text.find("?>", i)
-            pos = j + 2 if j >= 0 else len(text)
-            continue
-        if text.startswith("<!--", i):
-            j = text.find("-->", i)
-            pos = j + 3 if j >= 0 else len(text)
-            continue
-        if text.startswith("<!", i):
-            j = text.find(">", i)
-            pos = j + 1 if j >= 0 else len(text)
-            continue
-        m = _FIRST_TAG.match(text, i)
-        return i, m.group(1) if m else None
-
-
 # ---------------------------------------------------------------------------
 # element tree (internal)
 
@@ -142,25 +115,25 @@ class _TooDeep(Exception):
     """Raised by the start handler; carries the error diagnostic."""
 
 
+class _Unrooted(Exception):
+    """Raised by the first start handler at an element other than the root;
+    carries where that element starts: its UTF-8 offset, line and column."""
+
+
 def _read_tree(text: str) -> tuple[list[_Element], ParseDiagnostic | None]:
     """Children of the document root, built while expat reads ``text``.
 
-    A file whose root is not ``rdf:RDF`` is read inside a synthetic root,
-    put right before its first element.  expat counts the root's columns on
+    expat reads ``text`` as given, and goes on if its first element is
+    ``rdf:RDF``.  Any other first element stops the read, and ``text`` is read
+    again inside a synthetic root put right where expat found that element,
+    or at the end of a file that has none.  expat counts the root's columns on
     its line after it; they are taken off, so locations are the file's own.
     On malformed XML, or on nesting deeper than ``MAX_DEPTH``, reading stops:
     the elements read so far are kept and the error is returned with them.
     """
     doc = _Element("", {}, (0, 0))
     stack = [doc]
-    cut, root = _sniff_root(text)
-    wrapped = root != ROOT_ELEMENT
     root_line = root_col = 0  # where the synthetic root starts; no line is 0
-    if wrapped:
-        *above, left = _LINE_BREAK.split(text[:cut])
-        root_line, root_col = len(above) + 1, len(left) + 1
-        text = text[:cut] + _OPEN_ROOT + text[cut:]
-    parser = expat.ParserCreate()
 
     def on_start(name: str, attrs: dict[str, str]) -> None:
         line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
@@ -178,26 +151,45 @@ def _read_tree(text: str) -> tuple[list[_Element], ParseDiagnostic | None]:
         stack[-1].children.append(el)
         stack.append(el)
 
-    parser.StartElementHandler = on_start
-    parser.EndElementHandler = lambda name: stack.pop()
+    def on_first(name: str, attrs: dict[str, str]) -> None:
+        if name != ROOT_ELEMENT:
+            raise _Unrooted(
+                parser.CurrentByteIndex, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+            )
+        parser.StartElementHandler = on_start
+        on_start(name, attrs)
 
     error = None
-    try:
-        parser.Parse(text, False)
-        # Close the synthetic root only if the file's own elements are closed,
-        # so expat reports one left open at the file's end; a file that closed
-        # the root itself fails on the second end tag.
-        parser.Parse(f"</{ROOT_ELEMENT}>" if wrapped and len(stack) <= 2 else "", True)
-    except expat.ExpatError as err:
-        line, col = err.lineno, err.offset + 1
-        if line == root_line and col > root_col:
-            col -= len(_OPEN_ROOT)
-        error = ParseDiagnostic(
-            Severity.ERROR, f"malformed XML: {expat.ErrorString(err.code)}", Location(line, col)
-        )
-    except _TooDeep as deep:
-        (error,) = deep.args
-    # on_start refers to the parser, which refers back to on_start: left in
+    for start in (on_first, on_start):
+        parser = expat.ParserCreate()
+        parser.StartElementHandler = start
+        parser.EndElementHandler = lambda name: stack.pop()
+        try:
+            parser.Parse(text, False)
+            # Close the synthetic root only if the file's own elements are closed,
+            # so expat reports one left open at the file's end; a file that closed
+            # the root itself fails on the second end tag.
+            parser.Parse(f"</{ROOT_ELEMENT}>" if root_line and len(stack) <= 2 else "", True)
+            break
+        except _Unrooted as found:
+            at, root_line, root_col = found.args
+            cut = len(text.encode()[:at].decode())
+        except expat.ExpatError as err:
+            line, col, why = err.lineno, err.offset + 1, expat.ErrorString(err.code)
+            # An ExpatError leaves the handlers in place, so on_first means no element.
+            no_element = parser.StartElementHandler is on_first
+            if no_element and why == expat.errors.XML_ERROR_NO_ELEMENTS:
+                cut, root_line, root_col = len(text), line, col
+            else:
+                if line == root_line and col > root_col:
+                    col -= len(_OPEN_ROOT)
+                error = ParseDiagnostic(Severity.ERROR, "malformed XML: " + why, Location(line, col))
+                break
+        except _TooDeep as deep:
+            (error,) = deep.args
+            break
+        text = text[:cut] + _OPEN_ROOT + text[cut:]
+    # The handlers refer to the parser, which refers back to them: left in
     # place, the cycle keeps the whole element tree alive until a collection.
     del parser
     top = doc.children

@@ -5,6 +5,7 @@ import gc
 import io
 import random
 import sys
+from xml.parsers import expat
 
 import pytest
 from conftest import (
@@ -47,6 +48,10 @@ from owlrules import (
 )
 from owlrules import cli
 from owlrules.parser import MAX_DEPTH, Location, Severity
+
+# A DOCTYPE whose internal subset holds an entity value with markup in it,
+# which XML allows (XML 1.0, section 4.2.2).
+DOCTYPE = '<!DOCTYPE rdf:RDF [<!ENTITY e "> <owl:Fake">]>\n'
 
 
 def test_car_listing_yields_class_and_two_datatype_properties():
@@ -171,8 +176,10 @@ def test_a_hundred_nested_subclass_levels_yield_every_axiom():
         (DATA_DIR / "patterns.owl").read_text(encoding="utf-8"),
         "<owl:Class rdf:ID='A'>",
         nested_subclass_chain(300),
+        "<!-- only a comment -->\n",
+        f'{DOCTYPE}<owl:Class rdf:ID="A"/>',
     ],
-    ids=["well-formed", "malformed", "too-deep"],
+    ids=["well-formed", "malformed", "too-deep", "no-element", "fragment-after-a-doctype"],
 )
 def test_a_parse_leaves_nothing_for_the_cycle_collector(text):
     # The element tree is freed when the parse returns, not at a collection.
@@ -443,7 +450,7 @@ def test_a_nested_property_declaration_used_as_a_reference_is_declared_and_linke
     assert model.axioms == (EquivalentClass(Iri("A"), Iri("p")),)
 
 
-@pytest.mark.parametrize("prolog", ["<!-- a comment -->\n", "<!DOCTYPE rdf:RDF>\n"])
+@pytest.mark.parametrize("prolog", ["<!-- a comment -->\n", "<!DOCTYPE rdf:RDF>\n", DOCTYPE])
 def test_a_comment_or_doctype_before_the_root_keeps_the_root(prolog):
     text = f'{prolog}<rdf:RDF>\n<owl:Class rdf:ID="A">\n  <owl:bogus/>\n</owl:Class>\n</rdf:RDF>\n'
     model, diags = parse_ontology(text, "x.owl")
@@ -451,6 +458,17 @@ def test_a_comment_or_doctype_before_the_root_keeps_the_root(prolog):
         "WARNING x.owl:4:3 unknown element owl:bogus in class context; skipped"
     ]
     assert model.classes == (Iri("A"),)
+
+
+def _expat_error(text: str) -> str | None:
+    """expat's own report on ``text``, formatted as a diagnostic of ``x.owl``;
+    None when expat reads it without error."""
+    try:
+        expat.ParserCreate().Parse(text, True)
+    except expat.ExpatError as err:
+        why = expat.ErrorString(err.code)
+        return f"ERROR x.owl:{err.lineno}:{err.offset + 1} malformed XML: {why}"
+    return None
 
 
 # Documents whose first line holds what a synthetic root would shift: each
@@ -491,6 +509,11 @@ _DOCUMENT_DIAGNOSTICS = {
         ["ERROR x.owl:1:46 malformed XML: not well-formed (invalid token)"],
     ),
     "after-a-doctype": ('<!DOCTYPE owl>\n<owl:Class rdf:ID="A"/>', ("A",), []),
+    "after-markup-in-an-entity-value": (
+        f'{DOCTYPE}<owl:Class rdf:ID="A"/><owl:Class rdf:ID="C"/>',
+        ("A", "C"),
+        [],
+    ),
     "text-before-the-root": (
         'junk<rdf:RDF><owl:Class rdf:ID="A"/></rdf:RDF>',
         (),
@@ -501,6 +524,8 @@ _DOCUMENT_DIAGNOSTICS = {
         (),
         ["ERROR x.owl:1:5 malformed XML: not well-formed (invalid token)"],
     ),
+    # Reported where expat reports it, as no element was read.
+    "a-nul-before-a-fragment": (nul := '\x00<owl:Class rdf:ID="A"/>', (), [_expat_error(nul)]),
     "a-literal-before-a-fragment": (
         '"<owl:Class rdf:ID="A"/>',
         (),
@@ -557,6 +582,52 @@ def test_a_document_reports_each_diagnostic_at_its_own_line_and_column(name):
     model, diags = parse_ontology(text, "x.owl")
     assert [format_diagnostic(d, "x.owl") for d in diags] == expected
     assert model.classes == tuple(map(Iri, classes))
+
+
+# Prolog parts holding ">" and "<name" where XML allows them, and prefixes
+# that make a document malformed.
+_DECLARATION = '<?xml version="1.0"?>'
+_MISC = ["\n", "  ", "<!-- a > <owl:Fake -->", "<?note a > <owl:Fake?>"]
+_DOCTYPES = [
+    "<!DOCTYPE rdf:RDF>",
+    DOCTYPE.rstrip(),
+    "<!DOCTYPE rdf:RDF [\n<!ENTITY e '<owl:Fake a=\"1\"> >'>\n<!-- > <owl:Fake -->\n]>",
+    '<!DOCTYPE rdf:RDF [<?note > <owl:Fake?><!ENTITY % p "> <owl:Fake">]>',
+]
+_MALFORMED = ["junk", "&", "\x00"]
+
+
+def _random_prolog_document(rng: random.Random) -> tuple[str, str, tuple[str, ...]]:
+    """A document of prolog parts and one to three classes, the same document
+    with its root where parse_ontology must put it, and the classes."""
+    parts = [_DECLARATION] if rng.random() < 0.5 else []
+    parts += rng.choices(_MISC, k=rng.randrange(3))
+    if rng.random() < 0.7:
+        parts.append(rng.choice(_DOCTYPES))
+    parts += rng.choices(_MISC, k=rng.randrange(3))
+    if rng.random() < 0.15:
+        parts.insert(rng.randrange(len(parts) + 1), rng.choice(_MALFORMED))
+    # The first element is on the prolog's last line half the time.
+    prolog = "".join(parts) + rng.choice(["", "\n"])
+    classes = ("A", "B", "C")[: rng.randint(1, 3)]
+    body = "".join(f'<owl:Class rdf:ID="{name}"/>' for name in classes)
+    rooted = f"<rdf:RDF>{body}</rdf:RDF>"
+    return prolog + rng.choice([body, rooted]), prolog + rooted, classes
+
+
+def test_a_prolog_is_read_as_expat_reads_it():
+    rng = random.Random(2014)
+    outcomes = set()
+    for _ in range(300):
+        text, rooted, classes = _random_prolog_document(rng)
+        accepted = _expat_error(rooted) is None
+        model, diags = parse_ontology(text, "x.owl")
+        assert has_errors(diags) is not accepted, repr(text)
+        if accepted:
+            assert (model.classes, diags) == (tuple(map(Iri, classes)), []), repr(text)
+        assert all(d.location.line >= 1 and d.location.col >= 1 for d in diags), repr(text)
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("root", [False, True], ids=["fragment", "rdf-root"])
